@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierCoefficients, GridFunction, grid_lp_norm, inverse, sup_norm
+from .fourier import GridFunction, grid_lp_norm, sup_norm
 from .groups import Torus
+from .named_functions import dirichlet_kernel
 from .quantize import DenseOperator, apply, kernel, realize
 from .symbols import Symbol, hirschman_wainger
 
@@ -106,7 +107,8 @@ def lp_lower_bound(
         phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
         return a ** (r - 1.0) * phase
 
-    starts = [("dirichlet", _dirichlet_start(op))]
+    dirichlet = dirichlet_kernel(op.grid, min(op.band, op.grid.exactness_band))
+    starts = [("dirichlet", dirichlet.values)]
     for s in range(random_starts):
         starts.append(
             (f"random{s}", rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1]))
@@ -149,15 +151,6 @@ def lp_lower_bound(
                 break
             prev = quot
     return LpLowerBound(p=p, value=best, witness=witness, history=history, restarts=restarts)
-
-
-def _dirichlet_start(op: DenseOperator) -> np.ndarray:
-    group = op.grid.group
-    duals = group.enumerate_dual(min(op.band, op.grid.exactness_band))
-    coeffs = FourierCoefficients(
-        group, op.band, duals, [np.eye(xi.dim, dtype=complex) for xi in duals]
-    )
-    return inverse(coeffs, op.grid).values
 
 
 # ---------------------------------------------------------------------------

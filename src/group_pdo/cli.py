@@ -4,7 +4,11 @@ Every subcommand writes one CSV block and one JSON report (named
 ``<experiment>-<config-hash>.{csv,json}``) into the output directory and
 prints a one-line verdict.  Identical config and seed produce byte-identical
 files.  Exit codes: 0 clean, 1 invariant violated, 2 usage error,
-3 precision/band refusal.
+3 precision/band refusal, 4 internal error (an uncaught exception).
+
+Each subcommand is a function ``_<command>(args)`` returning an `Outcome`;
+`_dispatch` is the one place that resolves the config, writes the result
+files, prints the message and maps the outcome to an exit code.
 """
 
 from __future__ import annotations
@@ -12,13 +16,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
+import traceback
+from dataclasses import dataclass, field
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 
 def _float_cell(v) -> str:
@@ -27,7 +35,7 @@ def _float_cell(v) -> str:
     return str(v)
 
 
-def _write_outputs(outdir: str, name: str, config: dict, rows, json_payload: dict) -> tuple[str, str]:
+def _write_outputs(outdir: str, name: str, config: dict, rows, json_payload: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     tag = hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -41,7 +49,6 @@ def _write_outputs(outdir: str, name: str, config: dict, rows, json_payload: dic
     with open(base + ".json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return base + ".csv", base + ".json"
 
 
 def _parse_params(text: str) -> dict:
@@ -118,24 +125,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--symbol", default="identity", help="builder name")
             p.add_argument("--symbol-params", default="", help="k=v,k=v builder parameters")
 
+    def class_params(p):
+        p.add_argument("--m", type=float, required=True)
+        p.add_argument("--rho", type=float, required=True)
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--l", type=int, default=2)
+
+    def out_and_threads(p):
+        p.add_argument("--out", default=None)
+        p.add_argument("--threads", type=int, default=1)
+
     p = sub.add_parser("transform", help="forward/inverse round-trip and Parseval report")
     common(p)
     p.add_argument("--samples", type=int, default=20)
 
     p = sub.add_parser("seminorm", help="symbol class seminorm report")
     common(p, symbol=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--l", type=int, default=2)
+    class_params(p)
     p.add_argument("--windows", default="", help="comma list of band windows")
 
     p = sub.add_parser("classcheck", help="numerical class-membership verdict")
     common(p, symbol=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--l", type=int, default=2)
+    class_params(p)
     p.add_argument("--windows", required=True, help="comma list of band windows (>= 2)")
 
     p = sub.add_parser("quantize", help="apply Op(symbol) to a named function")
@@ -161,16 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    out_and_threads(p)
 
     p = sub.add_parser("threshold", help="finite-regularity order threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    out_and_threads(p)
 
     p = sub.add_parser("weyl", help="Weyl counts / dual series partial sums")
     common(p)
@@ -194,25 +203,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_value(argv: list, flag: str, default=None):
+    """Value of the last ``flag V`` or ``flag=V`` in argv, read before parsing."""
+    value = default
+    for i, a in enumerate(argv):
+        if a == flag and i + 1 < len(argv):
+            value = argv[i + 1]
+        elif a.startswith(flag + "="):
+            value = a.split("=", 1)[1]
+    return value
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # honor --threads before numpy is imported anywhere
-    threads = "1"
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif a.startswith("--threads="):
-            threads = a.split("=", 1)[1]
+    threads = _flag_value(argv, "--threads", default="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, threads)
 
     parser = build_parser()
-    config_path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif a.startswith("--config="):
-            config_path = a.split("=", 1)[1]
+    config_path = _flag_value(argv, "--config")
     if config_path:
         try:
             _apply_config(parser, _load_config(config_path))
@@ -224,23 +234,28 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except (PrecisionError,) as exc:
+    except PrecisionError as exc:
         print(f"precision/band error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (ValueError, SingularSymbolError, KeyError) as exc:
+    except (ValueError, SingularSymbolError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a defect, not a verdict: never let it pass for exit 1 (violation)
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _outdir(args) -> str:
-    out = getattr(args, "out", None)
-    return out or os.environ.get("GROUP_PDO_OUT") or "out"
+    return args.out or os.environ.get("GROUP_PDO_OUT") or "out"
 
 
-def _resolved(args, extra: dict = None) -> dict:
+def _resolved(args, grid=None) -> dict:
     skip = {"command", "config", "out"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
-    config.update(extra or {})
+    if grid is not None:
+        config["grid"] = grid.meta()
     return config
 
 
@@ -254,408 +269,329 @@ def _setup(args, need_margin=0):
     else:
         grid = group.grid_for_band(band, margin=max(need_margin, args.margin))
     grid.require_band(band, what="requested band")
-    return group, band, grid
+    return band, grid
 
 
-def _build(args, group, band, grid):
+def _build(args, need_margin=0):
+    """`_setup` plus the `--symbol` built from `--symbol-params`: (band, grid, sigma)."""
     from .symbols import build_symbol
 
-    params = _parse_params(getattr(args, "symbol_params", "") or "")
-    name = getattr(args, "symbol", "identity")
-    needs_grid = name.strip().lower() == "schrodinger"
-    return build_symbol(
-        name, group, band, grid=grid if needs_grid else None, params=params, seed=args.seed
+    band, grid = _setup(args, need_margin)
+    params = _parse_params(args.symbol_params)
+    needs_grid = args.symbol.strip().lower() == "schrodinger"
+    sigma = build_symbol(
+        args.symbol, grid.group, band, grid=grid if needs_grid else None, params=params, seed=args.seed
     )
+    return band, grid, sigma
+
+
+@dataclass
+class Outcome:
+    """One subcommand's result; a `grid` adds its meta to the config, `extra` adds JSON keys."""
+
+    rows: list
+    results: dict
+    verdict: str
+    message: str
+    tolerances: dict = field(default_factory=dict)
+    ok: bool = True
+    grid: object = None
+    extra: dict = field(default_factory=dict)
 
 
 def _dispatch(args) -> int:
+    outcome = COMMANDS[args.command](args)
+    payload = {
+        "results": outcome.results,
+        "verdict": outcome.verdict,
+        "tolerances": outcome.tolerances,
+        **outcome.extra,
+    }
+    _write_outputs(_outdir(args), args.command, _resolved(args, outcome.grid), outcome.rows, payload)
+    print(outcome.message)
+    return EXIT_OK if outcome.ok else EXIT_VIOLATION
+
+
+def _interval(args) -> Outcome:
+    from .bounds import fefferman_interval
+
+    rep = fefferman_interval(args.n, args.rho, args.nu)
+    rows = [
+        ["n", "rho", "nu", "ratio", "half_width", "p_minus", "p_plus", "full_range"],
+        [rep.n, rep.rho, rep.nu, rep.ratio, rep.half_width, rep.p_minus, rep.p_plus, int(rep.full_range)],
+    ]
+    results = {
+        "p_minus": rep.p_minus,
+        "p_plus": rep.p_plus if math.isfinite(rep.p_plus) else None,
+        "half_width": rep.half_width,
+        "full_range": rep.full_range,
+    }
+    return Outcome(rows, results, rep.one_line(), rep.one_line())
+
+
+def _threshold(args) -> Outcome:
+    from .bounds import finite_regularity_threshold
+
+    rep = finite_regularity_threshold(args.n, args.p, args.rho, args.delta)
+    rows = [
+        ["n", "p", "rho", "delta", "kappa", "ell", "int_part", "m0"],
+        [rep.n, rep.p, rep.rho, rep.delta, rep.kappa, rep.ell, rep.int_part, rep.m0],
+    ]
+    results = {"kappa": rep.kappa, "ell": rep.ell, "m0": rep.m0}
+    return Outcome(rows, results, rep.one_line(), rep.one_line())
+
+
+def _selftest(args) -> Outcome:
+    from .selftest import run_all
+
+    results = run_all(seed=args.seed)
+    rows = [["check", "ok", "detail"]] + [[r.name, int(r.ok), r.detail] for r in results]
+    failures = sum(not r.ok for r in results)
+    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.detail}" for r in results]
+    lines.append(f"selftest: {len(results) - failures}/{len(results)} checks passed")
+    summary = {"checks": len(results), "failures": failures}
+    return Outcome(rows, summary, "FAIL" if failures else "PASS", "\n".join(lines), ok=not failures)
+
+
+def _transform(args) -> Outcome:
     import numpy as np
 
-    cmd = args.command
-    if cmd == "interval":
-        from .bounds import fefferman_interval
+    from .fourier import forward, grid_l2_norm, inverse, l2_norm, random_bandlimited
 
-        rep = fefferman_interval(args.n, args.rho, args.nu)
-        config = _resolved(args)
-        rows = [
-            ["n", "rho", "nu", "ratio", "half_width", "p_minus", "p_plus", "full_range"],
-            [rep.n, rep.rho, rep.nu, rep.ratio, rep.half_width, rep.p_minus, rep.p_plus, int(rep.full_range)],
-        ]
-        _write_outputs(
-            _outdir(args),
-            "interval",
-            config,
-            rows,
-            {
-                "results": {
-                    "p_minus": rep.p_minus,
-                    "p_plus": None if not np.isfinite(rep.p_plus) else rep.p_plus,
-                    "half_width": rep.half_width,
-                    "full_range": rep.full_range,
-                },
-                "verdict": rep.one_line(),
-                "tolerances": {},
-            },
-        )
-        print(rep.one_line())
-        return EXIT_OK
+    band, grid = _setup(args)
+    rng = np.random.default_rng(args.seed)
+    worst_rt = worst_pv = 0.0
+    rows = [["sample", "roundtrip_sup_error", "parseval_abs_error"]]
+    for i in range(args.samples):
+        f = random_bandlimited(grid, band, rng)
+        coeffs = forward(f, band)
+        back = inverse(coeffs, grid)
+        rt = float(np.max(np.abs(back.values - f.values)))
+        pv = abs(l2_norm(coeffs) - grid_l2_norm(f))
+        rows.append([i, rt, pv])
+        worst_rt = max(worst_rt, rt)
+        worst_pv = max(worst_pv, pv)
+    ok = worst_rt <= 1e-10 and worst_pv <= 1e-10
+    verdict = "PASS" if ok else "FAIL"
+    return Outcome(
+        rows,
+        {"worst_roundtrip": worst_rt, "worst_parseval": worst_pv},
+        verdict,
+        f"transform: {verdict} (roundtrip {worst_rt:.3g}, parseval {worst_pv:.3g})",
+        tolerances={"roundtrip": 1e-10, "parseval": 1e-10},
+        ok=ok,
+        grid=grid,
+    )
 
-    if cmd == "threshold":
-        from .bounds import finite_regularity_threshold
 
-        rep = finite_regularity_threshold(args.n, args.p, args.rho, args.delta)
-        config = _resolved(args)
-        rows = [
-            ["n", "p", "rho", "delta", "kappa", "ell", "int_part", "m0"],
-            [rep.n, rep.p, rep.rho, rep.delta, rep.kappa, rep.ell, rep.int_part, rep.m0],
-        ]
-        _write_outputs(
-            _outdir(args),
-            "threshold",
-            config,
-            rows,
-            {
-                "results": {"kappa": rep.kappa, "ell": rep.ell, "m0": rep.m0},
-                "verdict": rep.one_line(),
-                "tolerances": {},
-            },
-        )
-        print(rep.one_line())
-        return EXIT_OK
+def _seminorm(args) -> Outcome:
+    from .seminorms import ClassParams, seminorm
 
-    if cmd == "selftest":
-        from .selftest import run_all
+    _, grid, sigma = _build(args, need_margin=args.l)
+    windows = _parse_list(args.windows) if args.windows else None
+    params = ClassParams(m=args.m, rho=args.rho, delta=args.delta, l=args.l)
+    rep = seminorm(sigma, params, windows, grid=grid if sigma.invariant else None)
+    rows = [["alpha", "beta", "window", "partial_sup"]]
+    for e in rep.entries:
+        for lam, s in e.sweep:
+            rows.append(["|".join(map(str, e.alpha)), "|".join(map(str, e.beta)), lam, s])
+    return Outcome(
+        rows,
+        {"overall": rep.overall, "collection": list(rep.collection)},
+        f"overall={rep.overall:.17g}",
+        f"seminorm: overall={rep.overall:.6g} over {len(rep.entries)} entries",
+        grid=grid,
+        extra={"note": rep.note},
+    )
 
-        results = run_all(seed=args.seed)
-        rows = [["check", "ok", "detail"]] + [[r.name, int(r.ok), r.detail] for r in results]
-        failures = [r for r in results if not r.ok]
-        config = _resolved(args)
-        _write_outputs(
-            _outdir(args),
-            "selftest",
-            config,
-            rows,
-            {
-                "results": {"checks": len(results), "failures": len(failures)},
-                "verdict": "PASS" if not failures else "FAIL",
-                "tolerances": {},
-            },
-        )
-        for r in results:
-            print(f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.detail}")
-        print(f"selftest: {len(results) - len(failures)}/{len(results)} checks passed")
-        return EXIT_OK if not failures else EXIT_VIOLATION
 
-    if cmd == "transform":
-        from .fourier import forward, grid_l2_norm, inverse, l2_norm, random_bandlimited
+def _classcheck(args) -> Outcome:
+    from .seminorms import class_membership
 
-        group, band, grid = _setup(args)
-        rng = np.random.default_rng(args.seed)
-        worst_rt = worst_pv = 0.0
-        rows = [["sample", "roundtrip_sup_error", "parseval_abs_error"]]
-        for i in range(args.samples):
-            f = random_bandlimited(grid, band, rng)
-            coeffs = forward(f, band)
-            back = inverse(coeffs, grid)
-            rt = float(np.max(np.abs(back.values - f.values)))
-            pv = abs(l2_norm(coeffs) - grid_l2_norm(f))
-            rows.append([i, rt, pv])
-            worst_rt = max(worst_rt, rt)
-            worst_pv = max(worst_pv, pv)
-        ok = worst_rt <= 1e-10 and worst_pv <= 1e-10
-        config = _resolved(args, {"grid": grid.meta()})
-        _write_outputs(
-            _outdir(args),
-            "transform",
-            config,
-            rows,
-            {
-                "results": {"worst_roundtrip": worst_rt, "worst_parseval": worst_pv},
-                "verdict": "PASS" if ok else "FAIL",
-                "tolerances": {"roundtrip": 1e-10, "parseval": 1e-10},
-            },
-        )
-        print(
-            f"transform: {'PASS' if ok else 'FAIL'} "
-            f"(roundtrip {worst_rt:.3g}, parseval {worst_pv:.3g})"
-        )
-        return EXIT_OK if ok else EXIT_VIOLATION
+    _, grid, sigma = _build(args, need_margin=args.l)
+    windows = _parse_list(args.windows) if args.windows else None
+    verdict = class_membership(
+        sigma,
+        m=args.m,
+        rho=args.rho,
+        delta=args.delta,
+        l=args.l,
+        windows=windows,
+        grid=grid if sigma.invariant else None,
+    )
+    rows = [["alpha", "beta", "slope"]] + [
+        ["|".join(map(str, a)), "|".join(map(str, b)), s] for a, b, s in verdict.slopes
+    ]
+    results = {
+        "consistent": verdict.consistent,
+        "worst_slope": verdict.worst_slope,
+        "worst_entry": [list(verdict.worst_entry[0]), list(verdict.worst_entry[1])],
+    }
+    line = verdict.one_line()
+    tolerances = {"slope": 0.05}
+    return Outcome(rows, results, line, f"classcheck: {line}", tolerances=tolerances, grid=grid)
 
-    if cmd in ("seminorm", "classcheck"):
-        from .seminorms import ClassParams, class_membership, seminorm
 
-        group, band, grid = _setup(args, need_margin=args.l)
-        sigma = _build(args, group, band, grid)
-        windows = _parse_list(args.windows) if args.windows else None
-        config = _resolved(args, {"grid": grid.meta()})
-        if cmd == "seminorm":
-            rep = seminorm(
-                sigma,
-                ClassParams(m=args.m, rho=args.rho, delta=args.delta, l=args.l),
-                windows,
-                grid=grid if sigma.invariant else None,
-            )
-            rows = [["alpha", "beta", "window", "partial_sup"]]
-            for e in rep.entries:
-                for lam, s in e.sweep:
-                    rows.append(["|".join(map(str, e.alpha)), "|".join(map(str, e.beta)), lam, s])
-            _write_outputs(
-                _outdir(args),
-                "seminorm",
-                config,
-                rows,
-                {
-                    "results": {"overall": rep.overall, "collection": list(rep.collection)},
-                    "verdict": f"overall={rep.overall:.17g}",
-                    "tolerances": {},
-                    "note": rep.note,
-                },
-            )
-            print(f"seminorm: overall={rep.overall:.6g} over {len(rep.entries)} entries")
-            return EXIT_OK
-        verdict = class_membership(
-            sigma,
-            m=args.m,
-            rho=args.rho,
-            delta=args.delta,
-            l=args.l,
-            windows=windows,
-            grid=grid if sigma.invariant else None,
-        )
-        rows = [["alpha", "beta", "slope"]] + [
-            ["|".join(map(str, a)), "|".join(map(str, b)), s] for a, b, s in verdict.slopes
-        ]
-        _write_outputs(
-            _outdir(args),
-            "classcheck",
-            config,
-            rows,
-            {
-                "results": {
-                    "consistent": verdict.consistent,
-                    "worst_slope": verdict.worst_slope,
-                    "worst_entry": [list(verdict.worst_entry[0]), list(verdict.worst_entry[1])],
-                },
-                "verdict": verdict.one_line(),
-                "tolerances": {"slope": 0.05},
-            },
-        )
-        print(f"classcheck: {verdict.one_line()}")
-        return EXIT_OK
+def _quantize(args) -> Outcome:
+    import numpy as np
 
-    if cmd == "quantize":
-        from .named_functions import named_function
-        from .quantize import apply
+    from .named_functions import named_function
+    from .quantize import apply
 
-        group, band, grid = _setup(args)
-        sigma = _build(args, group, band, grid)
-        f = named_function(args.function, grid, band=band, seed=args.seed)
-        out = apply(sigma, f)
-        rows = [["node", "re", "im"]] + [
-            [i, float(v.real), float(v.imag)] for i, v in enumerate(out.values)
-        ]
-        config = _resolved(args, {"grid": grid.meta()})
-        _write_outputs(
-            _outdir(args),
-            "quantize",
-            config,
-            rows,
-            {
-                "results": {"sup": float(np.max(np.abs(out.values)))},
-                "verdict": "PASS",
-                "tolerances": {"band_check": 1e-8},
-            },
-        )
-        print(f"quantize: applied {sigma.provenance} to {args.function}, sup={np.max(np.abs(out.values)):.6g}")
-        return EXIT_OK
+    band, grid, sigma = _build(args)
+    f = named_function(args.function, grid, band=band, seed=args.seed)
+    out = apply(sigma, f)
+    rows = [["node", "re", "im"]] + [
+        [i, float(v.real), float(v.imag)] for i, v in enumerate(out.values)
+    ]
+    sup = float(np.max(np.abs(out.values)))
+    message = f"quantize: applied {sigma.provenance} to {args.function}, sup={sup:.6g}"
+    return Outcome(rows, {"sup": sup}, "PASS", message, tolerances={"band_check": 1e-8}, grid=grid)
 
-    if cmd == "hsnorm":
-        from .bounds import hs_norm_kernel, hs_norm_symbol
 
-        group, band, grid = _setup(args)
-        sigma = _build(args, group, band, grid)
-        hs_s = hs_norm_symbol(sigma)
-        hs_k = hs_norm_kernel(sigma, grid)
-        rel = abs(hs_k - hs_s) / hs_s if hs_s else 0.0
-        ok = rel <= 1e-8
-        config = _resolved(args, {"grid": grid.meta()})
-        rows = [["symbol_side", "kernel_side", "rel_diff"], [hs_s, hs_k, rel]]
-        _write_outputs(
-            _outdir(args),
-            "hsnorm",
-            config,
-            rows,
-            {
-                "results": {"symbol_side": hs_s, "kernel_side": hs_k, "rel_diff": rel},
-                "verdict": "PASS" if ok else "FAIL",
-                "tolerances": {"rel": 1e-8},
-            },
-        )
-        print(f"hsnorm: {'PASS' if ok else 'FAIL'} symbol={hs_s:.12g} kernel={hs_k:.12g} rel={rel:.3g}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+def _hsnorm(args) -> Outcome:
+    from .bounds import hs_norm_kernel, hs_norm_symbol
 
-    if cmd == "linf":
-        from .bounds import linf_bound_constant
-        from .fourier import random_bandlimited, sup_norm
-        from .quantize import apply
+    band, grid, sigma = _build(args)
+    hs_s = hs_norm_symbol(sigma)
+    hs_k = hs_norm_kernel(sigma, grid)
+    rel = abs(hs_k - hs_s) / hs_s if hs_s else 0.0
+    ok = rel <= 1e-8
+    verdict = "PASS" if ok else "FAIL"
+    return Outcome(
+        [["symbol_side", "kernel_side", "rel_diff"], [hs_s, hs_k, rel]],
+        {"symbol_side": hs_s, "kernel_side": hs_k, "rel_diff": rel},
+        verdict,
+        f"hsnorm: {verdict} symbol={hs_s:.12g} kernel={hs_k:.12g} rel={rel:.3g}",
+        tolerances={"rel": 1e-8},
+        ok=ok,
+        grid=grid,
+    )
 
-        group, band, grid = _setup(args)
-        sigma = _build(args, group, band, grid)
-        const = linf_bound_constant(sigma, grid)
-        rng = np.random.default_rng(args.seed)
-        rows = [["sample", "lhs", "rhs"]]
-        violations = 0
-        for i in range(args.samples):
-            f = random_bandlimited(grid, band, rng)
-            lhs = sup_norm(apply(sigma, f))
-            rhs = (1 + 1e-8) * const * sup_norm(f)
-            rows.append([i, lhs, rhs])
-            violations += int(lhs > rhs)
-        config = _resolved(args, {"grid": grid.meta()})
-        _write_outputs(
-            _outdir(args),
-            "linf",
-            config,
-            rows,
-            {
-                "results": {"constant": const, "violations": violations},
-                "verdict": "PASS" if violations == 0 else "FAIL",
-                "tolerances": {"factor": 1e-8},
-            },
-        )
-        print(f"linf: constant={const:.12g}, {violations} violations on {args.samples} samples")
-        return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
-    if cmd == "lp-sharpness":
-        from .bounds import sharpness_experiment
+def _linf(args) -> Outcome:
+    import numpy as np
 
-        series = sharpness_experiment(
-            rho=args.rho,
-            nu0=args.nu0,
-            p=args.p,
-            lambdas=[int(v) for v in _parse_list(args.lambdas)],
-            iterations=args.iterations,
-            seed=args.seed,
-        )
-        rows = [["lambda", "lp_lower_bound"]] + [
-            [lam, b] for lam, b in zip(series.lambdas, series.bounds)
-        ]
-        config = _resolved(args)
-        _write_outputs(
-            _outdir(args),
-            "lp-sharpness",
-            config,
-            rows,
-            {
-                "results": {
-                    "slope": series.slope,
-                    "expected_rate": series.expected_rate,
-                    "bounds": series.bounds,
-                },
-                "verdict": series.verdict,
-                "tolerances": {"slope": 0.05},
-            },
-        )
-        print(
-            f"lp-sharpness: {series.verdict} (slope {series.slope:+.4f}, "
-            f"classical rate {series.expected_rate:+.4f})"
-        )
-        return EXIT_OK
+    from .bounds import linf_bound_constant
+    from .fourier import random_bandlimited, sup_norm
+    from .quantize import apply
 
-    if cmd == "weyl":
-        from .bounds import casimir_series, weyl_count
-        from .groups import group_by_name
+    band, grid, sigma = _build(args)
+    const = linf_bound_constant(sigma, grid)
+    rng = np.random.default_rng(args.seed)
+    rows = [["sample", "lhs", "rhs"]]
+    violations = 0
+    for i in range(args.samples):
+        f = random_bandlimited(grid, band, rng)
+        lhs = sup_norm(apply(sigma, f))
+        rhs = (1 + 1e-8) * const * sup_norm(f)
+        rows.append([i, lhs, rhs])
+        violations += int(lhs > rhs)
+    return Outcome(
+        rows,
+        {"constant": const, "violations": violations},
+        "PASS" if violations == 0 else "FAIL",
+        f"linf: constant={const:.12g}, {violations} violations on {args.samples} samples",
+        tolerances={"factor": 1e-8},
+        ok=violations == 0,
+        grid=grid,
+    )
 
-        group = group_by_name(args.group)
-        lambdas = _parse_list(args.lambdas)
-        config = _resolved(args)
-        if args.s is not None:
-            rep = casimir_series(group, args.s, lambdas)
-            rows = [["lambda", "partial_sum"]] + [[lam, v] for lam, v in rep.rows]
-            _write_outputs(
-                _outdir(args),
-                "weyl",
-                config,
-                rows,
-                {
-                    "results": {"last_band_fraction": rep.last_band_fraction},
-                    "verdict": f"last-band fraction {rep.last_band_fraction:.4f}",
-                    "tolerances": {},
-                },
-            )
-            print(f"weyl series s={args.s}: last-band fraction {rep.last_band_fraction:.4f}")
-            return EXIT_OK
-        rep = weyl_count(group, lambdas, args.alpha, band_limit=args.band_limit)
-        rows = [["lambda", "sum", "ratio"]] + [[a, b, c] for a, b, c in rep.rows]
-        _write_outputs(
-            _outdir(args),
-            "weyl",
-            config,
-            rows,
-            {
-                "results": {"rows": [list(r) for r in rep.rows], "variant": rep.variant},
-                "verdict": f"final ratio {rep.rows[-1][2]:.6g}",
-                "tolerances": {},
-            },
-        )
-        print(f"weyl: {rep.variant} final ratio {rep.rows[-1][2]:.6g}")
-        return EXIT_OK
 
-    if cmd == "bmo":
-        from .bounds import bmo_seminorm
-        from .named_functions import named_function
+def _lp_sharpness(args) -> Outcome:
+    from .bounds import sharpness_experiment
 
-        group, band, grid = _setup(args)
-        radii = _parse_list(args.radii) if args.radii else [np.pi / 16, np.pi / 8, np.pi / 4, np.pi / 2]
-        f = named_function(args.function, grid, band=band, seed=args.seed)
-        rep = bmo_seminorm(f, radii)
-        config = _resolved(args, {"grid": grid.meta()})
-        rows = [
-            ["value", "best_center", "best_radius", "skipped"],
-            [rep.value, rep.best_center, rep.best_radius, rep.skipped],
-        ]
-        _write_outputs(
-            _outdir(args),
-            "bmo",
-            config,
-            rows,
-            {
-                "results": {"value": rep.value, "skipped": rep.skipped},
-                "verdict": f"bmo>={rep.value:.12g}",
-                "tolerances": {},
-            },
-        )
-        print(f"bmo: seminorm >= {rep.value:.12g} (best radius {rep.best_radius:.6g})")
-        return EXIT_OK
+    lambdas = [int(v) for v in _parse_list(args.lambdas)]
+    series = sharpness_experiment(args.rho, args.nu0, args.p, lambdas, args.iterations, args.seed)
+    rows = [["lambda", "lp_lower_bound"], *zip(series.lambdas, series.bounds)]
+    results = {"slope": series.slope, "expected_rate": series.expected_rate, "bounds": series.bounds}
+    message = (
+        f"lp-sharpness: {series.verdict} (slope {series.slope:+.4f}, "
+        f"classical rate {series.expected_rate:+.4f})"
+    )
+    return Outcome(rows, results, series.verdict, message, tolerances={"slope": 0.05})
 
-    if cmd == "audit":
-        from .bounds import bound_audit
-        from .fourier import random_bandlimited
 
-        group, band, grid = _setup(args)
-        sigma = _build(args, group, band, grid)
-        rng = np.random.default_rng(args.seed)
-        samples = [random_bandlimited(grid, band, rng) for _ in range(args.samples)]
-        rep = bound_audit(sigma, samples, grid)
-        rows = [["check", "value", "bound", "ok", "note"]] + [
-            [c.name, c.value, c.bound, int(c.ok), c.note] for c in rep.checks
-        ]
-        config = _resolved(args, {"grid": grid.meta()})
-        _write_outputs(
-            _outdir(args),
-            "audit",
-            config,
-            rows,
-            {
-                "results": {"violations": rep.violations, "checks": len(rep.checks)},
-                "verdict": "PASS" if rep.violations == 0 else "FAIL",
-                "tolerances": {"linf_factor": 1e-8, "hs_rel": 1e-8},
-            },
-        )
-        print(f"audit: {'PASS' if rep.violations == 0 else 'FAIL'} ({rep.violations} violations)")
-        return EXIT_OK if rep.violations == 0 else EXIT_VIOLATION
+def _weyl(args) -> Outcome:
+    from .bounds import casimir_series, weyl_count
+    from .groups import group_by_name
 
-    raise ValueError(f"unknown command {cmd!r}")
+    group = group_by_name(args.group)
+    lambdas = _parse_list(args.lambdas)
+    if args.s is not None:
+        rep = casimir_series(group, args.s, lambdas)
+        fraction = f"last-band fraction {rep.last_band_fraction:.4f}"
+        rows = [["lambda", "partial_sum"], *rep.rows]
+        results = {"last_band_fraction": rep.last_band_fraction}
+        return Outcome(rows, results, fraction, f"weyl series s={args.s}: {fraction}")
+    rep = weyl_count(group, lambdas, args.alpha, band_limit=args.band_limit)
+    rows = [["lambda", "sum", "ratio"], *rep.rows]
+    results = {"rows": rep.rows, "variant": rep.variant}
+    final = f"final ratio {rep.rows[-1][2]:.6g}"
+    return Outcome(rows, results, final, f"weyl: {rep.variant} {final}")
+
+
+def _bmo(args) -> Outcome:
+    import numpy as np
+
+    from .bounds import bmo_seminorm
+    from .named_functions import named_function
+
+    band, grid = _setup(args)
+    radii = _parse_list(args.radii) if args.radii else [np.pi / 16, np.pi / 8, np.pi / 4, np.pi / 2]
+    f = named_function(args.function, grid, band=band, seed=args.seed)
+    rep = bmo_seminorm(f, radii)
+    rows = [
+        ["value", "best_center", "best_radius", "skipped"],
+        [rep.value, rep.best_center, rep.best_radius, rep.skipped],
+    ]
+    results = {"value": rep.value, "skipped": rep.skipped}
+    message = f"bmo: seminorm >= {rep.value:.12g} (best radius {rep.best_radius:.6g})"
+    return Outcome(rows, results, f"bmo>={rep.value:.12g}", message, grid=grid)
+
+
+def _audit(args) -> Outcome:
+    import numpy as np
+
+    from .bounds import bound_audit
+    from .fourier import random_bandlimited
+
+    band, grid, sigma = _build(args)
+    rng = np.random.default_rng(args.seed)
+    samples = [random_bandlimited(grid, band, rng) for _ in range(args.samples)]
+    rep = bound_audit(sigma, samples, grid)
+    rows = [["check", "value", "bound", "ok", "note"]] + [
+        [c.name, c.value, c.bound, int(c.ok), c.note] for c in rep.checks
+    ]
+    ok = rep.violations == 0
+    verdict = "PASS" if ok else "FAIL"
+    return Outcome(
+        rows,
+        {"violations": rep.violations, "checks": len(rep.checks)},
+        verdict,
+        f"audit: {verdict} ({rep.violations} violations)",
+        tolerances={"linf_factor": 1e-8, "hs_rel": 1e-8},
+        ok=ok,
+        grid=grid,
+    )
+
+
+# subcommand -> handler; the name also prefixes the result files
+COMMANDS = {
+    "interval": _interval,
+    "threshold": _threshold,
+    "selftest": _selftest,
+    "transform": _transform,
+    "seminorm": _seminorm,
+    "classcheck": _classcheck,
+    "quantize": _quantize,
+    "hsnorm": _hsnorm,
+    "linf": _linf,
+    "lp-sharpness": _lp_sharpness,
+    "weyl": _weyl,
+    "bmo": _bmo,
+    "audit": _audit,
+}
 
 
 if __name__ == "__main__":

@@ -64,15 +64,7 @@ class FourierCoefficients:
 
     def to_json_dict(self) -> dict:
         """Documented layout: {group, band, entries: [{label, re, im}]}."""
-        entries = []
-        for xi, b in zip(self.duals, self.blocks):
-            entries.append(
-                {
-                    "label": list(xi.label) if isinstance(xi.label, tuple) else xi.label,
-                    "re": b.real.tolist(),
-                    "im": b.imag.tolist(),
-                }
-            )
+        entries = json_entries(self.duals, self.blocks)
         return {"group": self.group.name, "band": self.band, "entries": entries}
 
     @classmethod
@@ -87,6 +79,18 @@ class FourierCoefficients:
             duals.append(xi)
             blocks.append(np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"]))
         return cls(group, float(payload["band"]), tuple(duals), blocks)
+
+
+def json_entries(duals, blocks) -> list[dict]:
+    """The documented ``[{label, re, im}]`` entries; blocks may carry a node axis."""
+    return [
+        {
+            "label": list(xi.label) if isinstance(xi.label, tuple) else xi.label,
+            "re": b.real.tolist(),
+            "im": b.imag.tolist(),
+        }
+        for xi, b in zip(duals, blocks)
+    ]
 
 
 def zero_coefficients(group, band: float, duals=None) -> FourierCoefficients:
@@ -157,16 +161,9 @@ def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
     wf = grid.weights * f.values
     blocks = []
     for xi in duals:
-        table = _rep_table(grid, xi)
-        conj_t = table.conj()
+        conj_t = grid.rep_table(xi).conj()
         blocks.append(np.einsum("n,ncr->rc", wf, conj_t, optimize=True))
     return FourierCoefficients(group, band, duals, blocks)
-
-
-def _rep_table(grid, xi: DualIndex) -> np.ndarray:
-    if isinstance(grid, SU2Grid):
-        return grid.rep_table(xi)
-    return grid.group.rep_table(xi, grid.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ from .su2 import SU2, SU2Grid, euler_to_quat, quat_to_euler
 from .torus import Torus, TorusGrid
 from .wigner import wigner_d_matrix, wigner_d_sum, wigner_d_tables
 
-GROUPS = {"su2": SU2}
-
 
 def group_by_name(name: str):
     """Resolve "t1", "t2", ..., "su2" to a group instance."""

@@ -178,6 +178,10 @@ class TorusGrid:
                 f"exactness |k| <= {self.native_exact} (shape {self.shape}); refuse to alias"
             )
 
+    def rep_table(self, xi: DualIndex) -> np.ndarray:
+        """xi at every node, shape (N, 1, 1)."""
+        return self.group.rep_table(xi, self.nodes)
+
     def meta(self) -> dict:
         return {
             "group": self.group.name,

@@ -93,7 +93,7 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
         return inverse(out, grid)
     vals = np.zeros(grid.node_count, dtype=complex)
     for xi, sblock, chat in zip(sigma.duals, sigma.blocks, coeffs.blocks):
-        table = _rep_table(grid, xi)
+        table = grid.rep_table(xi)
         prod = sblock @ chat  # (N, d, d)
         vals += xi.dim * np.einsum("nab,nba->n", table, prod, optimize=True)
     return GridFunction(grid, vals)
@@ -187,9 +187,3 @@ def realize(sigma: Symbol, grid=None) -> DenseOperator:
     ktab = kernel(sigma, grid)
     m = ktab.values * grid.weights[None, :]
     return DenseOperator(grid, m, sigma.band, provenance=sigma.provenance)
-
-
-def _rep_table(grid, xi) -> np.ndarray:
-    if isinstance(grid, SU2Grid):
-        return grid.rep_table(xi)
-    return grid.group.rep_table(xi, grid.nodes)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SingularSymbolError
-from .fourier import FourierCoefficients, GridFunction
+from .fourier import FourierCoefficients, GridFunction, json_entries
 from .groups import SU2, DualIndex, Torus
 
 
@@ -91,21 +91,12 @@ class Symbol:
 
     def to_json_dict(self) -> dict:
         """Coefficient JSON layout extended with an x-node axis when gridded."""
-        entries = []
-        for xi, b in zip(self.duals, self.blocks):
-            entries.append(
-                {
-                    "label": list(xi.label) if isinstance(xi.label, tuple) else xi.label,
-                    "re": b.real.tolist(),
-                    "im": b.imag.tolist(),
-                }
-            )
         out = {
             "group": self.group.name,
             "band": self.band,
             "invariant": self.invariant,
             "provenance": self.provenance,
-            "entries": entries,
+            "entries": json_entries(self.duals, self.blocks),
         }
         if not self.invariant:
             out["x_nodes"] = self.grid.node_count
@@ -234,21 +225,13 @@ def extract_symbol(op: Callable[[GridFunction], GridFunction], grid, band: float
     duals = group.enumerate_dual(band)
     blocks = []
     for xi in duals:
-        table = _rep_table(grid, xi)
+        table = grid.rep_table(xi)
         applied = np.empty_like(table)
         for i in range(xi.dim):
             for j in range(xi.dim):
                 applied[:, i, j] = op(GridFunction(grid, table[:, i, j])).values
         blocks.append(np.einsum("nba,nbc->nac", table.conj(), applied, optimize=True))
     return Symbol(group, band, duals, blocks, grid=grid, provenance="extracted")
-
-
-def _rep_table(grid, xi: DualIndex) -> np.ndarray:
-    from .groups import SU2Grid
-
-    if isinstance(grid, SU2Grid):
-        return grid.rep_table(xi)
-    return grid.group.rep_table(xi, grid.nodes)
 
 
 # ---------------------------------------------------------------------------

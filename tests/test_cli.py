@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from group_pdo.cli import main
+import group_pdo.bounds
+from group_pdo.cli import EXIT_INTERNAL, main
 
 
 def run(args, tmp_path, sub="out"):
@@ -53,6 +54,18 @@ class TestVerdictCommands:
         assert code == 0
         assert "growth-detected" in capsys.readouterr().out
 
+    def test_linf(self, tmp_path, capsys):
+        code, out, files = run(
+            ["linf", "--group", "t1", "--band", "8", "--symbol", "multiplier_power",
+             "--symbol-params", "s=-1", "--samples", "4"], tmp_path
+        )
+        assert code == 0
+        assert "0 violations on 4 samples" in capsys.readouterr().out
+        payload = json.load(open(os.path.join(out, [f for f in files if f.endswith(".json")][0])))
+        assert payload["verdict"] == "PASS"
+        assert payload["results"]["violations"] == 0
+        assert payload["results"]["constant"] > 0
+
     def test_audit(self, tmp_path, capsys):
         code, _, _ = run(
             ["audit", "--group", "su2", "--band", "3", "--symbol", "identity", "--samples", "5"],
@@ -77,6 +90,18 @@ class TestErrorPaths:
             ["transform", "--group", "t1", "--band", "30", "--resolution", "16"], tmp_path
         )
         assert code == 3
+
+    @pytest.mark.parametrize("exc", [TypeError("bad operand"), KeyError("missing")])
+    def test_uncaught_exception_is_internal_error(self, exc, tmp_path, monkeypatch, capsys):
+        # a defect must neither pass for a violation (1) nor for a usage error (2)
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(group_pdo.bounds, "fefferman_interval", broken)
+        code, _, files = run(["interval", "--n", "1", "--rho", "0.5", "--nu", "0"], tmp_path)
+        assert code == EXIT_INTERNAL == 4
+        assert files == []
+        assert f"internal error: {type(exc).__name__}: {exc}" in capsys.readouterr().err
 
     def test_resonant_constant_usage_error(self, tmp_path):
         code, _, _ = run(
@@ -118,6 +143,34 @@ class TestDeterminismAndConfig:
         code = main(["interval", "--n", "1", "--rho", "0.5", "--nu", "0"])
         assert code == 0
         assert os.path.isdir(tmp_path / "envout")
+
+
+# The hash covers the resolved config only, so these names hold on every platform.
+PINNED_RESULT_NAMES = [
+    (["interval", "--n", "1", "--rho", "0.5", "--nu", "0.125"], "interval-50696d02d16d"),
+    (["threshold", "--n", "3", "--p", "4", "--rho", "0", "--delta", "0"], "threshold-8044f6fd3cfe"),
+    (["transform", "--group", "su2", "--band", "4", "--samples", "3"], "transform-ba7bcdea0f88"),
+    (["lp-sharpness", "--p", "2", "--lambdas", "8,16,32", "--iterations", "8"],
+     "lp-sharpness-82b26fe4713e"),
+    (["weyl", "--group", "su2", "--alpha", "0", "--lambdas", "4,8"], "weyl-2230214f30ee"),
+    (["weyl", "--group", "su2", "--s", "3.1", "--lambdas", "2,4,8,16,32"], "weyl-11641e635cbd"),
+    (["seminorm", "--group", "t1", "--band", "40", "--symbol", "multiplier_power",
+      "--symbol-params", "s=-1", "--m", "-1", "--rho", "1", "--delta", "0", "--l", "2",
+      "--windows", "8,16,32"], "seminorm-1574dae5661f"),
+]
+
+
+@pytest.mark.parametrize("args, stem", PINNED_RESULT_NAMES, ids=[s for _, s in PINNED_RESULT_NAMES])
+def test_result_names_and_json_layout_are_pinned(args, stem, tmp_path):
+    code, out, files = run(args, tmp_path)
+    assert code == 0
+    assert files == [stem + ".csv", stem + ".json"]
+    payload = json.load(open(os.path.join(out, stem + ".json")))
+    keys = {"name", "config", "results", "verdict", "tolerances"}
+    if args[0] == "seminorm":
+        keys.add("note")
+    assert set(payload) == keys
+    assert payload["name"] == args[0]
 
 
 class TestSmallExperiments:
