@@ -59,7 +59,7 @@ def l2_multiplier_norm(sigma: Symbol) -> float:
     """sup over the band of ||sigma(xi)||_op (invariant symbols only)."""
     if not sigma.invariant:
         raise ValueError("l2_multiplier_norm requires an invariant symbol")
-    return max(sigma.sup_op_norm(xi) for xi in sigma.duals)
+    return float(np.max(sigma.sup_op_norms()))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +522,8 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
     rel = abs(hs_k - hs_s) / hs_s if hs_s > 0 else abs(hs_k - hs_s)
     checks.append(AuditCheck(name="hs_identity", value=rel, bound=1e-8, ok=bool(rel <= 1e-8)))
 
-    weights = np.array([xi.weight for xi in sigma.duals])
-    sups = np.array([sigma.sup_op_norm(xi) for xi in sigma.duals])
+    weights = sigma.duals.weights
+    sups = sigma.sup_op_norms()
     sel = (weights >= 2.0) & (sups > 0.0)
     n = sigma.group.dim
     if sel.sum() >= 2:

@@ -10,15 +10,16 @@ an exact index rule which is used as a fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+import itertools
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BandExhaustedError, PrecisionError
 from .fourier import GridFunction, forward, inverse
-from .groups import SU2, DualIndex, Torus
-from .symbols import Symbol
+from .groups import SU2, Duals, Torus
+from .symbols import Symbol, multiplier
 
 _TOL = 1e-9
 
@@ -144,55 +145,50 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
     if isinstance(sigma.group, SU2):
         new_native = int(round(new_native))
     new_band = sigma.group.band_of_native(new_native)
-    target = [xi for xi in sigma.duals if _native_index(sigma.group, xi) <= new_native + _TOL]
+    duals = sigma.duals
+    native_index = np.sqrt(duals.casimir) if isinstance(sigma.group, Torus) else duals.labels
+    keep = native_index <= new_native + _TOL
+    target = Duals(itertools.compress(duals, keep))
     if isinstance(sigma.group, Torus) and q.shift is not None:
-        blocks = _shifted_blocks(q, sigma, target)
+        blocks = _shifted_blocks(q, sigma, keep)
     else:
         blocks = _kernel_side_blocks(q, sigma, target, new_band, grid)
-    return Symbol(
-        sigma.group,
-        new_band,
-        tuple(target),
-        blocks,
-        grid=sigma.grid,
+    return replace(
+        sigma,
+        band=new_band,
+        duals=target,
+        blocks=blocks,
         native_band=new_native,
         provenance=f"D[{q.name}]{sigma.provenance}",
     )
 
 
-def _native_index(group, xi: DualIndex) -> float:
-    if isinstance(group, Torus):
-        return float(np.sqrt(xi.casimir))
-    return float(xi.label)
-
-
-def _shifted_blocks(q: DifferenceOp, sigma: Symbol, target) -> list:
+def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndarray:
+    """sigma(k - step e_axis) - sigma(k) on the kept duals; sigma is zero outside its band."""
     axis, step = q.shift
-    blocks = []
-    for xi in target:
-        k = list(xi.label)
-        k[axis] -= step
-        shifted = tuple(k)
-        left = sigma.block(shifted) if sigma.has_label(shifted) else 0.0
-        blocks.append(left - sigma.block(xi.label))
-    return blocks
+    blocks = np.asarray(sigma.blocks)  # torus blocks are all 1x1, so they stack
+    labels = sigma.duals.labels
+    pad = int(np.abs(labels).max()) + 1
+    # sigma scattered into a zero cube that has room for every shifted label
+    cube = np.zeros((2 * pad + 1,) * labels.shape[1] + blocks.shape[1:], dtype=complex)
+    cube[tuple((labels + pad).T)] = blocks
+    shifted = labels[keep] + pad
+    shifted[:, axis] -= step
+    return cube[tuple(shifted.T)] - blocks[keep]
 
 
-def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> list:
+def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> Sequence:
     if grid is None:
         grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
     grid.require_band(sigma.band, what="symbol band")
     qvals = q.values(grid)
-    target = tuple(target)
     if sigma.invariant:
-        coeffs = sigma.slice_coefficients()
-        k = inverse(coeffs, grid)
-        out = forward(GridFunction(grid, k.values * qvals), new_band, duals=target)
-        return list(out.blocks)
+        k = inverse(sigma, grid)
+        return forward(GridFunction(grid, k.values * qvals), new_band, duals=target).blocks
     n = grid.node_count
     blocks = [np.empty((n, xi.dim, xi.dim), dtype=complex) for xi in target]
     for node in range(n):
-        k = inverse(sigma.slice_coefficients(node), grid)
+        k = inverse(sigma.at_node(node), grid)
         out = forward(GridFunction(grid, k.values * qvals), new_band, duals=target)
         for b, ob in zip(blocks, out.blocks):
             b[node] = ob
@@ -227,22 +223,22 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
         return zero
     grid = sigma.grid
     x_band = grid.exactness_band
-    x_duals = group.enumerate_dual(x_band)
-    mults = []
-    for eta in x_duals:
+
+    def field_power(eta):
         s = np.eye(eta.dim, dtype=complex)
         for j, power in enumerate(beta):
-            sx = group.vector_field_symbol(j, eta)
             for _ in range(power):
-                s = s @ sx
-        mults.append(s)
+                s = s @ group.vector_field_symbol(j, eta)
+        return s
+
+    mults = multiplier(group, x_band, field_power)
     blocks = []
     for xi, sblock in zip(sigma.duals, sigma.blocks):
         out = np.empty_like(sblock)
         for i in range(xi.dim):
             for j in range(xi.dim):
                 g = GridFunction(grid, sblock[:, i, j])
-                coeffs = forward(g, x_band, duals=x_duals)
+                coeffs = forward(g, x_band, duals=mults.duals)
                 back = inverse(coeffs, grid)
                 scale = max(float(np.max(np.abs(g.values))), 1.0)
                 resid = float(np.max(np.abs(back.values - g.values)))
@@ -251,16 +247,6 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
                         f"x-dependence of sigma at xi={xi.label} entry ({i},{j}) is not "
                         f"resolved by the grid (round-trip residual {resid:.3g})"
                     )
-                new_blocks = [m @ b for m, b in zip(mults, coeffs.blocks)]
-                dcoeffs = type(coeffs)(coeffs.group, coeffs.band, coeffs.duals, new_blocks)
-                out[:, i, j] = inverse(dcoeffs, grid).values
+                out[:, i, j] = inverse(mults @ coeffs, grid).values
         blocks.append(out)
-    return Symbol(
-        group,
-        sigma.band,
-        sigma.duals,
-        blocks,
-        grid=grid,
-        native_band=sigma.native_band,
-        provenance=f"d^{beta}{sigma.provenance}",
-    )
+    return replace(sigma, blocks=blocks, provenance=f"d^{beta}{sigma.provenance}")

@@ -6,20 +6,26 @@ The transform pair is
     f(x)  = sum_xi d_xi Tr(xi(x) a(xi))       (inverse)
 
 realised by quadrature on a grid whose exactness band covers the requested
-band.  On the torus the forward/inverse reduce to FFTs; on SU(2) they are
-separated over the Euler angles (phase contractions in phi/psi, a Wigner-d
-contraction over the Gauss-Legendre theta nodes), so no dense
+band.  On the torus the forward/inverse reduce to FFTs plus one gather or
+scatter of the coefficients; on SU(2) they are separated over the Euler
+angles (phase contractions in phi/psi, a Wigner-d contraction over the
+Gauss-Legendre theta nodes, one spin at a time), so no dense
 node-by-coefficient matrix is ever formed.
+
+`FourierCoefficients` is the one container for dual-indexed blocks, with an
+optional node axis; symbols (`symbols.Symbol`) are the same container.  Its
+blocks are packed by dimension, and only this module knows that layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PrecisionError
-from .groups import SU2, DualIndex, SU2Grid, Torus, TorusGrid
+from .groups import SU2, Duals, SU2Grid, Torus, TorusGrid, group_by_name
 
 
 @dataclass
@@ -38,19 +44,38 @@ class GridFunction:
 
 @dataclass
 class FourierCoefficients:
-    """Matrix Fourier coefficients over an enumerated dual ball."""
+    """One d_xi x d_xi block per dual, optionally per node of `grid`.
+
+    Without a grid this is a coefficient table a(xi); with one it is a
+    symbol sigma(x, xi) tabulated at the grid nodes, each block carrying a
+    leading node axis.  `blocks` is taken and kept as a per-dual sequence;
+    the storage is `buckets`, one complex array of shape
+    ``(count, [N,] d, d)`` per maximal run of consecutive duals of equal
+    dimension d: a single bucket on the torus, one per spin on SU(2).
+    """
 
     group: object
     band: float
-    duals: tuple[DualIndex, ...]
-    blocks: list[np.ndarray]
-    _index: dict = field(init=False, repr=False, default=None)
+    duals: Duals
+    blocks: Sequence[np.ndarray]
+    grid: object = None
 
     def __post_init__(self):
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
-        for xi, b in zip(self.duals, self.blocks):
-            if b.shape != (xi.dim, xi.dim):
-                raise ValueError(f"block for {xi.label} has shape {b.shape}, wanted {(xi.dim,) * 2}")
+        self.duals = Duals(self.duals)
+        if len(self.blocks) != len(self.duals):
+            raise ValueError(f"{len(self.blocks)} blocks for {len(self.duals)} duals")
+        node_shape = () if self.grid is None else (self.grid.node_count,)
+        self.buckets = []
+        for start, stop in self.duals.runs:
+            dim = self.duals[start].dim
+            want = (*node_shape, dim, dim)
+            bucket = np.asarray(self.blocks[start:stop], dtype=complex)
+            if bucket.shape[1:] != want:
+                shape = bucket.shape[1:]
+                raise ValueError(f"block for {self.duals[start].label} has shape {shape}, wanted {want}")
+            self.buckets.append(bucket)
+        self.blocks = _per_dual(self.buckets)
+        self._index = None
 
     def block(self, label) -> np.ndarray:
         if self._index is None:
@@ -58,19 +83,46 @@ class FourierCoefficients:
         return self.blocks[self._index[label]]
 
     def map_blocks(self, fn) -> "FourierCoefficients":
+        """fn(xi, block) applied per dual; every other field is kept."""
+        return replace(self, blocks=[fn(xi, b) for xi, b in zip(self.duals, self.blocks)])
+
+    def at_node(self, node: int) -> "FourierCoefficients":
+        """The coefficients sigma(x_node, .) of a table with a node axis."""
         return FourierCoefficients(
-            self.group, self.band, self.duals, [fn(xi, b) for xi, b in zip(self.duals, self.blocks)]
+            self.group, self.band, self.duals, _per_dual([b[:, node] for b in self.buckets])
         )
+
+    def __matmul__(self, other: "FourierCoefficients") -> "FourierCoefficients":
+        """Blockwise product self(xi) @ other(xi) over the same duals; other has no node axis."""
+        if other.duals is not self.duals and other.duals != self.duals:
+            raise ValueError("blockwise product needs the same duals on both sides")
+        others = other.buckets if self.grid is None else [o[:, None] for o in other.buckets]
+        products = [s @ o for s, o in zip(self.buckets, others)]
+        return FourierCoefficients(self.group, self.band, self.duals, _per_dual(products), self.grid)
+
+    def op_norms(self, xi) -> np.ndarray:
+        """||sigma(x, xi)||_op per node (a single value without a node axis)."""
+        return _op_norms(self.block(xi.label))
+
+    def sup_op_norms(self) -> np.ndarray:
+        """max over nodes of ||sigma(x, xi)||_op, for every dual in order."""
+        return np.concatenate([_op_norms(b).reshape(len(b), -1).max(axis=1) for b in self.buckets])
 
     def to_json_dict(self) -> dict:
         """Documented layout: {group, band, entries: [{label, re, im}]}."""
-        entries = json_entries(self.duals, self.blocks)
+        entries = [
+            {
+                "label": list(xi.label) if isinstance(xi.label, tuple) else xi.label,
+                "re": b.real.tolist(),
+                "im": b.imag.tolist(),
+            }
+            for xi, b in zip(self.duals, self.blocks)
+        ]
         return {"group": self.group.name, "band": self.band, "entries": entries}
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "FourierCoefficients":
-        from .groups import group_by_name
-
+    def from_json_dict(cls, payload: dict, grid=None) -> "FourierCoefficients":
+        """Inverse of `to_json_dict`; entries with a node axis need their `grid`."""
         group = group_by_name(payload["group"])
         duals, blocks = [], []
         for entry in payload["entries"]:
@@ -78,26 +130,20 @@ class FourierCoefficients:
             xi = group.dual_index(tuple(label) if isinstance(label, list) else label)
             duals.append(xi)
             blocks.append(np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"]))
-        return cls(group, float(payload["band"]), tuple(duals), blocks)
+        return cls(group, float(payload["band"]), duals, blocks, grid=grid)
 
 
-def json_entries(duals, blocks) -> list[dict]:
-    """The documented ``[{label, re, im}]`` entries; blocks may carry a node axis."""
-    return [
-        {
-            "label": list(xi.label) if isinstance(xi.label, tuple) else xi.label,
-            "re": b.real.tolist(),
-            "im": b.imag.tolist(),
-        }
-        for xi, b in zip(duals, blocks)
-    ]
+def _per_dual(buckets: list) -> Sequence[np.ndarray]:
+    """The per-dual sequence over buckets: the bucket itself when there is one."""
+    if len(buckets) == 1:
+        return buckets[0]
+    return [b for bucket in buckets for b in bucket]
 
 
-def zero_coefficients(group, band: float, duals=None) -> FourierCoefficients:
-    duals = group.enumerate_dual(band) if duals is None else tuple(duals)
-    return FourierCoefficients(
-        group, band, duals, [np.zeros((xi.dim, xi.dim), dtype=complex) for xi in duals]
-    )
+def _op_norms(stack: np.ndarray) -> np.ndarray:
+    if stack.shape[-1] == 1:
+        return np.abs(stack[..., 0, 0])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +167,16 @@ def forward(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
 def _forward_torus(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
     grid: TorusGrid = f.grid
     group: Torus = grid.group
-    duals = group.enumerate_dual(band) if duals is None else tuple(duals)
+    duals = group.enumerate_dual(band) if duals is None else Duals(duals)
     cube = np.fft.fftn(f.values.reshape(grid.shape)) / f.values.size
-    blocks = []
-    for xi in duals:
-        idx = tuple(k % m for k, m in zip(xi.label, grid.shape))
-        blocks.append(np.array([[cube[idx]]]))
-    return FourierCoefficients(group, band, duals, blocks)
+    values = cube[tuple((duals.labels % grid.shape).T)]
+    return FourierCoefficients(group, band, duals, values.reshape(-1, 1, 1))
 
 
 def _forward_su2(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
     grid: SU2Grid = f.grid
     group: SU2 = grid.group
-    duals = group.enumerate_dual(band) if duals is None else tuple(duals)
+    duals = group.enumerate_dual(band) if duals is None else Duals(duals)
     p, t, q = grid.shape
     vals = f.values.reshape(p, t, q)
     ephi, epsi = grid.phase_tables()
@@ -172,6 +215,8 @@ def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
 
 def inverse(a: FourierCoefficients, grid) -> GridFunction:
     """Pointwise evaluation of the finite Peter-Weyl sum on the grid nodes."""
+    if a.grid is not None:
+        raise ValueError("inverse takes coefficients without a node axis")
     if isinstance(grid, TorusGrid):
         return _inverse_torus(a, grid)
     if isinstance(grid, SU2Grid):
@@ -180,14 +225,14 @@ def inverse(a: FourierCoefficients, grid) -> GridFunction:
 
 
 def _inverse_torus(a: FourierCoefficients, grid: TorusGrid) -> GridFunction:
+    labels = a.duals.labels
+    outside = np.flatnonzero(np.any(np.abs(labels) > (np.array(grid.shape) - 1) // 2, axis=1))
+    if outside.size:
+        raise PrecisionError(
+            f"coefficient k={a.duals[outside[0]].label} cannot be represented on grid shape {grid.shape}"
+        )
     cube = np.zeros(grid.shape, dtype=complex)
-    for xi, b in zip(a.duals, a.blocks):
-        idx = tuple(k % m for k, m in zip(xi.label, grid.shape))
-        if any(abs(k) > (m - 1) // 2 for k, m in zip(xi.label, grid.shape)):
-            raise PrecisionError(
-                f"coefficient k={xi.label} cannot be represented on grid shape {grid.shape}"
-            )
-        cube[idx] += b[0, 0]
+    cube[tuple((labels % grid.shape).T)] += np.asarray(a.blocks)[:, 0, 0]  # all 1x1 on the torus
     vals = np.fft.ifftn(cube) * cube.size
     return GridFunction(grid, vals.ravel())
 
@@ -217,10 +262,9 @@ def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> GridFunction:
 
 def l2_norm(a: FourierCoefficients) -> float:
     """Spectral L2 norm (sum_xi d_xi ||a(xi)||_HS^2)^(1/2)."""
-    total = 0.0
-    for xi, b in zip(a.duals, a.blocks):
-        total += xi.dim * float(np.sum(np.abs(b) ** 2))
-    return float(np.sqrt(total))
+    squares = np.concatenate([np.sum(np.abs(b.reshape(len(b), -1)) ** 2, axis=1) for b in a.buckets])
+    # accumulated in dual order, as a running sum: np.sum would pair terms up
+    return float(np.sqrt(np.cumsum(a.duals.dims * squares)[-1]))
 
 
 def grid_lp_norm(f: GridFunction, p: float) -> float:
@@ -241,11 +285,11 @@ def random_bandlimited(grid, band: float, rng: np.random.Generator) -> GridFunct
     """Random band-limited function with unit spectral L2 norm."""
     group = grid.group
     duals = group.enumerate_dual(band)
-    blocks = []
-    for xi in duals:
-        b = rng.normal(size=(xi.dim, xi.dim)) + 1j * rng.normal(size=(xi.dim, xi.dim))
-        blocks.append(b)
-    coeffs = FourierCoefficients(group, band, tuple(duals), blocks)
+    buckets = []
+    for start, stop in duals.runs:
+        # per dual a real, then an imaginary d x d draw: one stream for the whole bucket
+        draws = rng.normal(size=(stop - start, 2, duals[start].dim, duals[start].dim))
+        buckets.append(draws[:, 0] + 1j * draws[:, 1])
+    coeffs = FourierCoefficients(group, band, duals, _per_dual(buckets))
     scale = l2_norm(coeffs)
-    coeffs = coeffs.map_blocks(lambda xi, b: b / scale)
-    return inverse(coeffs, grid)
+    return inverse(replace(coeffs, blocks=_per_dual([b / scale for b in coeffs.buckets])), grid)

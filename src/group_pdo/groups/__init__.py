@@ -1,6 +1,6 @@
 """Compact group backends: the n-torus and SU(2)."""
 
-from .dual import DualIndex
+from .dual import DualIndex, Duals
 from .su2 import SU2, SU2Grid, euler_to_quat, quat_to_euler
 from .torus import Torus, TorusGrid
 from .wigner import wigner_d_matrix, wigner_d_sum, wigner_d_tables
@@ -18,6 +18,7 @@ def group_by_name(name: str):
 
 __all__ = [
     "DualIndex",
+    "Duals",
     "SU2",
     "SU2Grid",
     "Torus",

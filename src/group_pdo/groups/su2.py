@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex
+from .dual import DualIndex, Duals
 from .wigner import angular_momentum_matrices, wigner_d_matrix, wigner_d_tables
 
 _TOL = 1e-9
@@ -103,7 +103,7 @@ class SU2:
             raise ValueError("doubled spin must be >= 0")
         return DualIndex(label=j2, dim=j2 + 1, casimir=j2 * (j2 + 2) / 4.0)
 
-    def enumerate_dual(self, band: float) -> tuple[DualIndex, ...]:
+    def enumerate_dual(self, band: float) -> Duals:
         """All doubled spins j2 with <j2> <= band, in increasing order."""
         if band < 1:
             raise ValueError("band must be >= 1")
@@ -115,7 +115,7 @@ class SU2:
                 break
             out.append(xi)
             j2 += 1
-        return tuple(out)
+        return Duals(out)
 
     def native_cut(self, band: float) -> int:
         """Largest doubled spin enumerated at the given weight band."""
@@ -230,9 +230,7 @@ class SU2Grid:
         theta = np.arccos(self.cos_theta)
         mesh = np.meshgrid(self.phi, theta, self.psi, indexing="ij")
         self.euler = np.stack([a.ravel() for a in mesh], axis=1)
-        self.nodes = np.stack(
-            [euler_to_quat(*row) for row in self.euler]
-        )
+        self.nodes = euler_to_quat(*self.euler.T).T
         w = np.ones((p, 1, 1)) * (self.gl_weights / (2.0 * p * q))[None, :, None]
         self.weights = np.broadcast_to(w, (p, t, q)).ravel().copy()
         self._cache: dict = {}

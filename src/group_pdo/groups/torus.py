@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex
+from .dual import DualIndex, Duals
 
 _TOL = 1e-9
 
@@ -47,18 +47,20 @@ class Torus:
             raise ValueError(f"label {k} does not index the dual of {self.name}")
         return DualIndex(label=k, dim=1, casimir=float(sum(v * v for v in k)))
 
-    def enumerate_dual(self, band: float) -> tuple[DualIndex, ...]:
+    def enumerate_dual(self, band: float) -> Duals:
         """All k with <k> <= band, sorted by (weight, label)."""
         if band < 1:
             raise ValueError("band must be >= 1")
         r2 = band * band - 1.0 + _TOL
         kmax = int(np.floor(np.sqrt(max(r2, 0.0))))
-        out = []
-        for k in itertools.product(range(-kmax, kmax + 1), repeat=self.n):
-            if sum(v * v for v in k) <= r2:
-                out.append(self.dual_index(k))
-        out.sort(key=DualIndex.sort_key)
-        return tuple(out)
+        squares = np.arange(-kmax, kmax + 1) ** 2
+        casimir = sum(np.ix_(*[squares] * self.n))  # |k|^2 over the cube [-kmax, kmax]^n
+        inside = casimir <= r2
+        k = np.argwhere(inside) - kmax
+        casimir = casimir[inside].astype(float)
+        order = np.lexsort((*k.T[::-1], np.sqrt(1.0 + casimir)))
+        labels = map(tuple, k[order].tolist())
+        return Duals(map(DualIndex, labels, itertools.repeat(1), casimir[order].tolist()))
 
     def native_cut(self, band: float) -> float:
         """Radius of the |k| ball enumerated at the given weight band."""

@@ -20,7 +20,7 @@ independent cross-check for small spins.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -33,16 +33,16 @@ def _seed(j2: int, m2: int, n2: int, cos_half: np.ndarray, sin_half: np.ndarray)
         return np.ones_like(cos_half)
     if m2 == j2:
         binom = comb(j2, (j2 - n2) // 2)
-        return np.sqrt(binom) * cos_half ** ((j2 + n2) // 2) * (-sin_half) ** ((j2 - n2) // 2)
+        return sqrt(binom) * cos_half ** ((j2 + n2) // 2) * (-sin_half) ** ((j2 - n2) // 2)
     if m2 == -j2:
         binom = comb(j2, (j2 + n2) // 2)
-        return np.sqrt(binom) * cos_half ** ((j2 - n2) // 2) * sin_half ** ((j2 + n2) // 2)
+        return sqrt(binom) * cos_half ** ((j2 - n2) // 2) * sin_half ** ((j2 + n2) // 2)
     if n2 == j2:
         binom = comb(j2, (j2 - m2) // 2)
-        return np.sqrt(binom) * cos_half ** ((j2 + m2) // 2) * sin_half ** ((j2 - m2) // 2)
+        return sqrt(binom) * cos_half ** ((j2 + m2) // 2) * sin_half ** ((j2 - m2) // 2)
     if n2 == -j2:
         binom = comb(j2, (j2 + m2) // 2)
-        return np.sqrt(binom) * cos_half ** ((j2 - m2) // 2) * (-sin_half) ** ((j2 + m2) // 2)
+        return sqrt(binom) * cos_half ** ((j2 - m2) // 2) * (-sin_half) ** ((j2 + m2) // 2)
     raise ValueError("seed called away from j0 = max(|m|, |n|)")
 
 

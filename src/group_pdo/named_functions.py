@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier import FourierCoefficients, GridFunction, inverse, random_bandlimited
-from .groups import SU2, Torus
+from .fourier import GridFunction, inverse, random_bandlimited
+from .groups import Torus
+from .symbols import identity_symbol
 
 
 def dirichlet_kernel(grid, band: float) -> GridFunction:
     """Reproducing kernel of the band: sum_xi d_xi Tr xi(x)."""
-    group = grid.group
-    duals = group.enumerate_dual(band)
-    coeffs = FourierCoefficients(
-        group, band, duals, [np.eye(xi.dim, dtype=complex) for xi in duals]
-    )
-    return inverse(coeffs, grid)
+    return inverse(identity_symbol(grid.group, band), grid)
 
 
 def named_function(name: str, grid, band: float = None, seed: int = 0) -> GridFunction:
@@ -45,7 +41,6 @@ def named_function(name: str, grid, band: float = None, seed: int = 0) -> GridFu
         if not isinstance(group, Torus):
             raise ValueError("logsin is a torus sample")
         x = grid.nodes[:, 0]
-        v = np.empty_like(x)
         half_spacing = np.pi / grid.shape[0]
         arg = np.abs(2.0 * np.sin(x / 2.0))
         v = np.log(np.maximum(arg, 2.0 * np.sin(half_spacing / 2.0)))

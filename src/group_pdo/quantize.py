@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PrecisionError
-from .fourier import FourierCoefficients, GridFunction, forward, inverse, sup_norm
+from .fourier import GridFunction, forward, inverse, sup_norm
 from .groups import SU2Grid, TorusGrid
 from .symbols import Symbol
 
@@ -83,19 +83,12 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
                 f"input is not band-limited within band {sigma.band:.6g} "
                 f"(round-trip residual {err:.3g}); refuse to quantize an aliased input"
             )
+    prod = sigma @ coeffs
     if sigma.invariant:
-        out = FourierCoefficients(
-            sigma.group,
-            sigma.band,
-            sigma.duals,
-            [b @ c for b, c in zip(sigma.blocks, coeffs.blocks)],
-        )
-        return inverse(out, grid)
+        return inverse(prod, grid)
     vals = np.zeros(grid.node_count, dtype=complex)
-    for xi, sblock, chat in zip(sigma.duals, sigma.blocks, coeffs.blocks):
-        table = grid.rep_table(xi)
-        prod = sblock @ chat  # (N, d, d)
-        vals += xi.dim * np.einsum("nab,nba->n", table, prod, optimize=True)
+    for xi, block in zip(prod.duals, prod.blocks):
+        vals += xi.dim * np.einsum("nab,nba->n", grid.rep_table(xi), block, optimize=True)
     return GridFunction(grid, vals)
 
 
@@ -123,13 +116,13 @@ def _kernel_torus(sigma: Symbol, grid: TorusGrid) -> np.ndarray:
     n_nodes = grid.node_count
     shape = grid.shape
     if sigma.invariant:
-        k = inverse(sigma.slice_coefficients(), grid).values
+        k = inverse(sigma, grid).values
         if len(shape) == 1:
             return _circulant(k)
         return _row_from_translates(k, shape)
     out = np.empty((n_nodes, n_nodes), dtype=complex)
     for i in range(n_nodes):
-        k = inverse(sigma.slice_coefficients(i), grid).values
+        k = inverse(sigma.at_node(i), grid).values
         out[i] = _single_row(k, shape, i)
     return out
 

@@ -112,14 +112,12 @@ def seminorm(
             f"window {windows[-1]:.6g} exceeds the band trusted after {params.l} "
             f"differences ({deepest_band:.6g})"
         )
-    if grid is None and sigma.grid is None and not _all_shift_exact(group, ops):
+    if grid is None and sigma.grid is None and not _all_shift_exact(ops):
         grid = group.grid_for_band(sigma.band)
 
     entries = []
     for beta in _multi_indices(group.dim, params.l):
         nb = sum(beta)
-        if nb > params.l:
-            continue
         if sigma.invariant and nb > 0:
             for alpha in _multi_indices(len(ops), params.l - nb):
                 entries.append(
@@ -154,14 +152,14 @@ def seminorm(
     )
 
 
-def _all_shift_exact(group, ops) -> bool:
+def _all_shift_exact(ops) -> bool:
     return all(q.shift is not None for q in ops)
 
 
 def _measure(tau: Symbol, alpha, beta, params: ClassParams, windows) -> SeminormEntry:
     expo = params.m - params.rho * sum(alpha) + params.delta * sum(beta)
-    weights = np.array([xi.weight for xi in tau.duals])
-    ratios = np.array([tau.sup_op_norm(xi) for xi in tau.duals]) / weights**expo
+    weights = tau.duals.weights
+    ratios = tau.sup_op_norms() / weights**expo
     order = np.argsort(weights, kind="stable")
     cummax = np.maximum.accumulate(ratios[order])
     sorted_w = weights[order]

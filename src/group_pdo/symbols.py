@@ -1,103 +1,49 @@
 """Matrix symbols sigma(x, xi) and the builders used by the experiments.
 
-A symbol stores one ``d x d`` matrix per enumerated dual index, either
-x-independent (invariant) or per grid node (gridded).  Alongside the weight
-band it tracks a native truncation index (ball radius |k| on the torus,
-doubled spin on SU(2)) so that difference operations can account for the
-band they consume.
+A `Symbol` is a `FourierCoefficients` table, the one packed container for
+dual-indexed blocks: x-independent (invariant) without a grid, tabulated
+per grid node with one.  It adds the native truncation index (ball radius
+|k| on the torus, doubled spin on SU(2)) alongside the weight band, so that
+difference operations can account for the band they consume, and a
+provenance string.  An invariant symbol is its own coefficient table and
+goes straight into `fourier.inverse`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import SingularSymbolError
-from .fourier import FourierCoefficients, GridFunction, json_entries
+from .fourier import FourierCoefficients, GridFunction
 from .groups import SU2, DualIndex, Torus
 
 
 @dataclass
-class Symbol:
-    group: object
-    band: float
-    duals: tuple[DualIndex, ...]
-    blocks: list[np.ndarray]
-    grid: object = None
+class Symbol(FourierCoefficients):
     native_band: float = None
     provenance: str = ""
 
     def __post_init__(self):
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
+        super().__post_init__()
         if self.native_band is None:
             self.native_band = self.group.native_cut(self.band)
-        n = None if self.grid is None else self.grid.node_count
-        for xi, b in zip(self.duals, self.blocks):
-            want = (xi.dim, xi.dim) if n is None else (n, xi.dim, xi.dim)
-            if b.shape != want:
-                raise ValueError(f"block for {xi.label} has shape {b.shape}, wanted {want}")
-        self._index = {xi.label: i for i, xi in enumerate(self.duals)}
 
     @property
     def invariant(self) -> bool:
         return self.grid is None
 
-    def block(self, label) -> np.ndarray:
-        return self.blocks[self._index[label]]
-
-    def has_label(self, label) -> bool:
-        return label in self._index
-
-    def matrix(self, xi: DualIndex, node: Optional[int] = None) -> np.ndarray:
-        b = self.block(xi.label)
-        return b if self.invariant else b[node]
-
-    def slice_coefficients(self, node: Optional[int] = None) -> FourierCoefficients:
-        """sigma(x, .) at one node (or the invariant table) as coefficients."""
-        if self.invariant:
-            blocks = self.blocks
-        else:
-            blocks = [b[node] for b in self.blocks]
-        return FourierCoefficients(self.group, self.band, self.duals, list(blocks))
-
-    def map_blocks(self, fn: Callable[[DualIndex, np.ndarray], np.ndarray]) -> "Symbol":
-        return Symbol(
-            self.group,
-            self.band,
-            self.duals,
-            [fn(xi, b) for xi, b in zip(self.duals, self.blocks)],
-            grid=self.grid,
-            native_band=self.native_band,
-            provenance=self.provenance,
-        )
-
     def adjoint(self) -> "Symbol":
-        swap = (0, 2, 1) if not self.invariant else (1, 0)
-        out = self.map_blocks(lambda xi, b: b.conj().transpose(swap))
+        out = self.map_blocks(lambda xi, b: np.swapaxes(b, -1, -2).conj())
         out.provenance = f"adjoint({self.provenance})"
         return out
 
-    def op_norms(self, xi: DualIndex) -> np.ndarray:
-        """||sigma(x, xi)||_op per node (a single value for invariant symbols)."""
-        b = self.block(xi.label)
-        if xi.dim == 1:
-            return np.abs(b[..., 0, 0])
-        return np.linalg.svd(b, compute_uv=False)[..., 0]
-
-    def sup_op_norm(self, xi: DualIndex) -> float:
-        return float(np.max(self.op_norms(xi)))
-
     def to_json_dict(self) -> dict:
         """Coefficient JSON layout extended with an x-node axis when gridded."""
-        out = {
-            "group": self.group.name,
-            "band": self.band,
-            "invariant": self.invariant,
-            "provenance": self.provenance,
-            "entries": json_entries(self.duals, self.blocks),
-        }
+        out = super().to_json_dict()
+        out.update(invariant=self.invariant, provenance=self.provenance)
         if not self.invariant:
             out["x_nodes"] = self.grid.node_count
         return out
@@ -109,13 +55,8 @@ class Symbol:
 
 def identity_symbol(group, band: float, grid=None) -> Symbol:
     duals = group.enumerate_dual(band)
-    if grid is None:
-        blocks = [np.eye(xi.dim, dtype=complex) for xi in duals]
-    else:
-        blocks = [
-            np.broadcast_to(np.eye(xi.dim, dtype=complex), (grid.node_count, xi.dim, xi.dim)).copy()
-            for xi in duals
-        ]
+    nodes = () if grid is None else (grid.node_count,)
+    blocks = [np.broadcast_to(np.eye(xi.dim, dtype=complex), (*nodes, xi.dim, xi.dim)) for xi in duals]
     return Symbol(group, band, duals, blocks, grid=grid, provenance="identity")
 
 

@@ -50,15 +50,25 @@ class TestTorusShifts:
         out = difference(q_plus, sig)
         assert out.block((1,))[0, 0] == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-14)
 
-    def test_shift_vs_kernel_side(self, t1):
-        sig = multiplier_power(t1, -0.7, t1.band_of_native(9))
-        for q in admissible_collection(t1):
-            fast = difference(q, sig)
-            slow = difference(dataclasses.replace(q, shift=None), sig)
-            for xi in fast.duals:
-                np.testing.assert_allclose(
-                    fast.block(xi.label), slow.block(xi.label), atol=1e-11
-                )
+    def test_shift_vs_kernel_side(self, t1, t2):
+        # invariant and gridded symbols on t1 and t2; shifts from the rim
+        # of the dual ball land outside it, where sigma is zero
+        for group, cut, gridded in ((t1, 9, False), (t1, 9, True), (t2, 4, False), (t2, 4, True)):
+            band = group.band_of_native(cut)
+            if gridded:
+                grid = group.grid_for_band(band, margin=1)
+                f = GridFunction(grid, np.cos(grid.nodes[:, 0]))
+                sig = schrodinger_phase(group, 0.7, f, 0.5, band)
+            else:
+                sig = multiplier_power(group, -0.7, band)
+            for q in admissible_collection(group):
+                fast = difference(q, sig)
+                slow = difference(dataclasses.replace(q, shift=None), sig)
+                assert fast.duals == slow.duals
+                for xi in fast.duals:
+                    np.testing.assert_allclose(
+                        fast.block(xi.label), slow.block(xi.label), atol=1e-11
+                    )
 
     def test_leibniz_product_of_shifts(self, t1):
         # Delta_{q1 q2} = Delta_{q1} Delta_{q2} for multiplication operators
@@ -109,7 +119,7 @@ class TestSU2Difference:
         grid = su2.grid_for_band(band)
         from group_pdo.fourier import forward, inverse
 
-        kernel_fn = inverse(sig.slice_coefficients(), grid)
+        kernel_fn = inverse(sig, grid)
         qk = GridFunction(grid, kernel_fn.values * q.values(grid))
         brute = forward(qk, out.band, duals=out.duals)
         for xi, b in zip(out.duals, brute.blocks):

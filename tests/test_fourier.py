@@ -139,3 +139,31 @@ class TestSerialization:
         assert back.band == coeffs.band
         for b1, b2 in zip(coeffs.blocks, back.blocks):
             np.testing.assert_allclose(b1, b2, atol=1e-15)
+
+
+class TestPackedContainer:
+    def test_buckets_blocks_and_json_round_trip(self, t1, su2, rng):
+        from group_pdo.symbols import Symbol, multiplier_power, schrodinger_phase
+
+        torus = forward(random_bandlimited(t1.haar_grid(16), 5.0, rng), 5.0)
+        assert [b.shape for b in torus.buckets] == [(len(torus.duals), 1, 1)]
+        band = su2.band_of_native(5)
+        spins = forward(random_bandlimited(su2.haar_grid(6), band, rng), band)
+        assert [b.shape for b in spins.buckets] == [(1, j2 + 1, j2 + 1) for j2 in range(6)]
+        for coeffs in (torus, spins):
+            assert len(coeffs.blocks) == len(coeffs.duals)
+            for xi, b in zip(coeffs.duals, coeffs.blocks):
+                assert b.shape == (xi.dim, xi.dim)
+
+        grid = t1.haar_grid(8)
+        f = GridFunction(grid, np.cos(grid.nodes[:, 0]))
+        for sig, sig_grid in (
+            (multiplier_power(t1, -1.0, 3.0), None),
+            (schrodinger_phase(t1, 1.0, f, 0.5, 3.0), grid),
+        ):
+            payload = json.loads(json.dumps(sig.to_json_dict()))
+            back = Symbol.from_json_dict(payload, grid=sig_grid)
+            assert back.duals == sig.duals
+            assert back.invariant == sig.invariant
+            assert len(back.buckets) == 1
+            np.testing.assert_array_equal(back.buckets[0], sig.buckets[0])

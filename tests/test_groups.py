@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_pdo.errors import PrecisionError
-from group_pdo.groups import SU2, Torus, wigner_d_matrix, wigner_d_sum
+from group_pdo.groups import SU2, Torus, wigner_d_matrix, wigner_d_sum, wigner_d_tables
 from group_pdo.groups.su2 import euler_to_quat, quat_to_euler
 from group_pdo.groups.wigner import angular_momentum_matrices
 
@@ -24,10 +26,20 @@ class TestDualEnumeration:
         assert [xi.dim for xi in duals] == [1, 2, 3]
 
     def test_sorted_and_deterministic(self, t2):
-        duals = t2.enumerate_dual(3.0)
-        keys = [xi.sort_key() for xi in duals]
-        assert keys == sorted(keys)
-        assert duals == t2.enumerate_dual(3.0)
+        for group, band in ((t2, 3.0), (Torus(3), 3.0), (Torus(3), 4.6)):
+            duals = group.enumerate_dual(band)
+            keys = [xi.sort_key() for xi in duals]
+            assert keys == sorted(keys)
+            assert duals == group.enumerate_dual(band)
+            # brute force over the cube: every k with |k|^2 <= band^2 - 1, sorted by (weight, label)
+            r2 = band * band - 1.0 + 1e-9
+            kmax = int(np.floor(np.sqrt(r2)))
+            cube = itertools.product(range(-kmax, kmax + 1), repeat=group.n)
+            oracle = sorted(
+                (group.dual_index(k) for k in cube if sum(v * v for v in k) <= r2),
+                key=lambda xi: xi.sort_key(),
+            )
+            assert list(duals) == oracle
 
     def test_weight_identity(self, su2):
         for xi in su2.enumerate_dual(9.0):
@@ -50,6 +62,17 @@ class TestWigner:
             oracle = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
             assert np.abs(oracle.imag).max() < 1e-12
             np.testing.assert_allclose(wigner_d_matrix(j2, theta), oracle.real, atol=1e-11)
+
+    @pytest.mark.parametrize("j2", [68, 96])
+    def test_large_spin_tables_match_oracle(self, j2, rng):
+        # past j2 = 67 the seed's binomial no longer fits in an int64
+        thetas = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0.0, np.pi, 3)])
+        tables = wigner_d_tables(j2, thetas)[j2]
+        lam, vec = np.linalg.eigh(angular_momentum_matrices(j2)[1])
+        for theta, d in zip(thetas, tables):
+            oracle = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
+            np.testing.assert_allclose(d, oracle.real, atol=1e-11)
+            np.testing.assert_allclose(d @ d.T, np.eye(j2 + 1), atol=1e-12)
 
     def test_spin_half_explicit(self):
         theta = 0.7
