@@ -2,22 +2,24 @@
 
 A difference operator Delta_q acts on Fourier coefficients by
 Delta_q fhat = (q f)^ for a function q vanishing at the identity.  Symbols
-are differenced kernel-side: transform sigma(x, .) to its kernel on a grid
-whose exactness covers the band, multiply by q, transform back on the
-shrunken trusted band.  On the torus the shifts q = exp(+-i x_j) - 1 admit
-an exact index rule which is used as a fast path.
+are differenced kernel-side: a batched inverse gives the kernel of sigma(x, .)
+for every node x on a grid whose exactness covers the band, and a batched
+forward of q times the kernels gives the shrunken trusted band, a chunk of
+nodes at a time.  On the torus the shifts q = exp(+-i x_j) - 1 admit an
+exact index rule which is used as a fast path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BandExhaustedError, PrecisionError
-from .fourier import GridFunction, forward, inverse
+from .fourier import GridFunction, batch_slices, concat, forward, inverse
 from .groups import SU2, Duals, Torus
 from .symbols import Symbol, multiplier
 
@@ -178,21 +180,16 @@ def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndar
 
 
 def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> Sequence:
+    """forward(q k) on the target duals, k the kernel of sigma(x, .) at each node x, a chunk of nodes at a time."""
     if grid is None:
         grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
     grid.require_band(sigma.band, what="symbol band")
     qvals = q.values(grid)
-    if sigma.invariant:
-        k = inverse(sigma, grid)
-        return forward(GridFunction(grid, k.values * qvals), new_band, duals=target).blocks
-    n = grid.node_count
-    blocks = [np.empty((n, xi.dim, xi.dim), dtype=complex) for xi in target]
-    for node in range(n):
-        k = inverse(sigma.at_node(node), grid)
-        out = forward(GridFunction(grid, k.values * qvals), new_band, duals=target)
-        for b, ob in zip(blocks, out.blocks):
-            b[node] = ob
-    return blocks
+    parts = [
+        forward(GridFunction(grid, inverse(sigma.rows(rows), grid).values * qvals), new_band, duals=target)
+        for rows in batch_slices(math.prod(sigma.batch), grid.node_count)
+    ]
+    return concat(parts).blocks
 
 
 def laplace_difference(sigma: Symbol, grid=None) -> Symbol:
@@ -207,10 +204,11 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
     """d^beta sigma: left-invariant derivatives of the x-dependence.
 
     The x-dependence of each matrix entry is expanded in the group Fourier
-    series on the symbol's grid, coefficient blocks are multiplied on the
-    left by the vector-field symbols (composition left-to-right in beta,
-    which matters on SU(2)), and the series is resummed.  Inputs whose
-    x-spectrum is not resolved by the grid are rejected.
+    series on the symbol's grid, all entries as one batch; coefficient
+    blocks are multiplied on the left by the vector-field symbols
+    (composition left-to-right in beta, which matters on SU(2)), and the
+    series is resummed.  Inputs whose x-spectrum is not resolved by the grid
+    are rejected, naming the first such entry.
     """
     group = sigma.group
     if len(beta) != group.dim:
@@ -218,7 +216,7 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
     if sigma.invariant or sum(beta) == 0:
         if sum(beta) == 0:
             return sigma
-        zero = sigma.map_blocks(lambda xi, b: np.zeros_like(b))
+        zero = sigma.map_buckets(np.zeros_like)
         zero.provenance = f"d^{beta}{sigma.provenance}"
         return zero
     grid = sigma.grid
@@ -232,21 +230,24 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
         return s
 
     mults = multiplier(group, x_band, field_power)
-    blocks = []
-    for xi, sblock in zip(sigma.duals, sigma.blocks):
-        out = np.empty_like(sblock)
-        for i in range(xi.dim):
-            for j in range(xi.dim):
-                g = GridFunction(grid, sblock[:, i, j])
-                coeffs = forward(g, x_band, duals=mults.duals)
-                back = inverse(coeffs, grid)
-                scale = max(float(np.max(np.abs(g.values))), 1.0)
-                resid = float(np.max(np.abs(back.values - g.values)))
-                if resid > alias_tol * scale:
-                    raise PrecisionError(
-                        f"x-dependence of sigma at xi={xi.label} entry ({i},{j}) is not "
-                        f"resolved by the grid (round-trip residual {resid:.3g})"
-                    )
-                out[:, i, j] = inverse(mults @ coeffs, grid).values
-        blocks.append(out)
-    return replace(sigma, blocks=blocks, provenance=f"d^{beta}{sigma.provenance}")
+    n = grid.node_count
+    # every matrix entry of every block as one stack of grid functions, in dual then row-major entry order
+    entries = np.concatenate([np.moveaxis(b, 1, -1).reshape(-1, n) for b in sigma.buckets])
+    for rows in batch_slices(len(entries), n):  # each chunk is overwritten by its derivative
+        g = entries[rows]
+        coeffs = forward(GridFunction(grid, g), x_band, duals=mults.duals)
+        scale = np.maximum(np.max(np.abs(g), axis=1), 1.0)
+        resid = np.max(np.abs(inverse(coeffs, grid).values - g), axis=1)
+        bad = np.flatnonzero(resid > alias_tol * scale)
+        if bad.size:
+            xi, i, j = [(xi, i, j) for xi in sigma.duals for i in range(xi.dim) for j in range(xi.dim)][rows.start + bad[0]]
+            raise PrecisionError(
+                f"x-dependence of sigma at xi={xi.label} entry ({i},{j}) is not "
+                f"resolved by the grid (round-trip residual {resid[bad[0]]:.3g})"
+            )
+        entries[rows] = inverse(mults @ coeffs, grid).values
+    stacks = iter(np.split(entries, np.cumsum([b.size // n for b in sigma.buckets])[:-1]))
+    out = sigma.map_buckets(lambda b: np.moveaxis(next(stacks).reshape(len(b), *b.shape[2:], n), -1, 1))
+    out.provenance = f"d^{beta}{sigma.provenance}"
+    return out
+

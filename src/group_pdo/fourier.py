@@ -10,48 +10,61 @@ band.  On the torus the forward/inverse reduce to FFTs plus one gather or
 scatter of the coefficients; on SU(2) they are separated over the Euler
 angles (phase contractions in phi/psi, a Wigner-d contraction over the
 Gauss-Legendre theta nodes, one spin at a time), so no dense
-node-by-coefficient matrix is ever formed.
+node-by-coefficient matrix is ever formed.  Both directions take a leading
+batch axis, and a single transform is the batch of one.
 
 `FourierCoefficients` is the one container for dual-indexed blocks, with an
-optional node axis; symbols (`symbols.Symbol`) are the same container.  Its
-blocks are packed by dimension, and only this module knows that layout.
+optional batch axis: the node axis of a symbol (`symbols.Symbol`, the same
+container) is one, so `inverse` of a symbol gives the kernel of sigma(x, .)
+at every node.  Its blocks are packed by dimension, and only this module
+knows that layout.  Long transform chains run in `batch_slices` chunks.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PrecisionError
-from .groups import SU2, Duals, SU2Grid, Torus, TorusGrid, group_by_name
+from .groups import Duals, SU2Grid, TorusGrid, group_by_name
+
+_BATCH_BYTES = 4 * 2**20  # complex grid values held by one chunk of a batched transform chain
+
+
+def batch_slices(count: int, nodes: int) -> list[slice]:
+    """Consecutive slices of a batch of `count` functions on `nodes` nodes, each within _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // (16 * nodes))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 @dataclass
 class GridFunction:
+    """Values at the grid nodes: one function (N,), or a batch of B functions (B, N)."""
+
     grid: object
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).ravel()
-        if self.values.size != self.grid.node_count:
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.ndim != 2:
+            self.values = self.values.ravel()
+        if self.values.shape[-1] != self.grid.node_count:
             raise ValueError("value count does not match grid node count")
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
 
 @dataclass
 class FourierCoefficients:
-    """One d_xi x d_xi block per dual, optionally per node of `grid`.
+    """One d_xi x d_xi block per dual, optionally per entry of a batch axis.
 
-    Without a grid this is a coefficient table a(xi); with one it is a
-    symbol sigma(x, xi) tabulated at the grid nodes, each block carrying a
-    leading node axis.  `blocks` is taken and kept as a per-dual sequence;
-    the storage is `buckets`, one complex array of shape
-    ``(count, [N,] d, d)`` per maximal run of consecutive duals of equal
-    dimension d: a single bucket on the torus, one per spin on SU(2).
+    `batch` is () for a coefficient table a(xi), or (B,) for B tables, as
+    for a symbol sigma(x, xi) tabulated at the B nodes of `grid`.  `blocks`
+    is taken and kept as a per-dual sequence; the storage is `buckets`, one
+    complex array ``(count, [B,] d, d)`` per maximal run of consecutive
+    duals of equal dimension d: a single bucket on the torus, one per spin
+    on SU(2).
     """
 
     group: object
@@ -64,16 +77,14 @@ class FourierCoefficients:
         self.duals = Duals(self.duals)
         if len(self.blocks) != len(self.duals):
             raise ValueError(f"{len(self.blocks)} blocks for {len(self.duals)} duals")
-        node_shape = () if self.grid is None else (self.grid.node_count,)
-        self.buckets = []
-        for start, stop in self.duals.runs:
+        self.buckets = [np.asarray(self.blocks[start:stop], dtype=complex) for start, stop in self.duals.runs]
+        # a grid fixes the batch axis to its nodes; otherwise the first block tells
+        self.batch = (self.grid.node_count,) if self.grid is not None else self.buckets[0].shape[1:-2]
+        for (start, _), bucket in zip(self.duals.runs, self.buckets):
             dim = self.duals[start].dim
-            want = (*node_shape, dim, dim)
-            bucket = np.asarray(self.blocks[start:stop], dtype=complex)
-            if bucket.shape[1:] != want:
-                shape = bucket.shape[1:]
-                raise ValueError(f"block for {self.duals[start].label} has shape {shape}, wanted {want}")
-            self.buckets.append(bucket)
+            want = (*self.batch, dim, dim)
+            if len(self.batch) > 1 or bucket.shape[1:] != want:
+                raise ValueError(f"block for {self.duals[start].label} has shape {bucket.shape[1:]}, wanted {want}")
         self.blocks = _per_dual(self.buckets)
         self._index = None
 
@@ -86,19 +97,26 @@ class FourierCoefficients:
         """fn(xi, block) applied per dual; every other field is kept."""
         return replace(self, blocks=[fn(xi, b) for xi, b in zip(self.duals, self.blocks)])
 
-    def at_node(self, node: int) -> "FourierCoefficients":
-        """The coefficients sigma(x_node, .) of a table with a node axis."""
-        return FourierCoefficients(
-            self.group, self.band, self.duals, _per_dual([b[:, node] for b in self.buckets])
-        )
+    def map_buckets(self, fn) -> "FourierCoefficients":
+        """fn(bucket) applied per packed bucket ``(count, [B,] d, d)``; every other field is kept."""
+        return replace(self, blocks=_per_dual([fn(b) for b in self.buckets]))
+
+    def rows(self, rows: slice) -> "FourierCoefficients":
+        """Entries `rows` of the batch axis without a grid; a table without one is the same in every row."""
+        if not self.batch:
+            return self
+        return FourierCoefficients(self.group, self.band, self.duals, _per_dual([b[:, rows] for b in self.buckets]))
 
     def __matmul__(self, other: "FourierCoefficients") -> "FourierCoefficients":
-        """Blockwise product self(xi) @ other(xi) over the same duals; other has no node axis."""
+        """Blockwise product self(xi) @ other(xi) over the same duals; a one-sided batch axis broadcasts."""
         if other.duals is not self.duals and other.duals != self.duals:
             raise ValueError("blockwise product needs the same duals on both sides")
-        others = other.buckets if self.grid is None else [o[:, None] for o in other.buckets]
-        products = [s @ o for s, o in zip(self.buckets, others)]
-        return FourierCoefficients(self.group, self.band, self.duals, _per_dual(products), self.grid)
+        lift = len(self.batch) < len(other.batch), len(other.batch) < len(self.batch)
+        products = [
+            (s[:, None] if lift[0] else s) @ (o[:, None] if lift[1] else o) for s, o in zip(self.buckets, other.buckets)
+        ]
+        grid = self.grid if self.grid is not None else other.grid
+        return FourierCoefficients(self.group, self.band, self.duals, _per_dual(products), grid)
 
     def op_norms(self, xi) -> np.ndarray:
         """||sigma(x, xi)||_op per node (a single value without a node axis)."""
@@ -133,6 +151,13 @@ class FourierCoefficients:
         return cls(group, float(payload["band"]), duals, blocks, grid=grid)
 
 
+def concat(parts: list[FourierCoefficients]) -> FourierCoefficients:
+    """Tables over the same duals joined along their batch axis; a single table as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return replace(parts[0], blocks=_per_dual([np.concatenate(b, axis=1) for b in zip(*(p.buckets for p in parts))]))
+
+
 def _per_dual(buckets: list) -> Sequence[np.ndarray]:
     """The per-dual sequence over buckets: the bucket itself when there is one."""
     if len(buckets) == 1:
@@ -151,48 +176,40 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def forward(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
-    """Fourier coefficients of f on the dual ball <xi> <= band.
+    """Fourier coefficients of f (batch axis kept) on the dual ball <xi> <= band.
 
     Refuses bands beyond the grid's exactness band instead of aliasing.
     """
     grid = f.grid
     grid.require_band(band)
-    if isinstance(grid, TorusGrid):
-        return _forward_torus(f, band, duals)
-    if isinstance(grid, SU2Grid):
-        return _forward_su2(f, band, duals)
-    raise TypeError(f"unsupported grid {type(grid)!r}")
+    duals = grid.group.enumerate_dual(band) if duals is None else Duals(duals)
+    return FourierCoefficients(grid.group, band, duals, _backend(grid)[0](f, duals))
 
 
-def _forward_torus(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
+def _forward_torus(f: GridFunction, duals: Duals) -> np.ndarray:
     grid: TorusGrid = f.grid
-    group: Torus = grid.group
-    duals = group.enumerate_dual(band) if duals is None else Duals(duals)
-    cube = np.fft.fftn(f.values.reshape(grid.shape)) / f.values.size
-    values = cube[tuple((duals.labels % grid.shape).T)]
-    return FourierCoefficients(group, band, duals, values.reshape(-1, 1, 1))
+    cubes = np.fft.fftn(f.values.reshape(-1, *grid.shape), axes=range(1, len(grid.shape) + 1)) / grid.node_count
+    values = cubes[(slice(None), *(duals.labels % grid.shape).T)]  # (B, count)
+    return values.T.reshape(len(duals), *f.values.shape[:-1], 1, 1)
 
 
-def _forward_su2(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
+def _forward_su2(f: GridFunction, duals: Duals) -> list[np.ndarray]:
     grid: SU2Grid = f.grid
-    group: SU2 = grid.group
-    duals = group.enumerate_dual(band) if duals is None else Duals(duals)
     p, t, q = grid.shape
-    vals = f.values.reshape(p, t, q)
+    vals = f.values.reshape(-1, p, t, q)
     ephi, epsi = grid.phase_tables()
-    # B[m2_c, t, m2_r] = sum over phi,psi of f * exp(i m2_c phi / 2) exp(i m2_r psi / 2)
-    stage1 = np.einsum("mj,jtk->mtk", ephi, vals, optimize=True)
-    stage2 = np.einsum("mtk,nk->mtn", stage1, epsi, optimize=True)
+    # B[z, m2_c, t, m2_r] = sum over phi,psi of f_z * exp(i m2_c phi / 2) exp(i m2_r psi / 2)
+    stage1 = np.einsum("mj,zjtk->zmtk", ephi, vals, optimize=True)
+    stage2 = np.einsum("zmtk,nk->zmtn", stage1, epsi, optimize=True)
     theta_w = grid.gl_weights / (2.0 * p * q)
     dtabs = grid.d_tables()
     blocks = []
-    for xi in duals:
-        j2 = xi.label
-        slots = grid.m2_slot(np.arange(-j2, j2 + 1, 2))
-        sub = stage2[np.ix_(slots, np.arange(t), slots)]  # (c, t, r)
-        block = np.einsum("t,tcr,ctr->rc", theta_w, dtabs[j2], sub, optimize=True)
-        blocks.append(np.ascontiguousarray(block))
-    return FourierCoefficients(group, band, duals, blocks)
+    for j2 in duals.labels.tolist():
+        slots = slice(grid.m2_slot(-j2), grid.m2_slot(j2) + 1, 2)
+        sub = stage2[:, slots, :, slots]  # (z, c, t, r)
+        block = np.einsum("t,tcr,zctr->zrc", theta_w, dtabs[j2], sub, optimize=True)
+        blocks.append(block.reshape(*f.values.shape[:-1], j2 + 1, j2 + 1))
+    return blocks
 
 
 def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
@@ -214,33 +231,27 @@ def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
 
 
 def inverse(a: FourierCoefficients, grid) -> GridFunction:
-    """Pointwise evaluation of the finite Peter-Weyl sum on the grid nodes."""
-    if a.grid is not None:
-        raise ValueError("inverse takes coefficients without a node axis")
-    if isinstance(grid, TorusGrid):
-        return _inverse_torus(a, grid)
-    if isinstance(grid, SU2Grid):
-        return _inverse_su2(a, grid)
-    raise TypeError(f"unsupported grid {type(grid)!r}")
+    """Pointwise evaluation of the finite Peter-Weyl sum on the grid nodes, per batch entry."""
+    return GridFunction(grid, _backend(grid)[1](a, grid).reshape(*a.batch, grid.node_count))
 
 
-def _inverse_torus(a: FourierCoefficients, grid: TorusGrid) -> GridFunction:
+def _inverse_torus(a: FourierCoefficients, grid: TorusGrid) -> np.ndarray:
     labels = a.duals.labels
     outside = np.flatnonzero(np.any(np.abs(labels) > (np.array(grid.shape) - 1) // 2, axis=1))
     if outside.size:
         raise PrecisionError(
             f"coefficient k={a.duals[outside[0]].label} cannot be represented on grid shape {grid.shape}"
         )
-    cube = np.zeros(grid.shape, dtype=complex)
-    cube[tuple((labels % grid.shape).T)] += np.asarray(a.blocks)[:, 0, 0]  # all 1x1 on the torus
-    vals = np.fft.ifftn(cube) * cube.size
-    return GridFunction(grid, vals.ravel())
+    values = np.asarray(a.blocks).reshape(len(labels), -1).T  # all 1x1 on the torus: (B, count)
+    cubes = np.zeros((len(values), *grid.shape), dtype=complex)
+    cubes[(slice(None), *(labels % grid.shape).T)] += values
+    return np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * grid.node_count
 
 
-def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> GridFunction:
+def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> np.ndarray:
     p, t, q = grid.shape
     m2_all = 2 * grid.j2max_exact + 1
-    acc = np.zeros((m2_all, t, m2_all), dtype=complex)  # [a, theta, b]
+    acc = np.zeros((math.prod(a.batch), m2_all, t, m2_all), dtype=complex)  # [z, a, theta, b]
     dtabs = grid.d_tables()
     for xi, block in zip(a.duals, a.blocks):
         j2 = xi.label
@@ -248,12 +259,20 @@ def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> GridFunction:
             raise PrecisionError(
                 f"coefficient j2={j2} cannot be represented on grid with j2max {grid.j2max_exact}"
             )
-        slots = grid.m2_slot(np.arange(-j2, j2 + 1, 2))
-        contrib = xi.dim * np.einsum("tab,ba->tab", dtabs[j2], block, optimize=True)
-        acc[np.ix_(slots, np.arange(t), slots)] += contrib.transpose(1, 0, 2)
+        slots = slice(grid.m2_slot(-j2), grid.m2_slot(j2) + 1, 2)
+        block = block.reshape(len(acc), xi.dim, xi.dim)  # a batch of one without a batch axis
+        contrib = xi.dim * np.einsum("tab,zba->ztab", dtabs[j2], block, optimize=True)
+        acc[:, slots, :, slots] += contrib.transpose(0, 2, 1, 3)
     ephi, epsi = grid.phase_tables()
-    vals = np.einsum("aj,atb,bk->jtk", ephi.conj(), acc, epsi.conj(), optimize=True)
-    return GridFunction(grid, vals.ravel())
+    return np.einsum("aj,zatb,bk->zjtk", ephi.conj(), acc, epsi.conj(), optimize=True)
+
+
+def _backend(grid):
+    if isinstance(grid, TorusGrid):
+        return _forward_torus, _inverse_torus
+    if isinstance(grid, SU2Grid):
+        return _forward_su2, _inverse_su2
+    raise TypeError(f"unsupported grid {type(grid)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,4 +311,4 @@ def random_bandlimited(grid, band: float, rng: np.random.Generator) -> GridFunct
         buckets.append(draws[:, 0] + 1j * draws[:, 1])
     coeffs = FourierCoefficients(group, band, duals, _per_dual(buckets))
     scale = l2_norm(coeffs)
-    return inverse(replace(coeffs, blocks=_per_dual([b / scale for b in coeffs.buckets])), grid)
+    return inverse(coeffs.map_buckets(lambda b: b / scale), grid)

@@ -51,7 +51,8 @@ def wigner_d_tables(j2max: int, theta: np.ndarray) -> list[np.ndarray]:
 
     The recursion in j (Bonnet-type; it reduces to the Legendre recursion at
     m = n = 0) is run upward from the seed level j0 = max(|m|, |n|) for every
-    pair (m, n), vectorised over the theta nodes:
+    pair (m, n), vectorised over the theta nodes and, at fixed m, over the n
+    whose recursion has started:
 
         w1(j) d^{j+1} = (2j+1) (cos(theta) - m n / (j (j+1))) d^j - w3(j) d^{j-1}
 
@@ -65,27 +66,28 @@ def wigner_d_tables(j2max: int, theta: np.ndarray) -> list[np.ndarray]:
     sin_half = np.sin(theta / 2.0)
 
     tables = [np.zeros((nt, j2 + 1, j2 + 1)) for j2 in range(j2max + 1)]
-    # Each (m2, n2) pair appears in every j2 of matching parity with j2 >= j0.
+    # At fixed m2 the spins run j2 = |m2|, |m2| + 2, ...; the pairs (m2, n2) whose seed
+    # level max(|m2|, |n2|) is j2 join there: every |n2| <= |m2| first, then n2 = +-j2.
     for m2 in range(-j2max, j2max + 1):
-        for n2 in range(-j2max if (m2 + j2max) % 2 == 0 else -j2max + 1, j2max + 1, 2):
-            if (m2 - n2) % 2 != 0:
-                continue
-            j20 = max(abs(m2), abs(n2))
-            prev = np.zeros(nt)
-            cur = _seed(j20, m2, n2, cos_half, sin_half)
-            m = m2 / 2.0
-            n = n2 / 2.0
-            for j2 in range(j20, j2max + 1, 2):
-                tables[j2][:, (m2 + j2) // 2, (n2 + j2) // 2] = cur
-                j = j2 / 2.0
-                jp = j + 1.0
-                w1 = np.sqrt((jp * jp - m * m) * (jp * jp - n * n)) / jp
-                if j2 == 0:
-                    nxt = cos_t * cur
-                else:
-                    w3 = np.sqrt((j * j - m * m) * (j * j - n * n)) / j
-                    nxt = ((2 * j + 1) * (cos_t - m * n / (j * jp)) * cur - w3 * prev) / w1
-                prev, cur = cur, nxt
+        m = m2 / 2.0
+        n2 = np.zeros(0, dtype=int)
+        prev = cur = np.zeros((0, nt))
+        for j2 in range(abs(m2), j2max + 1, 2):
+            joining = np.arange(-j2, j2 + 1, 2) if j2 == abs(m2) else np.array([-j2, j2])
+            n2 = np.concatenate([n2, joining])
+            prev = np.concatenate([prev, np.zeros((len(joining), nt))])
+            cur = np.concatenate([cur, [_seed(j2, m2, int(k), cos_half, sin_half) for k in joining]])
+            tables[j2][:, (m2 + j2) // 2, (n2 + j2) // 2] = cur.T
+            n = (n2 / 2.0)[:, None]
+            j = j2 / 2.0
+            jp = j + 1.0
+            w1 = np.sqrt((jp * jp - m * m) * (jp * jp - n * n)) / jp
+            if j2 == 0:
+                nxt = cos_t * cur
+            else:
+                w3 = np.sqrt((j * j - m * m) * (j * j - n * n)) / j
+                nxt = ((2 * j + 1) * (cos_t - m * n / (j * jp)) * cur - w3 * prev) / w1
+            prev, cur = cur, nxt
     return tables
 
 

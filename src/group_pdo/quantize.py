@@ -3,7 +3,8 @@
 Op(sigma) f(x) = sum_xi d_xi Tr(xi(x) sigma(x, xi) fhat(xi)); the kernel is
 K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) and the dense realization
 is M[i, j] = K(x_i, y_j) w_j, the single object handed to the norm
-estimators.
+estimators.  On the torus the kernel rows are translates of the kernels of
+sigma(x_i, .), from one batched inverse and one gather per chunk of rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PrecisionError
-from .fourier import GridFunction, forward, inverse, sup_norm
+from .fourier import GridFunction, batch_slices, forward, inverse, sup_norm
 from .groups import SU2Grid, TorusGrid
 from .symbols import Symbol
 
@@ -29,11 +30,7 @@ class KernelTable:
     def csv_rows(self):
         yield ["# kernel-table", f"group={self.grid.group.name}", f"nodes={self.grid.node_count}", f"band={self.band!r}"]
         yield ["# row-major K(x_i, y_j); columns alternate re, im"]
-        for row in self.values:
-            out = []
-            for z in row:
-                out.extend((z.real, z.imag))
-            yield out
+        yield from _re_im_rows(self.values)
 
 
 @dataclass
@@ -50,11 +47,12 @@ class DenseOperator:
     def csv_rows(self):
         yield ["# dense-operator", f"group={self.grid.group.name}", f"nodes={self.node_count}", f"band={self.band!r}", self.provenance]
         yield ["# row-major M[i, j] = K(x_i, y_j) w_j; columns alternate re, im"]
-        for row in self.matrix:
-            out = []
-            for z in row:
-                out.extend((z.real, z.imag))
-            yield out
+        yield from _re_im_rows(self.matrix)
+
+
+def _re_im_rows(matrix: np.ndarray):
+    for row in matrix:
+        yield [part for z in row for part in (z.real, z.imag)]
 
 
 def same_grid(g1, g2) -> bool:
@@ -112,47 +110,26 @@ def _resolve_grid(sigma: Symbol, grid):
 
 
 def _kernel_torus(sigma: Symbol, grid: TorusGrid) -> np.ndarray:
-    # Translation-closed grid: K(x_i, y_j) = k_{x_i}[(i - j) mod shape].
-    n_nodes = grid.node_count
-    shape = grid.shape
+    # Translation-closed grid: K(x_i, y_j) = k_i[(i - j) mod shape], k_i the kernel of sigma(x_i, .);
+    # an invariant sigma has one kernel, so its rows are gathered straight into the result
+    n = grid.node_count
     if sigma.invariant:
-        k = inverse(sigma, grid).values
-        if len(shape) == 1:
-            return _circulant(k)
-        return _row_from_translates(k, shape)
-    out = np.empty((n_nodes, n_nodes), dtype=complex)
-    for i in range(n_nodes):
-        k = inverse(sigma.at_node(i), grid).values
-        out[i] = _single_row(k, shape, i)
+        return _translates(inverse(sigma, grid).values, grid.shape, np.arange(n))
+    out = np.empty((n, n), dtype=complex)
+    for rows in batch_slices(n, n):
+        out[rows] = _translates(inverse(sigma.rows(rows), grid).values, grid.shape, np.arange(n)[rows])
     return out
 
 
-def _circulant(k: np.ndarray) -> np.ndarray:
-    # K[i, j] = k[(i - j) mod N] as strided windows over a doubled copy
-    n = k.size
-    doubled = np.concatenate([k[::-1], k[::-1]])
-    windows = np.lib.stride_tricks.sliding_window_view(doubled, n)
-    return np.ascontiguousarray(windows[n - 1 :: -1])
-
-
-def _row_from_translates(k: np.ndarray, shape) -> np.ndarray:
-    n_nodes = int(np.prod(shape))
-    out = np.empty((n_nodes, n_nodes), dtype=complex)
-    for i in range(n_nodes):
-        out[i] = _single_row(k, shape, i)
-    return out
-
-
-def _single_row(k: np.ndarray, shape, i: int) -> np.ndarray:
-    # row[j] = k[(i - j) mod shape] over multi-indices
-    cube = k.reshape(shape)
-    iidx = np.unravel_index(i, shape)
-    slices = []
-    for ax, (ii, m) in enumerate(zip(iidx, shape)):
-        ar = (ii - np.arange(m)) % m
-        slices.append(ar)
-    mesh = np.ix_(*slices)
-    return cube[mesh].ravel()
+def _translates(kernels: np.ndarray, shape, nodes: np.ndarray) -> np.ndarray:
+    """Rows k_i[(i - j) mod shape] over j for the nodes i, from one kernel for all or one each:
+    windows of the doubled kernel cube read backwards, so no index array per entry is formed."""
+    kernels = kernels.reshape(-1, *shape)
+    doubled = np.tile(kernels, (1, *[2] * len(shape)))
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, shape, axis=tuple(range(1, len(shape) + 1)))
+    starts = [(i + 1) % m for i, m in zip(np.unravel_index(nodes, shape), shape)]
+    rows = windows[(..., *[slice(None, None, -1)] * len(shape))][(np.arange(len(kernels)), *starts)]
+    return rows.reshape(len(nodes), -1)
 
 
 def _kernel_su2(sigma: Symbol, grid: SU2Grid) -> np.ndarray:

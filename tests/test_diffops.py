@@ -11,7 +11,7 @@ from group_pdo.diffops import (
     laplace_op,
 )
 from group_pdo.errors import BandExhaustedError, PrecisionError
-from group_pdo.fourier import GridFunction
+from group_pdo.fourier import FourierCoefficients, GridFunction, forward, inverse
 from group_pdo.symbols import identity_symbol, multiplier_power, schrodinger_phase
 
 
@@ -117,8 +117,6 @@ class TestSU2Difference:
         q = admissible_collection(su2)[1]  # off-diagonal spin-1/2 entry
         out = difference(q, sig)
         grid = su2.grid_for_band(band)
-        from group_pdo.fourier import forward, inverse
-
         kernel_fn = inverse(sig, grid)
         qk = GridFunction(grid, kernel_fn.values * q.values(grid))
         brute = forward(qk, out.band, duals=out.duals)
@@ -142,6 +140,26 @@ class TestSU2Difference:
         out = laplace_difference(sig)
         for b in out.blocks:
             np.testing.assert_allclose(b, 0, atol=1e-12)
+
+
+class TestGriddedKernelSide:
+    def test_matches_per_node_oracle(self, su2, t2):
+        # sigma(x_n, .) differenced node by node: inverse, multiply by q, forward
+        cases = [(su2, 3, q) for q in admissible_collection(su2)] + [(t2, 3, laplace_op(t2))]
+        for group, cut, q in cases:
+            band = group.band_of_native(cut)
+            grid = group.grid_for_band(band, margin=1)
+            f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * grid.nodes[:, 1])
+            sig = schrodinger_phase(group, 0.7, f, 0.5, band)
+            out = difference(q, sig)
+            assert out.grid is sig.grid
+            qvals = q.values(grid)
+            for node in range(grid.node_count):
+                at_node = FourierCoefficients(group, sig.band, sig.duals, [b[node] for b in sig.blocks])
+                kernel = inverse(at_node, grid)
+                want = forward(GridFunction(grid, kernel.values * qvals), out.band, duals=out.duals)
+                for b, w in zip(out.blocks, want.blocks):
+                    np.testing.assert_allclose(b[node], w, atol=1e-12)
 
 
 class TestInvariantDerivative:
@@ -189,5 +207,28 @@ class TestInvariantDerivative:
         # exp(6 i cos x) has substantial spectrum past |k| = 3
         f = GridFunction(grid, np.cos(x))
         sig = schrodinger_phase(t1, 6.0, f, 0.0, t1.band_of_native(2))
-        with pytest.raises(PrecisionError):
+        with pytest.raises(
+            PrecisionError, match=r"at xi=\(0,\) entry \(0,0\) .* \(round-trip residual 0\.716\)"
+        ):
             invariant_derivative((1,), sig)
+
+    def test_aliased_entry_is_named(self, su2):
+        # only the listed entries of the spin-1 block are rough; the refusal
+        # names the first of them in dual and row-major entry order
+        grid = su2.haar_grid(4)
+        rough = np.sign(grid.nodes[:, 1]) + 2.0
+        for entries, named in ((((1, 2), (2, 0)), r"\(1,2\)"), (((0, 0),), r"\(0,0\)")):
+
+            def roughen(xi, b):
+                if xi.label != 2:
+                    return b
+                b = b.copy()
+                for i, j in entries:
+                    b[:, i, j] = rough
+                return b
+
+            sig = identity_symbol(su2, su2.band_of_native(2), grid=grid).map_blocks(roughen)
+            with pytest.raises(
+                PrecisionError, match=rf"at xi=2 entry {named} .* \(round-trip residual 0\.675\)"
+            ):
+                invariant_derivative((0, 0, 1), sig)

@@ -167,3 +167,68 @@ class TestPackedContainer:
             assert back.invariant == sig.invariant
             assert len(back.buckets) == 1
             np.testing.assert_array_equal(back.buckets[0], sig.buckets[0])
+
+
+class TestBatch:
+    def test_batch_matches_single_transforms(self, t2, su2, rng):
+        # a batch of B functions is B single transforms; on the torus bit for bit
+        for group, cut, exact in ((t2, 3, True), (su2, 4, False)):
+            band = group.band_of_native(cut)
+            grid = group.grid_for_band(band)
+            fs = [random_bandlimited(grid, band, rng) for _ in range(3)]
+            batch = forward(GridFunction(grid, np.stack([f.values for f in fs])), band)
+            assert batch.batch == (3,) and batch.grid is None
+            back = inverse(batch, grid)
+            assert back.values.shape == (3, grid.node_count)
+            check = np.testing.assert_array_equal if exact else np.testing.assert_allclose
+            for row, f in enumerate(fs):
+                single = forward(f, band)
+                for b, s in zip(batch.blocks, single.blocks):
+                    check(b[row], s)
+                check(back.values[row], inverse(single, grid).values)
+
+    def test_inverse_of_symbol_gives_kernel_per_node(self, su2):
+        from group_pdo.symbols import schrodinger_phase
+
+        band = su2.band_of_native(2)
+        grid = su2.grid_for_band(band)
+        sig = schrodinger_phase(su2, 0.7, GridFunction(grid, grid.nodes[:, 0]), 0.5, band)
+        kernels = inverse(sig, grid)
+        assert kernels.values.shape == (grid.node_count, grid.node_count)
+        for node in (0, 7, grid.node_count - 1):
+            at_node = FourierCoefficients(su2, band, sig.duals, [b[node] for b in sig.blocks])
+            np.testing.assert_allclose(kernels.values[node], inverse(at_node, grid).values, atol=1e-13)
+
+    def test_chunked_chains_match_one_chunk(self, t1, t2, su2, monkeypatch):
+        # the transform chains give the same tables when their batches are cut
+        # into many small chunks (7 functions of the su2 grid, 9 of the t2 grid) as in one
+        from group_pdo import fourier
+        from group_pdo.diffops import admissible_collection, difference, invariant_derivative
+        from group_pdo.quantize import kernel
+        from group_pdo.symbols import multiplier_power, schrodinger_phase
+
+        su2_grid, t2_grid = su2.haar_grid(8), t2.haar_grid(24)
+
+        def chains():
+            out = []
+            x = t2_grid.nodes
+            for group, grid, cut, fv in (
+                (su2, su2_grid, 2, su2_grid.nodes[:, 0] + 0.5 * su2_grid.nodes[:, 1]),
+                (t2, t2_grid, 3, np.cos(x[:, 0]) + 0.5 * np.sin(x[:, 1])),
+            ):
+                f = GridFunction(grid, fv)
+                sig = schrodinger_phase(group, 0.3, f, 0.5, group.band_of_native(cut))
+                q = admissible_collection(group)[1]
+                beta = (1,) + (0,) * (group.dim - 1)
+                for tau in (difference(q, sig), invariant_derivative(beta, sig)):
+                    out.append(np.concatenate([np.ravel(b) for b in tau.blocks]))
+                if group is t2:
+                    out.append(kernel(sig, grid).values)
+            out.append(kernel(multiplier_power(t1, -1.0, 9.0), t1.haar_grid(40)).values)
+            return out
+
+        whole = chains()
+        monkeypatch.setattr(fourier, "_BATCH_BYTES", 16 * 7 * su2_grid.node_count)
+        assert len(fourier.batch_slices(su2_grid.node_count, su2_grid.node_count)) == 116
+        for a, b in zip(whole, chains()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)

@@ -4,6 +4,7 @@ import pytest
 from conftest import weighted_smax
 from group_pdo.errors import PrecisionError
 from group_pdo.fourier import GridFunction, forward, random_bandlimited
+from group_pdo.groups import TorusGrid
 from group_pdo.quantize import apply, kernel, realize
 from group_pdo.symbols import (
     identity_symbol,
@@ -91,6 +92,30 @@ class TestKernel:
                 xi.dim * np.trace(su2.rep_matrix(xi, z) @ b) for xi, b in zip(sig.duals, sig.blocks)
             )
             assert ktab.values[i, j] == pytest.approx(expected, abs=1e-10)
+
+    def test_t2_matches_trace_sum(self, t2):
+        # K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) on a grid with unequal axes,
+        # for an invariant and a gridded symbol that are symmetric under no axis map
+        grid = TorusGrid(t2, (5, 7))
+        band = t2.band_of_native(2)
+        f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, 1]))
+
+        def twist(xi, b):
+            return b * np.exp(1j * (xi.label[0] + 2 * xi.label[1]) / 3)
+
+        for sig in (
+            multiplier_power(t2, -1.0, band).map_blocks(twist),
+            schrodinger_phase(t2, 0.7, f, 0.5, band).map_blocks(twist),
+        ):
+            ktab = kernel(sig, grid)
+            for i, x in enumerate(grid.nodes):
+                for j, y in enumerate(grid.nodes):
+                    z = t2.multiply(t2.inverse(y), x)
+                    expected = sum(
+                        xi.dim * np.trace(t2.rep_matrix(xi, z) @ (b if sig.invariant else b[i]))
+                        for xi, b in zip(sig.duals, sig.blocks)
+                    )
+                    assert ktab.values[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_x_dependent_factor(self, t1, rng):
         band = t1.band_of_native(4)
