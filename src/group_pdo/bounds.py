@@ -20,7 +20,7 @@ import numpy as np
 from .fourier import GridFunction, grid_lp_norm, sup_norm
 from .groups import Torus
 from .named_functions import dirichlet_kernel
-from .quantize import DenseOperator, apply, kernel, realize
+from .quantize import GridOperator, apply, kernel, operator
 from .symbols import Symbol, hirschman_wainger
 
 GROWTH_SLOPE_TOL = 0.05
@@ -76,7 +76,7 @@ class LpLowerBound:
 
 
 def lp_lower_bound(
-    op: DenseOperator,
+    op: GridOperator,
     p: float,
     iterations: int = 30,
     seed: int = 0,
@@ -413,7 +413,8 @@ def sharpness_experiment(
     """Lower-bound growth of the truncated Hirschman-Wainger multiplier on T^1.
 
     For each native cutoff lambda the symbol is truncated to |k| <= lambda,
-    realised densely on the matching grid, and probed with lp_lower_bound;
+    applied matrix-free on the matching grid (quantize.operator: transforms,
+    no N x N matrix), and probed with lp_lower_bound;
     the verdict compares the log-log slope over the last decade against the
     0.05 threshold.  The classical rate (1-rho)|1/2-1/p| - nu0 is attached
     as an order-of-magnitude expectation only.
@@ -424,7 +425,7 @@ def sharpness_experiment(
 def sharpness_experiment_multi(
     rho: float, nu0: float, ps, lambdas, iterations: int = 30, seed: int = 0
 ) -> list[SharpnessSeries]:
-    """Sharpness series for several p sharing one realization per cutoff."""
+    """Sharpness series for several p sharing one operator per cutoff."""
     return _sharpness_multi(rho, nu0, list(ps), lambdas, iterations, seed)
 
 
@@ -441,7 +442,7 @@ def _sharpness_multi(rho, nu0, ps, lambdas, iterations, seed) -> list[SharpnessS
     for lam in lambdas:
         grid = group.haar_grid(2 * lam + 2)
         sigma = hirschman_wainger(rho, nu0, band=group.band_of_native(lam))
-        op = realize(sigma, grid)
+        op = operator(sigma, grid)
         for p in ps:
             lb = lp_lower_bound(op, p, iterations=iterations, seed=seed)
             bounds[p].append(lb.value)

@@ -1,10 +1,13 @@
-"""Quantization: apply Op(sigma), Schwartz kernels, dense grid realizations.
+"""Quantization: apply Op(sigma), Schwartz kernels, grid operators.
 
 Op(sigma) f(x) = sum_xi d_xi Tr(xi(x) sigma(x, xi) fhat(xi)); the kernel is
-K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) and the dense realization
-is M[i, j] = K(x_i, y_j) w_j, the single object handed to the norm
-estimators.  On the torus the kernel rows are translates of the kernels of
-sigma(x_i, .), from one batched inverse and one gather per chunk of rows.
+K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) and Op(sigma) on grid
+values is the matrix M[i, j] = K(x_i, y_j) w_j.  The norm estimators take a
+`GridOperator` record holding M: dense from `realize`, the oracle, or as a
+matrix-free `SymbolMatrix` from `operator`, which applies M and its
+transpose by Fourier transforms (invariant symbols only).  On the torus the
+kernel rows are translates of the kernels of sigma(x_i, .), from one
+batched inverse and one gather per chunk of rows.
 """
 
 from __future__ import annotations
@@ -34,9 +37,13 @@ class KernelTable:
 
 
 @dataclass
-class DenseOperator:
+class GridOperator:
+    """Op(sigma) on grid values: `matrix` is M = K * w (column-scaled), a dense (N, N)
+    array from `realize` or a `SymbolMatrix` from `operator`; both offer `@`, `.T` and
+    `.shape`; `csv_rows` needs the dense one."""
+
     grid: object
-    matrix: np.ndarray  # (N, N), M = K * w (column-scaled)
+    matrix: object
     band: float
     provenance: str = ""
 
@@ -151,9 +158,57 @@ def _kernel_su2(sigma: Symbol, grid: SU2Grid) -> np.ndarray:
     return left @ right.conj().T
 
 
-def realize(sigma: Symbol, grid=None) -> DenseOperator:
+def realize(sigma: Symbol, grid=None) -> GridOperator:
     """Dense matrix M[i, j] = K(x_i, y_j) w_j acting on grid values."""
     grid = _resolve_grid(sigma, grid)
     ktab = kernel(sigma, grid)
     m = ktab.values * grid.weights[None, :]
-    return DenseOperator(grid, m, sigma.band, provenance=sigma.provenance)
+    return GridOperator(grid, m, sigma.band, provenance=sigma.provenance)
+
+
+def operator(sigma: Symbol, grid=None) -> GridOperator:
+    """The matrix of `realize` without forming it: a `SymbolMatrix` for an invariant sigma."""
+    grid = _resolve_grid(sigma, grid)
+    return GridOperator(grid, SymbolMatrix(sigma, grid), sigma.band, provenance=sigma.provenance)
+
+
+class SymbolMatrix:
+    """Matrix-free M = realize(sigma, grid).matrix for an invariant sigma, in the idiom of
+    scipy's LinearOperator: `shape`, `M @ x` and `M.T @ u` on grid value arrays.
+
+    M @ x is `apply` (forward transform, blockwise product, inverse), which is
+    the quadrature sum of M's rows for any x, band-limited or not.  The kernel
+    of Op(sigma^*) at (y, x) is conj K(x, y), so M^H v = w * Op(sigma^*)(v / w)
+    and M.T @ u is its conjugate at conj(u): exact on every grid, whatever its
+    weights.  A gridded sigma is refused: its pointwise adjoint is not the
+    symbol of the adjoint operator.
+    """
+
+    def __init__(self, sigma: Symbol, grid):
+        if not sigma.invariant:
+            raise ValueError(
+                "a matrix-free operator needs an invariant symbol (the pointwise adjoint of a "
+                "gridded symbol is not the symbol of its adjoint); use realize(sigma, grid)"
+            )
+        self.sigma = sigma
+        self.adjoint = sigma.adjoint()
+        self.grid = grid
+        self.shape = (grid.node_count, grid.node_count)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return apply(self.sigma, GridFunction(self.grid, x), check_band=False).values
+
+    @property
+    def T(self) -> "_Transpose":
+        return _Transpose(self)
+
+
+class _Transpose:
+    def __init__(self, m: SymbolMatrix):
+        self.m = m
+        self.shape = m.shape
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        w = self.m.grid.weights
+        adj = apply(self.m.adjoint, GridFunction(self.m.grid, np.conj(u) / w), check_band=False)
+        return np.conj(w * adj.values)

@@ -25,7 +25,7 @@ from .bounds import (
 from .diffops import admissible_collection, difference
 from .fourier import GridFunction, forward, grid_l2_norm, inverse, l2_norm, random_bandlimited
 from .groups import SU2, Torus, wigner_d_matrix, wigner_d_sum
-from .quantize import apply, realize
+from .quantize import apply, operator, realize
 from .symbols import extract_symbol, identity_symbol, multiplier_power
 
 
@@ -125,6 +125,9 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         direct = apply(sig, g)
         via = op.matrix @ g.values
         _check(results, f"{tag}: apply vs realize", float(np.abs(via - direct.values).max()), 1e-8)
+        free = operator(sig, grid).matrix
+        ferr = max(np.abs(free @ g.values - via).max(), np.abs(free.T @ g.values - op.matrix.T @ g.values).max())
+        _check(results, f"{tag}: matrix-free vs realize", float(ferr), 1e-12)
         rel = abs(hs_norm_kernel(sig, grid) - hs_norm_symbol(sig)) / hs_norm_symbol(sig)
         _check(results, f"{tag}: hs identity", rel, 1e-8)
 

@@ -132,7 +132,8 @@ def seminorm(
                 parent = list(alpha)
                 parent[i] -= 1
                 tau = difference(ops[i], cache[tuple(parent)], grid=grid)
-                cache[alpha] = tau
+                if sum(alpha) < params.l - nb:  # leaves are never differenced again
+                    cache[alpha] = tau
             else:
                 tau = cache[alpha]
             entries.append(_measure(tau, alpha, beta, params, windows))

@@ -19,7 +19,7 @@ from group_pdo.bounds import (
 )
 from group_pdo.fourier import GridFunction, random_bandlimited
 from group_pdo.named_functions import named_function
-from group_pdo.quantize import realize
+from group_pdo.quantize import operator, realize
 from group_pdo.symbols import (
     hirschman_wainger,
     identity_symbol,
@@ -191,6 +191,18 @@ class TestLpLowerBound:
             op = realize(sig, grid)
             vals.append(lp_lower_bound(op, 4.0, iterations=40, seed=3).value)
         assert vals == sorted(vals)
+
+    @pytest.mark.parametrize("lam", [8, 16, 32])
+    def test_matrix_free_matches_dense(self, lam, t1):
+        grid = t1.haar_grid(2 * lam + 2)  # the sharpness experiment's grid
+        sig = hirschman_wainger(0.5, 0.1, band=t1.band_of_native(lam))
+        dense, free = realize(sig, grid), operator(sig, grid)
+        for p in (2.0, 2.2, 8.0):
+            a = lp_lower_bound(dense, p, iterations=25, seed=0)
+            b = lp_lower_bound(free, p, iterations=25, seed=0)
+            assert b.value == pytest.approx(a.value, rel=1e-12, abs=0)
+            assert len(b.history) == len(a.history)
+            assert b.restarts == a.restarts
 
     def test_rejects_bad_p(self, t1):
         op = realize(identity_symbol(t1, 2.0), t1.haar_grid(8))

@@ -5,9 +5,10 @@ from conftest import weighted_smax
 from group_pdo.errors import PrecisionError
 from group_pdo.fourier import GridFunction, forward, random_bandlimited
 from group_pdo.groups import TorusGrid
-from group_pdo.quantize import apply, kernel, realize
+from group_pdo.quantize import SymbolMatrix, apply, kernel, operator, realize
 from group_pdo.symbols import (
     identity_symbol,
+    multiplier,
     multiplier_power,
     schrodinger_phase,
     vector_field_plus_c,
@@ -204,3 +205,35 @@ class TestRealize:
         for _ in range(5):
             f = random_bandlimited(grid, band, rng)
             np.testing.assert_allclose(op.matrix @ f.values, apply(sig, f).values, atol=1e-8)
+
+
+class TestOperator:
+    @pytest.mark.parametrize("group_name, res, cut", [("t1", 33, 12), ("t2", 12, 4), ("su2", 6, 5)])
+    def test_matches_realize_and_transpose(self, group_name, res, cut, t1, t2, su2, rng):
+        # random non-Hermitian blocks and inputs that are not band-limited;
+        # only su2's non-uniform weights expose a missing weight factor in M.T
+        group = {"t1": t1, "t2": t2, "su2": su2}[group_name]
+        band = group.band_of_native(cut)
+
+        def random_block(xi):
+            re, im = rng.normal(size=(2, xi.dim, xi.dim))
+            return re + 1j * im
+
+        sig = multiplier(group, band, random_block)
+        grid = group.haar_grid(res)
+        dense = realize(sig, grid).matrix
+        free = operator(sig, grid).matrix
+        assert isinstance(free, SymbolMatrix) and free.shape == dense.shape
+        for _ in range(3):
+            x = rng.normal(size=grid.node_count) + 1j * rng.normal(size=grid.node_count)
+            np.testing.assert_allclose(free @ x, dense @ x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(free.T @ x, dense.T @ x, rtol=0, atol=1e-12)
+
+    def test_refuses_gridded_symbol(self, t1):
+        grid = t1.haar_grid(16)
+        f0 = GridFunction(grid, np.cos(grid.nodes[:, 0]))
+        sig = schrodinger_phase(t1, 0.7, f0, 0.5, t1.band_of_native(4))
+        with pytest.raises(ValueError, match="realize"):
+            operator(sig, grid)
+        with pytest.raises(ValueError, match="realize"):
+            SymbolMatrix(sig, grid)
