@@ -20,7 +20,7 @@ import numpy as np
 from .fourier import GridFunction, grid_lp_norm, sup_norm
 from .groups import Torus
 from .named_functions import dirichlet_kernel
-from .quantize import GridOperator, apply, kernel, operator
+from .quantize import GridOperator, KernelTable, apply, kernel, matvec_rows, operator
 from .symbols import Symbol, hirschman_wainger
 
 GROWTH_SLOPE_TOL = 0.05
@@ -44,14 +44,19 @@ def hs_norm_symbol(sigma: Symbol) -> float:
 
 def hs_norm_kernel(sigma: Symbol, grid=None) -> float:
     """Double quadrature of |K|^2; equals hs_norm_symbol at finite band."""
-    ktab = kernel(sigma, grid)
-    w = ktab.grid.weights
-    return float(np.sqrt(np.einsum("i,ij,j->", w, np.abs(ktab.values) ** 2, w)))
+    return _kernel_hs(kernel(sigma, grid))
 
 
 def linf_bound_constant(sigma: Symbol, grid=None) -> float:
     """max over x of the L1 norm of the kernel row F^-1 sigma(x,.)."""
-    ktab = kernel(sigma, grid)
+    return _kernel_row_l1(kernel(sigma, grid))
+
+
+def _kernel_hs(ktab: KernelTable) -> float:
+    return float(np.sqrt(np.einsum("i,ij,j->", ktab.grid.weights, np.abs(ktab.values) ** 2, ktab.grid.weights)))
+
+
+def _kernel_row_l1(ktab: KernelTable) -> float:
     return float(np.max(np.abs(ktab.values) @ ktab.grid.weights))
 
 
@@ -89,6 +94,17 @@ def lp_lower_bound(
     start plus `random_starts` seeded random starts, and reports the largest
     Rayleigh-type quotient encountered.  Every reported value is an achieved
     quotient, hence a certified lower bound.
+
+    The starts advance in lock step as the rows of one block (Higham and
+    Tisseur's block norm estimator): one `matvec_rows` through M and one
+    through M.T per step, and a start leaves when its quotient settles or
+    its iterate vanishes.  The rest is per row, each 1/r root taken on a
+    Python float (numpy's vectorised pow may differ in the last bit), so
+    `history` (start-major), `value` and `witness` (first strict maximum by
+    start, then step) are bit for bit those of each start alone wherever M
+    maps a block row as one vector (dense M, torus FFT); SU(2)'s batched
+    BLAS contractions may move the last bits.  Zero iterates restart from
+    draws taken in step order, then start order.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("p must be finite and > 1")
@@ -99,58 +115,55 @@ def lp_lower_bound(
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
 
-    def norm(v, r):
-        return float(np.sum(w * np.abs(v) ** r) ** (1.0 / r))
+    def norms(v, r):
+        return np.array([s ** (1.0 / r) for s in np.sum(w * np.abs(v) ** r, axis=-1).tolist()])
 
     def dual(v, r):
         a = np.abs(v)
         phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
         return a ** (r - 1.0) * phase
 
-    dirichlet = dirichlet_kernel(op.grid, min(op.band, op.grid.exactness_band))
-    starts = [("dirichlet", dirichlet.values)]
-    for s in range(random_starts):
-        starts.append(
-            (f"random{s}", rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1]))
-        )
+    def draw():
+        return rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
 
-    best = 0.0
-    witness = starts[0][1]
-    history = []
+    dirichlet = dirichlet_kernel(op.grid, min(op.band, op.grid.exactness_band)).values
+    labels = ["dirichlet", *(f"random{s}" for s in range(random_starts))]
+    x = np.array([dirichlet, *(draw() for _ in labels[1:])])
+    x = x / norms(x, p)[:, None]
+    history = [[] for _ in labels]
+    top, top_x = np.zeros(len(labels)), np.zeros_like(x)  # per start: the first strict maximum, its iterate
+    prev = np.full(len(labels), -1.0)
+    active = np.arange(len(labels))
     restarts = 0
-    for label, x in starts:
-        nx = norm(x, p)
-        if nx == 0.0:
-            x = rng.normal(size=m.shape[1])
-            nx = norm(x, p)
+    for it in range(iterations):
+        y = matvec_rows(m, x)
+        quot = norms(y, p)
+        for i, value in zip(active.tolist(), quot.tolist()):
+            history[i].append((labels[i], it, value))
+        gain = quot > top[active]
+        top[active[gain]], top_x[active[gain]] = quot[gain], x[gain]
+        zero = quot == 0.0
+        for i in np.flatnonzero(zero):
+            x[i] = draw()
+            x[i] /= norms(x[i : i + 1], p)[0]
             restarts += 1
-        x = x / nx
-        prev = -1.0
-        for it in range(iterations):
-            y = m @ x
-            quot = norm(y, p)
-            history.append((label, it, quot))
-            if quot > best:
-                best = quot
-                witness = x.copy()
-            if quot == 0.0:
-                x = rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
-                x /= norm(x, p)
-                restarts += 1
-                warnings.warn("zero iterate in lp_lower_bound; restarted with a perturbed seed")
-                continue
-            # m^H v without materialising the conjugate transpose
-            v = w * dual(y, p)
-            z = np.conj(m.T @ np.conj(v)) / w
-            x = dual(z, q)
-            nx = norm(x, p)
-            if nx == 0.0:
-                break
-            x = x / nx
-            if abs(quot - prev) <= 1e-9 * max(quot, 1.0):
-                break
-            prev = quot
-    return LpLowerBound(p=p, value=best, witness=witness, history=history, restarts=restarts)
+            warnings.warn("zero iterate in lp_lower_bound; restarted with a perturbed seed")
+        live = np.flatnonzero(~zero)
+        # m^H v without materialising the conjugate transpose
+        z = np.conj(matvec_rows(m.T, np.conj(w * dual(y[live], p)))) / w
+        step = dual(z, q)
+        nx = norms(step, p)
+        x[live] = step / np.where(nx == 0.0, 1.0, nx)[:, None]
+        settled = np.zeros(len(active), dtype=bool)
+        settled[live] = (nx == 0.0) | (np.abs(quot[live] - prev[active[live]]) <= 1e-9 * np.maximum(quot[live], 1.0))
+        prev[active[live]] = quot[live]
+        active, x = active[~settled], x[~settled]
+        if not active.size:
+            break
+
+    i = int(np.argmax(top))  # the first start to reach the largest quotient
+    best, witness = (float(top[i]), top_x[i].copy()) if top[i] > 0.0 else (0.0, dirichlet)
+    return LpLowerBound(p, best, witness, [h for hs in history for h in hs], restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +432,23 @@ def sharpness_experiment(
     0.05 threshold.  The classical rate (1-rho)|1/2-1/p| - nu0 is attached
     as an order-of-magnitude expectation only.
     """
-    return _sharpness_multi(rho, nu0, [p], lambdas, iterations, seed)[0]
+    return sharpness_experiment_multi(rho, nu0, [p], lambdas, iterations, seed)[0]
 
 
 def sharpness_experiment_multi(
     rho: float, nu0: float, ps, lambdas, iterations: int = 30, seed: int = 0
 ) -> list[SharpnessSeries]:
     """Sharpness series for several p sharing one operator per cutoff."""
-    return _sharpness_multi(rho, nu0, list(ps), lambdas, iterations, seed)
-
-
-def _sharpness_multi(rho, nu0, ps, lambdas, iterations, seed) -> list[SharpnessSeries]:
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     if not 0.0 <= nu0 < (1.0 - rho) / 2.0:
         raise ValueError("nu0 must satisfy 0 <= nu0 < (1 - rho)/2")
-    group = Torus(1)
-    lambdas = [int(v) for v in lambdas]
-    if sorted(lambdas) != lambdas:
-        raise ValueError("lambda list must be strictly increasing")
+    cuts = [float(v) for v in lambdas]
+    if not all(v.is_integer() and v > 0 for v in cuts) or any(a >= b for a, b in zip(cuts, cuts[1:])):
+        raise ValueError(f"lambda ladder {cuts} must be positive, strictly increasing integers")
+    if sum(v >= cuts[-1] / 10.0 for v in cuts) < 2:
+        raise ValueError(f"lambda ladder {cuts} needs at least two cutoffs in its last decade to fit a slope")
+    group, ps, lambdas = Torus(1), list(ps), [int(v) for v in cuts]
     bounds = {p: [] for p in ps}
     for lam in lambdas:
         grid = group.haar_grid(2 * lam + 2)
@@ -473,7 +484,7 @@ def _last_decade_slope(lambdas, values) -> float:
     lam = np.asarray(lambdas, dtype=float)
     val = np.asarray(values, dtype=float)
     mask = lam >= lam[-1] / 10.0
-    if mask.sum() < 2 or np.any(val[mask] <= 0.0):
+    if np.any(val[mask] <= 0.0):
         return 0.0
     return float(np.polyfit(np.log(lam[mask]), np.log(val[mask]), 1)[0])
 
@@ -511,7 +522,9 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
     checks = []
     if grid is None:
         grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
-    const = linf_bound_constant(sigma, grid)
+    ktab = kernel(sigma, grid)  # one table for both kernel reductions
+    const, hs_k = _kernel_row_l1(ktab), _kernel_hs(ktab)
+    del ktab
     for i, f in enumerate(f_samples):
         lhs = sup_norm(apply(sigma, f))
         rhs = (1.0 + 1e-8) * const * sup_norm(f) + 1e-300
@@ -519,7 +532,6 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
             AuditCheck(name=f"linf_bound[{i}]", value=lhs, bound=rhs, ok=bool(lhs <= rhs))
         )
     hs_s = hs_norm_symbol(sigma)
-    hs_k = hs_norm_kernel(sigma, grid)
     rel = abs(hs_k - hs_s) / hs_s if hs_s > 0 else abs(hs_k - hs_s)
     checks.append(AuditCheck(name="hs_identity", value=rel, bound=1e-8, ok=bool(rel <= 1e-8)))
 

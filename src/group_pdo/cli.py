@@ -14,6 +14,9 @@ files, prints the message and maps the outcome to an exit code.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import hashlib
 import json
 import math
@@ -203,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_value(argv: list, flag: str, default=None):
+def _flag_value(argv: list, flag: str):
     """Value of the last ``flag V`` or ``flag=V`` in argv, read before parsing."""
-    value = default
+    value = None
     for i, a in enumerate(argv):
         if a == flag and i + 1 < len(argv):
             value = argv[i + 1]
@@ -214,13 +217,32 @@ def _flag_value(argv: list, flag: str, default=None):
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas(symbol: str):
+    """`symbol` of the OpenBLAS bundled with numpy, or None when it has none."""
+    import numpy as np
+
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def set_blas_threads(threads: int) -> None:
+    """Cap BLAS at `threads` workers.  numpy has loaded it by now, so its bundled OpenBLAS is
+    told directly; without that symbol only the environment is left, for a BLAS loaded later."""
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
+    setter = _openblas("scipy_openblas_set_num_threads64_")
+    if setter is not None:
+        setter(threads)
+    else:
+        os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads)))
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # honor --threads before numpy is imported anywhere
-    threads = _flag_value(argv, "--threads", default="1")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
-
     parser = build_parser()
     config_path = _flag_value(argv, "--config")
     if config_path:
@@ -233,6 +255,7 @@ def main(argv=None) -> int:
     from .errors import PrecisionError, SingularSymbolError
 
     try:
+        set_blas_threads(args.threads)
         return _dispatch(args)
     except PrecisionError as exc:
         print(f"precision/band error: {exc}", file=sys.stderr)
@@ -501,8 +524,7 @@ def _linf(args) -> Outcome:
 def _lp_sharpness(args) -> Outcome:
     from .bounds import sharpness_experiment
 
-    lambdas = [int(v) for v in _parse_list(args.lambdas)]
-    series = sharpness_experiment(args.rho, args.nu0, args.p, lambdas, args.iterations, args.seed)
+    series = sharpness_experiment(args.rho, args.nu0, args.p, _parse_list(args.lambdas), args.iterations, args.seed)
     rows = [["lambda", "lp_lower_bound"], *zip(series.lambdas, series.bounds)]
     results = {"slope": series.slope, "expected_rate": series.expected_rate, "bounds": series.bounds}
     message = (

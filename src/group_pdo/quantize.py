@@ -172,12 +172,21 @@ def operator(sigma: Symbol, grid=None) -> GridOperator:
     return GridOperator(grid, SymbolMatrix(sigma, grid), sigma.band, provenance=sigma.provenance)
 
 
+def matvec_rows(matrix, x: np.ndarray) -> np.ndarray:
+    """matrix @ v for each row v of the block x (k, N): one batched transform pair for a
+    `SymbolMatrix` or its `.T`, one gemv per row for the dense oracle (a gemm may move low bits)."""
+    if isinstance(matrix, np.ndarray):
+        return np.array([matrix @ v for v in x]).reshape(x.shape)
+    return matrix @ x
+
+
 class SymbolMatrix:
     """Matrix-free M = realize(sigma, grid).matrix for an invariant sigma, in the idiom of
     scipy's LinearOperator: `shape`, `M @ x` and `M.T @ u` on grid value arrays.
 
     M @ x is `apply` (forward transform, blockwise product, inverse), which is
-    the quadrature sum of M's rows for any x, band-limited or not.  The kernel
+    the quadrature sum of M's rows for any x, band-limited or not.  A block
+    x (k, N) holds k vectors, and M @ x and M.T @ x map each row.  The kernel
     of Op(sigma^*) at (y, x) is conj K(x, y), so M^H v = w * Op(sigma^*)(v / w)
     and M.T @ u is its conjugate at conj(u): exact on every grid, whatever its
     weights.  A gridded sigma is refused: its pointwise adjoint is not the

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularSymbolError
-from .fourier import FourierCoefficients, GridFunction
+from .fourier import FourierCoefficients, GridFunction, _per_dual
 from .groups import SU2, DualIndex, Torus
 
 
@@ -36,7 +36,7 @@ class Symbol(FourierCoefficients):
         return self.grid is None
 
     def adjoint(self) -> "Symbol":
-        out = self.map_blocks(lambda xi, b: np.swapaxes(b, -1, -2).conj())
+        out = self.map_buckets(lambda b: np.conj(np.swapaxes(b, -1, -2), order="C"))
         out.provenance = f"adjoint({self.provenance})"
         return out
 
@@ -56,8 +56,8 @@ class Symbol(FourierCoefficients):
 def identity_symbol(group, band: float, grid=None) -> Symbol:
     duals = group.enumerate_dual(band)
     nodes = () if grid is None else (grid.node_count,)
-    blocks = [np.broadcast_to(np.eye(xi.dim, dtype=complex), (*nodes, xi.dim, xi.dim)) for xi in duals]
-    return Symbol(group, band, duals, blocks, grid=grid, provenance="identity")
+    buckets = [np.tile(np.eye(duals.dims[a], dtype=complex), (b - a, *nodes, 1, 1)) for a, b in duals.runs]
+    return Symbol(group, band, duals, _per_dual(buckets), grid=grid, provenance="identity")
 
 
 def multiplier(group, band: float, fn: Callable[[DualIndex], np.ndarray], name: str = "multiplier") -> Symbol:
@@ -91,12 +91,12 @@ def hirschman_wainger(rho: float, nu: float, band: float, group: Torus = None) -
     if not isinstance(group, Torus) or group.n != 1:
         raise ValueError("the Hirschman-Wainger symbol is defined on t1")
     a = 1.0 - rho
-
-    def fn(xi: DualIndex):
-        w = xi.weight
-        return np.exp(1j * w**a) * w ** (-nu)
-
-    return multiplier(group, band, fn, name=f"hirschman_wainger(rho={rho},nu={nu})")
+    duals = group.enumerate_dual(band)
+    # the powers as Python floats: numpy's vectorised pow may differ in the last bit
+    weights = duals.weights.tolist()
+    phase = np.exp(1j * np.array([w**a for w in weights]))
+    values = phase * np.array([w ** (-nu) for w in weights])
+    return Symbol(group, band, duals, values.reshape(-1, 1, 1), provenance=f"hirschman_wainger(rho={rho},nu={nu})")
 
 
 def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: float) -> Symbol:

@@ -1,10 +1,15 @@
+import ast
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import group_pdo.bounds
 from group_pdo.cli import EXIT_INTERNAL, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(args, tmp_path, sub="out"):
@@ -109,6 +114,51 @@ class TestErrorPaths:
              "--symbol-params", "c=-0.5j"], tmp_path
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "lambdas, reason",
+        [
+            ("8,8", "strictly increasing"),
+            ("16,8", "strictly increasing"),
+            ("0,8", "positive"),
+            ("8.5,16", "integers"),
+            ("8", "two cutoffs in its last decade"),
+            ("8,100", "two cutoffs in its last decade"),
+        ],
+    )
+    def test_bad_sharpness_ladder_is_usage_error(self, lambdas, reason, tmp_path, capsys):
+        code, _, files = run(["lp-sharpness", "--p", "2", "--lambdas", lambdas, "--iterations", "2"], tmp_path)
+        assert code == 2
+        assert files == []
+        assert reason in capsys.readouterr().err
+
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys):
+        code, _, files = run(["interval", "--n", "1", "--rho", "0.5", "--nu", "0", "--threads", "0"], tmp_path)
+        assert code == 2
+        assert files == []
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_threads_take_effect_after_numpy_import(tmp_path):
+    # a fresh process with no thread variable set: only --threads can cap OpenBLAS here
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    script = (
+        "import sys; from group_pdo import cli\n"
+        "seen = []\n"
+        "for n in ('2', '1'):\n"
+        "    code = cli.main(['interval', '--n', '1', '--rho', '0.5', '--nu', '0', '--threads', n, '--out', sys.argv[1]])\n"
+        "    get = cli._openblas('scipy_openblas_get_num_threads64_')\n"
+        "    seen.append((code, get and get()))\n"
+        "print(seen)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+    if seen[-1][1] is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS; thread count cannot be read back")
+    assert seen == [(0, 2), (0, 1)]
 
 
 class TestDeterminismAndConfig:
