@@ -32,14 +32,12 @@ GROWTH_SLOPE_TOL = 0.05
 
 def hs_norm_symbol(sigma: Symbol) -> float:
     """(integral over x of sum_xi d_xi ||sigma(x,xi)||_HS^2)^(1/2)."""
-    total = 0.0
-    for xi, b in zip(sigma.duals, sigma.blocks):
-        sq = np.sum(np.abs(b) ** 2, axis=(-2, -1))
-        if sigma.invariant:
-            total += xi.dim * float(sq)
-        else:
-            total += xi.dim * float(sigma.grid.weights @ sq)
-    return float(np.sqrt(total))
+    squares = [np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in sigma.buckets]
+    if not sigma.invariant:
+        # one dot per dual: a batched product does not keep each dot's bits
+        squares = [[sigma.grid.weights @ row for row in sq] for sq in squares]
+    # accumulated in dual order, as a running sum: np.sum would pair terms up
+    return float(np.sqrt(np.cumsum(sigma.duals.dims * np.concatenate(squares))[-1]))
 
 
 def hs_norm_kernel(sigma: Symbol, grid=None) -> float:
@@ -350,8 +348,9 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylRe
     else:
         raise ValueError("alpha = -1 separates the two variants; pick a side")
     duals = group.enumerate_dual(top)
-    weights = np.array([xi.weight for xi in duals])
-    terms = np.array([xi.dim**2 * xi.weight ** (alpha * n) for xi in duals])
+    weights = duals.weights
+    # the powers as Python floats: numpy's vectorised pow may differ in the last bit
+    terms = np.array([d**2 * w ** (alpha * n) for d, w in zip(duals.dims.tolist(), weights.tolist())])
     rows = []
     for lam in lambdas:
         if variant == "cumulative":
@@ -386,8 +385,8 @@ def casimir_series(group, s: float, lambdas) -> SeriesReport:
     """Partial sums of sum d_xi^2 <xi>^(-s); converges iff s > dim G."""
     lambdas = sorted(float(v) for v in lambdas)
     duals = group.enumerate_dual(lambdas[-1])
-    weights = np.array([xi.weight for xi in duals])
-    terms = np.array([xi.dim**2 * xi.weight ** (-s) for xi in duals])
+    weights = duals.weights
+    terms = np.array([d**2 * w ** (-s) for d, w in zip(duals.dims.tolist(), weights.tolist())])
     rows = []
     for lam in lambdas:
         rows.append((lam, float(terms[weights <= lam + 1e-9].sum())))
@@ -551,11 +550,8 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
             )
         )
         if m_fit > n / 2.0:
-            hs_terms = np.array(
-                [
-                    xi.dim * float(np.max(np.sum(np.abs(b) ** 2, axis=(-2, -1))))
-                    for xi, b in zip(sigma.duals, sigma.blocks)
-                ]
+            hs_terms = sigma.duals.dims * np.concatenate(
+                [np.sum(np.abs(b) ** 2, axis=(-2, -1)).reshape(len(b), -1).max(axis=1) for b in sigma.buckets]
             )
             edges = [2.0**j for j in range(1, int(np.log2(max(weights.max(), 2.0))) + 1)]
             incs = []

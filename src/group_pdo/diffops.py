@@ -11,7 +11,6 @@ exact index rule which is used as a fast path.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import BandExhaustedError, PrecisionError
 from .fourier import GridFunction, batch_slices, concat, forward, inverse
-from .groups import SU2, Duals, Torus
+from .groups import SU2, Torus
 from .symbols import Symbol, multiplier
 
 _TOL = 1e-9
@@ -150,7 +149,7 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
     duals = sigma.duals
     native_index = np.sqrt(duals.casimir) if isinstance(sigma.group, Torus) else duals.labels
     keep = native_index <= new_native + _TOL
-    target = Duals(itertools.compress(duals, keep))
+    target = duals[keep]
     if isinstance(sigma.group, Torus) and q.shift is not None:
         blocks = _shifted_blocks(q, sigma, keep)
     else:
@@ -229,7 +228,7 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
                 s = s @ group.vector_field_symbol(j, eta)
         return s
 
-    mults = multiplier(group, x_band, field_power)
+    mults = multiplier(group, x_band, lambda duals: [field_power(eta) for eta in duals])
     n = grid.node_count
     # every matrix entry of every block as one stack of grid functions, in dual then row-major entry order
     entries = np.concatenate([np.moveaxis(b, 1, -1).reshape(-1, n) for b in sigma.buckets])
@@ -240,7 +239,10 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
         resid = np.max(np.abs(inverse(coeffs, grid).values - g), axis=1)
         bad = np.flatnonzero(resid > alias_tol * scale)
         if bad.size:
-            xi, i, j = [(xi, i, j) for xi in sigma.duals for i in range(xi.dim) for j in range(xi.dim)][rows.start + bad[0]]
+            entry = rows.start + int(bad[0])
+            k = int(np.searchsorted(np.cumsum(sigma.duals.dims**2), entry, side="right"))  # dims^2 entries per dual
+            xi = sigma.duals[k]
+            i, j = divmod(entry - int(np.sum(sigma.duals.dims[:k] ** 2)), xi.dim)
             raise PrecisionError(
                 f"x-dependence of sigma at xi={xi.label} entry ({i},{j}) is not "
                 f"resolved by the grid (round-trip residual {resid[bad[0]]:.3g})"

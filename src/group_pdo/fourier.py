@@ -63,8 +63,8 @@ class FourierCoefficients:
     for a symbol sigma(x, xi) tabulated at the B nodes of `grid`.  `blocks`
     is taken and kept as a per-dual sequence; the storage is `buckets`, one
     complex array ``(count, [B,] d, d)`` per maximal run of consecutive
-    duals of equal dimension d: a single bucket on the torus, one per spin
-    on SU(2).
+    duals of equal dimension d (`duals.runs`): a single bucket on the torus,
+    one per spin on SU(2).
     """
 
     group: object
@@ -74,14 +74,13 @@ class FourierCoefficients:
     grid: object = None
 
     def __post_init__(self):
-        self.duals = Duals(self.duals)
         if len(self.blocks) != len(self.duals):
             raise ValueError(f"{len(self.blocks)} blocks for {len(self.duals)} duals")
         self.buckets = [np.asarray(self.blocks[start:stop], dtype=complex) for start, stop in self.duals.runs]
         # a grid fixes the batch axis to its nodes; otherwise the first block tells
         self.batch = (self.grid.node_count,) if self.grid is not None else self.buckets[0].shape[1:-2]
         for (start, _), bucket in zip(self.duals.runs, self.buckets):
-            dim = self.duals[start].dim
+            dim = self.duals.dims[start]
             want = (*self.batch, dim, dim)
             if len(self.batch) > 1 or bucket.shape[1:] != want:
                 raise ValueError(f"block for {self.duals[start].label} has shape {bucket.shape[1:]}, wanted {want}")
@@ -90,7 +89,9 @@ class FourierCoefficients:
 
     def block(self, label) -> np.ndarray:
         if self._index is None:
-            self._index = {xi.label: i for i, xi in enumerate(self.duals)}
+            labels = self.duals.labels.tolist()
+            keys = map(tuple, labels) if self.duals.labels.ndim == 2 else labels
+            self._index = {label: i for i, label in enumerate(keys)}
         return self.blocks[self._index[label]]
 
     def map_blocks(self, fn) -> "FourierCoefficients":
@@ -118,10 +119,6 @@ class FourierCoefficients:
         grid = self.grid if self.grid is not None else other.grid
         return FourierCoefficients(self.group, self.band, self.duals, _per_dual(products), grid)
 
-    def op_norms(self, xi) -> np.ndarray:
-        """||sigma(x, xi)||_op per node (a single value without a node axis)."""
-        return _op_norms(self.block(xi.label))
-
     def sup_op_norms(self) -> np.ndarray:
         """max over nodes of ||sigma(x, xi)||_op, for every dual in order."""
         return np.concatenate([_op_norms(b).reshape(len(b), -1).max(axis=1) for b in self.buckets])
@@ -129,25 +126,17 @@ class FourierCoefficients:
     def to_json_dict(self) -> dict:
         """Documented layout: {group, band, entries: [{label, re, im}]}."""
         entries = [
-            {
-                "label": list(xi.label) if isinstance(xi.label, tuple) else xi.label,
-                "re": b.real.tolist(),
-                "im": b.imag.tolist(),
-            }
-            for xi, b in zip(self.duals, self.blocks)
+            {"label": label, "re": b.real.tolist(), "im": b.imag.tolist()}
+            for label, b in zip(self.duals.labels.tolist(), self.blocks)
         ]
         return {"group": self.group.name, "band": self.band, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, payload: dict, grid=None) -> "FourierCoefficients":
         """Inverse of `to_json_dict`; entries with a node axis need their `grid`."""
-        group = group_by_name(payload["group"])
-        duals, blocks = [], []
-        for entry in payload["entries"]:
-            label = entry["label"]
-            xi = group.dual_index(tuple(label) if isinstance(label, list) else label)
-            duals.append(xi)
-            blocks.append(np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"]))
+        group, entries = group_by_name(payload["group"]), payload["entries"]
+        duals = group.duals_of([entry["label"] for entry in entries])
+        blocks = [np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"]) for entry in entries]
         return cls(group, float(payload["band"]), duals, blocks, grid=grid)
 
 
@@ -182,7 +171,7 @@ def forward(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
     """
     grid = f.grid
     grid.require_band(band)
-    duals = grid.group.enumerate_dual(band) if duals is None else Duals(duals)
+    duals = grid.group.enumerate_dual(band) if duals is None else duals
     return FourierCoefficients(grid.group, band, duals, _backend(grid)[0](f, duals))
 
 
@@ -253,16 +242,18 @@ def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> np.ndarray:
     m2_all = 2 * grid.j2max_exact + 1
     acc = np.zeros((math.prod(a.batch), m2_all, t, m2_all), dtype=complex)  # [z, a, theta, b]
     dtabs = grid.d_tables()
-    for xi, block in zip(a.duals, a.blocks):
-        j2 = xi.label
-        if j2 > grid.j2max_exact:
-            raise PrecisionError(
-                f"coefficient j2={j2} cannot be represented on grid with j2max {grid.j2max_exact}"
-            )
+    labels = a.duals.labels
+    if labels.max() > grid.j2max_exact:
+        raise PrecisionError(
+            f"coefficient j2={labels[labels > grid.j2max_exact][0]} cannot be represented on grid "
+            f"with j2max {grid.j2max_exact}"
+        )
+    for (start, _), bucket in zip(a.duals.runs, a.buckets):
+        j2 = int(labels[start])
         slots = slice(grid.m2_slot(-j2), grid.m2_slot(j2) + 1, 2)
-        block = block.reshape(len(acc), xi.dim, xi.dim)  # a batch of one without a batch axis
-        contrib = xi.dim * np.einsum("tab,zba->ztab", dtabs[j2], block, optimize=True)
-        acc[:, slots, :, slots] += contrib.transpose(0, 2, 1, 3)
+        for block in bucket.reshape(-1, len(acc), j2 + 1, j2 + 1):  # a batch of one without a batch axis
+            contrib = (j2 + 1) * np.einsum("tab,zba->ztab", dtabs[j2], block, optimize=True)
+            acc[:, slots, :, slots] += contrib.transpose(0, 2, 1, 3)
     ephi, epsi = grid.phase_tables()
     return np.einsum("aj,zatb,bk->zjtk", ephi.conj(), acc, epsi.conj(), optimize=True)
 
@@ -307,7 +298,7 @@ def random_bandlimited(grid, band: float, rng: np.random.Generator) -> GridFunct
     buckets = []
     for start, stop in duals.runs:
         # per dual a real, then an imaginary d x d draw: one stream for the whole bucket
-        draws = rng.normal(size=(stop - start, 2, duals[start].dim, duals[start].dim))
+        draws = rng.normal(size=(stop - start, 2, duals.dims[start], duals.dims[start]))
         buckets.append(draws[:, 0] + 1j * draws[:, 1])
     coeffs = FourierCoefficients(group, band, duals, _per_dual(buckets))
     scale = l2_norm(coeffs)

@@ -1,32 +1,18 @@
-"""Labels for irreducible unitary representations."""
+"""The unitary dual as an array record, and one point of it on demand."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
-
-Label = Union[tuple, int]
 
 
 @dataclass(frozen=True)
 class DualIndex:
-    """One point of the unitary dual.
+    """One point of the unitary dual: the `Duals` fields at one index, its label a tuple on the torus."""
 
-    label
-        Frequency vector ``k`` (tuple of ints) on the torus; doubled spin
-        ``j2 = 2*l`` (int) on SU(2).
-    dim
-        Dimension of the representation space (1 on the torus, ``j2 + 1``
-        on SU(2)).
-    casimir
-        Laplacian eigenvalue ``lambda^2`` on the matrix coefficients
-        (``|k|^2`` resp. ``l (l + 1)``).
-    """
-
-    label: Label
+    label: tuple | int
     dim: int
     casimir: float
 
@@ -35,39 +21,53 @@ class DualIndex:
         """Frequency weight ``<xi> = (1 + lambda^2)^(1/2)``; always >= 1."""
         return float(np.sqrt(1.0 + self.casimir))
 
-    def sort_key(self):
-        label = self.label if isinstance(self.label, tuple) else (self.label,)
-        return (self.weight, label)
 
+@dataclass(frozen=True, eq=False)
+class Duals:
+    """Points of the unitary dual in enumeration order, one array entry each.
 
-class Duals(tuple):
-    """A tuple of `DualIndex` whose per-dual arrays are read from it once.
+    labels
+        Frequency vectors ``k``, shape (count, n), on the torus; doubled
+        spins ``j2 = 2*l``, shape (count,), on SU(2).
+    dims
+        Dimensions of the representation spaces (1 resp. ``j2 + 1``).
+    casimir
+        Laplacian eigenvalues ``lambda^2`` on the matrix coefficients
+        (``|k|^2`` resp. ``l (l + 1)``).
 
-    ``Duals(d)`` returns ``d`` itself when it already is a `Duals`, so the
-    arrays travel with the tuple through every container built on it.
+    Each group computes dims and Casimir from labels in one place, its
+    ``duals_of(labels)``.  ``duals[mask]`` and ``duals[start:stop]`` are
+    again a `Duals`, and ``==`` compares the arrays.  ``duals[i]`` and
+    iteration make a `DualIndex` on demand, for messages, JSON and per-dual
+    reference code.
     """
 
-    def __new__(cls, duals=()):
-        return duals if type(duals) is cls else super().__new__(cls, duals)
+    labels: np.ndarray
+    dims: np.ndarray
+    casimir: np.ndarray
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Labels as integers: shape (count, n) on the torus, (count,) on SU(2)."""
-        return np.array([xi.label for xi in self], dtype=int)
+    def __len__(self) -> int:
+        return len(self.dims)
 
-    @cached_property
-    def dims(self) -> np.ndarray:
-        return np.array([xi.dim for xi in self], dtype=int)
+    def __getitem__(self, key):
+        if not isinstance(key, (int, np.integer)):
+            return Duals(self.labels[key], self.dims[key], self.casimir[key])
+        label = self.labels[key].tolist()
+        label = tuple(label) if isinstance(label, list) else label
+        return DualIndex(label, int(self.dims[key]), float(self.casimir[key]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        arrays = ("labels", "dims", "casimir")
+        return isinstance(other, Duals) and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
 
     @cached_property
     def runs(self) -> list[tuple[int, int]]:
         """(start, stop) of each maximal run of consecutive duals with equal dimension."""
         edges = [0, *(np.flatnonzero(np.diff(self.dims)) + 1).tolist(), len(self)]
         return list(zip(edges[:-1], edges[1:]))
-
-    @cached_property
-    def casimir(self) -> np.ndarray:
-        return np.array([xi.casimir for xi in self], dtype=float)
 
     @cached_property
     def weights(self) -> np.ndarray:

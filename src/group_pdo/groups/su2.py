@@ -98,29 +98,31 @@ class SU2:
     # -- dual ------------------------------------------------------------
 
     def dual_index(self, label) -> DualIndex:
-        j2 = int(label)
-        if j2 < 0:
+        return self.duals_of([int(label)])[0]
+
+    def duals_of(self, labels) -> Duals:
+        """The duals with these doubled spins, in their order."""
+        j2 = np.asarray(labels, dtype=int)
+        if j2.ndim != 1 or np.any(j2 < 0):
             raise ValueError("doubled spin must be >= 0")
-        return DualIndex(label=j2, dim=j2 + 1, casimir=j2 * (j2 + 2) / 4.0)
+        return Duals(j2, j2 + 1, j2 * (j2 + 2) / 4.0)
 
     def enumerate_dual(self, band: float) -> Duals:
         """All doubled spins j2 with <j2> <= band, in increasing order."""
-        if band < 1:
-            raise ValueError("band must be >= 1")
-        out = []
-        j2 = 0
-        while True:
-            xi = self.dual_index(j2)
-            if xi.weight > band + _TOL:
-                break
-            out.append(xi)
-            j2 += 1
-        return Duals(out)
+        return self.duals_of(np.arange(self.native_cut(band) + 1))
 
     def native_cut(self, band: float) -> int:
         """Largest doubled spin enumerated at the given weight band."""
-        duals = self.enumerate_dual(band)
-        return duals[-1].label
+        if not 1 <= band < np.inf:
+            raise ValueError(f"band must be finite and >= 1, got {band}")
+        top = band + _TOL
+        # <j2> <= top iff (j2 + 1)^2 <= 4 top^2 - 3; the rounding is settled by the weights themselves
+        j2 = int(np.sqrt(max(4.0 * top * top - 3.0, 1.0))) - 1
+        while self.duals_of([j2 + 1]).weights[0] <= top:
+            j2 += 1
+        while self.duals_of([j2]).weights[0] > top:
+            j2 -= 1
+        return j2
 
     def band_of_native(self, j2: float) -> float:
         if j2 < 0:

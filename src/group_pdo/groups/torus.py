@@ -8,7 +8,6 @@ rep matrices are 1x1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,28 +41,29 @@ class Torus:
     # -- dual ------------------------------------------------------------
 
     def dual_index(self, label) -> DualIndex:
-        k = tuple(int(v) for v in np.atleast_1d(label))
-        if len(k) != self.n:
-            raise ValueError(f"label {k} does not index the dual of {self.name}")
-        return DualIndex(label=k, dim=1, casimir=float(sum(v * v for v in k)))
+        return self.duals_of([np.atleast_1d(label)])[0]
+
+    def duals_of(self, labels) -> Duals:
+        """The duals with these labels, shape (count, n), in their order."""
+        k = np.asarray(labels, dtype=int)
+        if k.ndim != 2 or k.shape[1] != self.n:
+            raise ValueError(f"labels of shape {k.shape} do not index the dual of {self.name}")
+        return Duals(k, np.ones(len(k), dtype=int), np.sum(k * k, axis=1).astype(float))
 
     def enumerate_dual(self, band: float) -> Duals:
         """All k with <k> <= band, sorted by (weight, label)."""
         if band < 1:
             raise ValueError("band must be >= 1")
-        r2 = band * band - 1.0 + _TOL
-        kmax = int(np.floor(np.sqrt(max(r2, 0.0))))
+        kmax = int(self.native_cut(band))
         squares = np.arange(-kmax, kmax + 1) ** 2
         casimir = sum(np.ix_(*[squares] * self.n))  # |k|^2 over the cube [-kmax, kmax]^n
-        inside = casimir <= r2
-        k = np.argwhere(inside) - kmax
-        casimir = casimir[inside].astype(float)
-        order = np.lexsort((*k.T[::-1], np.sqrt(1.0 + casimir)))
-        labels = map(tuple, k[order].tolist())
-        return Duals(map(DualIndex, labels, itertools.repeat(1), casimir[order].tolist()))
+        duals = self.duals_of(np.argwhere(casimir <= band * band - 1.0 + _TOL) - kmax)
+        return duals[np.lexsort((*duals.labels.T[::-1], duals.weights))]
 
     def native_cut(self, band: float) -> float:
         """Radius of the |k| ball enumerated at the given weight band."""
+        if not np.isfinite(band):
+            raise ValueError(f"band must be finite, got {band}")
         return float(np.floor(np.sqrt(max(band * band - 1.0 + _TOL, 0.0))))
 
     def band_of_native(self, radius: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularSymbolError
 from .fourier import FourierCoefficients, GridFunction, _per_dual
-from .groups import SU2, DualIndex, Torus
+from .groups import SU2, Duals, Torus
 
 
 @dataclass
@@ -60,21 +60,28 @@ def identity_symbol(group, band: float, grid=None) -> Symbol:
     return Symbol(group, band, duals, _per_dual(buckets), grid=grid, provenance="identity")
 
 
-def multiplier(group, band: float, fn: Callable[[DualIndex], np.ndarray], name: str = "multiplier") -> Symbol:
-    """Invariant symbol from a per-dual matrix (or scalar) function."""
+def multiplier(group, band: float, fn: Callable[[Duals], np.ndarray], name: str = "multiplier") -> Symbol:
+    """Invariant symbol from a per-bucket function.
+
+    fn gets the `Duals` of one run of duals of equal dimension d (a bucket:
+    all of the torus, one spin of SU(2)) and returns their blocks as one
+    ``(count, d, d)`` array, or one scalar per dual for that multiple of
+    the identity.
+    """
     duals = group.enumerate_dual(band)
-    blocks = []
-    for xi in duals:
-        b = np.asarray(fn(xi), dtype=complex)
-        if b.ndim == 0:
-            b = b * np.eye(xi.dim)
-        blocks.append(b)
-    return Symbol(group, band, duals, blocks, provenance=name)
+    buckets = []
+    for start, stop in duals.runs:
+        b = np.asarray(fn(duals[start:stop]))
+        buckets.append(b[:, None, None] * np.eye(duals.dims[start]) if b.ndim == 1 else b)
+    return Symbol(group, band, duals, _per_dual(buckets), provenance=name)
 
 
 def multiplier_power(group, s: float, band: float) -> Symbol:
     """sigma(xi) = <xi>^s I, the symbol of (I - Laplacian)^(s/2)."""
-    return multiplier(group, band, lambda xi: xi.weight**s * np.eye(xi.dim), name=f"multiplier_power(s={s})")
+    # the powers as Python floats: numpy's vectorised pow may differ in the last bit
+    return multiplier(
+        group, band, lambda duals: [w**s for w in duals.weights.tolist()], name=f"multiplier_power(s={s})"
+    )
 
 
 def hirschman_wainger(rho: float, nu: float, band: float, group: Torus = None) -> Symbol:
@@ -106,14 +113,14 @@ def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: floa
     fv = f.values
     if np.max(np.abs(fv.imag)) > 1e-12:
         raise ValueError("schrodinger phase requires a real-valued f")
-    grid = f.grid
     duals = group.enumerate_dual(band)
-    blocks = []
-    for xi in duals:
-        phase = np.exp(1j * t * fv.real * xi.weight**delta)
-        blocks.append(phase[:, None, None] * np.eye(xi.dim)[None, :, :])
+    tf = 1j * t * fv.real
+    buckets = []
+    for start, stop in duals.runs:
+        powers = np.array([w**delta for w in duals.weights[start:stop].tolist()])
+        buckets.append(np.exp(tf * powers[:, None])[:, :, None, None] * np.eye(duals.dims[start]))
     return Symbol(
-        group, band, duals, blocks, grid=grid, provenance=f"schrodinger(t={t},delta={delta})"
+        group, band, duals, _per_dual(buckets), grid=f.grid, provenance=f"schrodinger(t={t},delta={delta})"
     )
 
 
@@ -134,9 +141,10 @@ def z_plus_c_inverse(c: complex, band: float) -> Symbol:
             )
     group = SU2()
 
-    def fn(xi: DualIndex):
-        m = np.arange(-xi.label, xi.label + 1, 2) / 2.0
-        return np.diag(1.0 / (1j * m + c))
+    def fn(duals: Duals):
+        j2 = duals.labels[0]  # a bucket of SU(2) is one spin
+        m = np.arange(-j2, j2 + 1, 2) / 2.0
+        return np.tile(np.diag(1.0 / (1j * m + c)), (len(duals), 1, 1))
 
     return multiplier(group, band, fn, name=f"z_plus_c_inverse(c={c})")
 
@@ -146,7 +154,7 @@ def vector_field_plus_c(group, j: int, c: complex, band: float) -> Symbol:
     return multiplier(
         group,
         band,
-        lambda xi: group.vector_field_symbol(j, xi) + complex(c) * np.eye(xi.dim),
+        lambda duals: [group.vector_field_symbol(j, xi) + complex(c) * np.eye(xi.dim) for xi in duals],
         name=f"field({j})+{c}",
     )
 

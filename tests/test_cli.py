@@ -140,6 +140,26 @@ class TestErrorPaths:
         assert "--threads must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "weyl --group su2 --lambdas 2,inf --alpha 0",
+        "transform --group su2 --band nan",
+        "transform --group t1 --band inf",
+        "weyl --group t1 --lambdas 2,inf --alpha 0",
+    ],
+)
+def test_non_finite_band_is_usage_error(argv, tmp_path):
+    # a fresh process with a timeout, so an enumeration that never ends fails the suite instead of hanging it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-m", "group_pdo.cli", *argv.split(), "--out", str(out)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "usage error: band must be finite" in done.stderr
+    assert not out.exists()
+
+
 def test_threads_take_effect_after_numpy_import(tmp_path):
     # a fresh process with no thread variable set: only --threads can cap OpenBLAS here
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}

@@ -66,7 +66,7 @@ class TestInverse:
     def test_trivial_rep_gives_constant(self, su2):
         grid = su2.haar_grid(4)
         coeffs = FourierCoefficients(
-            su2, 1.0, (su2.dual_index(0),), [np.array([[1.0 + 0j]])]
+            su2, 1.0, su2.duals_of([0]), [np.array([[1.0 + 0j]])]
         )
         f = inverse(coeffs, grid)
         np.testing.assert_allclose(f.values, 1.0, atol=1e-14)

@@ -171,8 +171,11 @@ class TestBucketBuilders:
         band = group.band_of_native(4)
         grid = group.grid_for_band(band)
         f = GridFunction(grid, rng.normal(size=grid.node_count))
+        def random_block(xi):
+            return rng.normal(size=(xi.dim, xi.dim)) + 1j * rng.normal(size=(xi.dim, xi.dim))
+
         for sig in (
-            multiplier(group, band, lambda xi: rng.normal(size=(xi.dim, xi.dim)) + 1j * rng.normal(size=(xi.dim, xi.dim))),
+            multiplier(group, band, lambda duals: [random_block(xi) for xi in duals]),
             schrodinger_phase(group, 0.3, f, 0.5, band),
         ):
             adj = sig.adjoint()
@@ -185,7 +188,7 @@ class TestBucketBuilders:
     def test_hirschman_wainger(self, rho, nu, t1):
         band = t1.band_of_native(4096)
         ref = multiplier(
-            t1, band, lambda xi: np.exp(1j * xi.weight ** (1.0 - rho)) * xi.weight ** (-nu),
+            t1, band, lambda duals: [np.exp(1j * xi.weight ** (1.0 - rho)) * xi.weight ** (-nu) for xi in duals],
             name=f"hirschman_wainger(rho={rho},nu={nu})",
         )
         assert_same_buckets(hirschman_wainger(rho, nu, band), ref)

@@ -219,7 +219,7 @@ class TestOperator:
             re, im = rng.normal(size=(2, xi.dim, xi.dim))
             return re + 1j * im
 
-        sig = multiplier(group, band, random_block)
+        sig = multiplier(group, band, lambda duals: [random_block(xi) for xi in duals])
         grid = group.haar_grid(res)
         dense = realize(sig, grid).matrix
         free = operator(sig, grid).matrix

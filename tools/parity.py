@@ -1,0 +1,141 @@
+"""Byte-for-byte parity of the group-pdo CLI between this checkout and a git revision.
+
+Usage (from the repository root):
+
+    python tools/parity.py <rev>
+
+The revision is checked out with ``git worktree`` under a temporary
+directory.  Every invocation of a fixed list runs in a fresh process, once
+against the revision's ``src`` and once against this checkout's ``src``
+(uncommitted edits included), with one BLAS thread and its own output
+directory.  The list is the benchmark's 13 commands (``bench/workloads.py``)
+at seeds 1 and 7, plus 28 more that cover the other subcommands, groups and
+refusals.  Exit codes, stdout, stderr, result-file names and result-file
+bytes are compared; the checkout paths are masked in stdout and stderr.
+
+One line per invocation is printed.  The exit code is 0 when every
+invocation is identical, 1 on any difference, and 2 when the revision
+cannot be checked out.  This is a local check, not part of CI.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (1, 7)
+TIMEOUT_S = 900
+SCHRODINGER = "--symbol schrodinger --symbol-params t=0.1,delta=0.5"
+EXTRA = (
+    "transform --group t2 --band 20 --samples 3",
+    "transform --group t3 --band 6 --samples 2",
+    "transform --group su2 --band 12 --samples 3",
+    "transform --group su2 --band 35 --samples 1",
+    "transform --group su2 --band 12 --resolution 16 --samples 1",
+    "seminorm --group t1 --band 40 --symbol hlhw --symbol-params rho=0.5,nu=0.25 --m -0.25 --rho 0.5 --delta 0 --l 2",
+    "seminorm --group t2 --band 8 --symbol multiplier_power --symbol-params s=-1 --m -1 --rho 1 --delta 0 --l 2",
+    "seminorm --group su2 --band 4 --symbol z_plus_c_inverse --symbol-params c=0.3 --m -1 --rho 1 --delta 0 --l 2",
+    f"seminorm --group su2 --band 3.2 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1",
+    f"seminorm --group su2 --band 2.5 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1 --margin 3",
+    "classcheck --group t1 --band 70 --symbol multiplier_power --symbol-params s=-1 --m -1 --rho 1 --delta 0 --l 2 "
+    "--windows 8,16,32,64",
+    "classcheck --group t2 --band 40 --symbol identity --m -1 --rho 1 --delta 0 --l 1 --windows 4,8,16,32",
+    "quantize --group t1 --band 32 --symbol multiplier_power --symbol-params s=-2 --function dirichlet",
+    "quantize --group su2 --band 5 --symbol schrodinger --symbol-params t=0.5,delta=0.5 --function random",
+    "hsnorm --group t2 --band 10 --symbol multiplier_power --symbol-params s=-1",
+    "hsnorm --group su2 --band 6 --symbol schrodinger --symbol-params t=0.3,delta=0.5",
+    "linf --group t1 --band 64 --symbol hlhw --symbol-params rho=0.5,nu=0.25 --samples 5",
+    "linf --group su2 --band 5 --symbol z_plus_c_inverse --symbol-params c=0.3 --samples 5",
+    "audit --group t1 --band 32 --symbol multiplier_power --symbol-params s=-2 --samples 5",
+    "audit --group su2 --band 5 --symbol z_plus_c_inverse --symbol-params c=0.3 --samples 3",
+    "weyl --group su2 --alpha 0 --lambdas 12,16,24,48",
+    "weyl --group t2 --alpha -2 --lambdas 4,8,16 --band-limit 64",
+    "weyl --group su2 --s 3.1 --lambdas 2,4,8,16,32,64",
+    "bmo --group t1 --resolution 1024 --function logsin",
+    "bmo --group su2 --band 4 --function cos",
+    "interval --n 1 --rho 0.5 --nu 0.125",
+    "threshold --n 3 --p 4 --rho 0 --delta 0",
+    "lp-sharpness --p 4 --rho 0.5 --nu0 0.1 --lambdas 64,128,256",
+)
+
+
+def invocations() -> list[tuple[str, ...]]:
+    bench = [
+        (*cmd.argv, "--seed", str(seed)) for seed in SEEDS for make in WORKLOADS.values() for cmd in make(False)
+    ]
+    return bench + [tuple(text.split()) for text in EXTRA]
+
+
+def run(tree: str, argv, workdir: str):
+    """One invocation against tree's src in a fresh process: (exit code, stdout, stderr, {file name: bytes})."""
+    os.makedirs(workdir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    env.pop("GROUP_PDO_OUT", None)
+    cmd = [sys.executable, "-m", "group_pdo.cli", *argv, "--out", "out"]
+    try:
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", b"", b"", {}
+    outdir = os.path.join(workdir, "out")
+    names = sorted(os.listdir(outdir)) if os.path.isdir(outdir) else []
+    files = {}
+    for name in names:
+        with open(os.path.join(outdir, name), "rb") as fh:
+            files[name] = fh.read()
+    mask = tree.encode()
+    return proc.returncode, proc.stdout.replace(mask, b"<tree>"), proc.stderr.replace(mask, b"<tree>"), files
+
+
+def differences(base, here) -> list[str]:
+    out = []
+    if base[0] != here[0]:
+        out.append(f"exit {base[0]} != {here[0]}")
+    out += [what for what, i in (("stdout", 1), ("stderr", 2)) if base[i] != here[i]]
+    if sorted(base[3]) != sorted(here[3]):
+        out.append(f"files {sorted(base[3])} != {sorted(here[3])}")
+    else:
+        out += [f"bytes of {name}" for name in sorted(base[3]) if base[3][name] != here[3][name]]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="CLI parity between this checkout and a git revision")
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD or a commit hash")
+    args = parser.parse_args(argv)
+    scratch = tempfile.mkdtemp(prefix="group-pdo-parity-")
+    base = os.path.join(scratch, "base")
+    made = subprocess.run(
+        ["git", "-C", ROOT, "worktree", "add", "--detach", base, args.rev], capture_output=True, text=True
+    )
+    if made.returncode != 0:
+        print(f"cannot check out {args.rev}: {made.stderr.strip()}", file=sys.stderr)
+        shutil.rmtree(scratch, ignore_errors=True)
+        return 2
+    try:
+        todo = invocations()
+        failed = 0
+        for i, cmd in enumerate(todo):
+            base_run = run(base, cmd, os.path.join(scratch, f"{i}-base"))
+            here_run = run(ROOT, cmd, os.path.join(scratch, f"{i}-here"))
+            diff = differences(base_run, here_run)
+            failed += bool(diff)
+            status = "DIFF " + "; ".join(diff) if diff else f"same exit {here_run[0]}, {len(here_run[3])} files"
+            print(f"[{i + 1:2d}/{len(todo)}] {status}: {' '.join(cmd)}", flush=True)
+        print(f"{len(todo) - failed} of {len(todo)} invocations identical to {args.rev}")
+        return 1 if failed else 0
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base], capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
