@@ -32,12 +32,12 @@ GROWTH_SLOPE_TOL = 0.05
 
 def hs_norm_symbol(sigma: Symbol) -> float:
     """(integral over x of sum_xi d_xi ||sigma(x,xi)||_HS^2)^(1/2)."""
-    squares = [np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in sigma.buckets]
+    squares = sigma.hs_squares()
     if not sigma.invariant:
         # one dot per dual: a batched product does not keep each dot's bits
-        squares = [[sigma.grid.weights @ row for row in sq] for sq in squares]
+        squares = np.array([sigma.grid.weights @ row for row in squares])
     # accumulated in dual order, as a running sum: np.sum would pair terms up
-    return float(np.sqrt(np.cumsum(sigma.duals.dims * np.concatenate(squares))[-1]))
+    return float(np.sqrt(np.cumsum(sigma.duals.dims * squares)[-1]))
 
 
 def hs_norm_kernel(sigma: Symbol, grid=None) -> float:
@@ -550,9 +550,7 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
             )
         )
         if m_fit > n / 2.0:
-            hs_terms = sigma.duals.dims * np.concatenate(
-                [np.sum(np.abs(b) ** 2, axis=(-2, -1)).reshape(len(b), -1).max(axis=1) for b in sigma.buckets]
-            )
+            hs_terms = sigma.duals.dims * sigma.hs_squares().reshape(len(weights), -1).max(axis=1)
             edges = [2.0**j for j in range(1, int(np.log2(max(weights.max(), 2.0))) + 1)]
             incs = []
             lo = 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -151,14 +151,14 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
     keep = native_index <= new_native + _TOL
     target = duals[keep]
     if isinstance(sigma.group, Torus) and q.shift is not None:
-        blocks = _shifted_blocks(q, sigma, keep)
+        buckets = [_shifted_blocks(q, sigma, keep)]
     else:
-        blocks = _kernel_side_blocks(q, sigma, target, new_band, grid)
+        buckets = _kernel_side_blocks(q, sigma, target, new_band, grid)
     return replace(
         sigma,
         band=new_band,
         duals=target,
-        blocks=blocks,
+        buckets=buckets,
         native_band=new_native,
         provenance=f"D[{q.name}]{sigma.provenance}",
     )
@@ -167,7 +167,7 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
 def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndarray:
     """sigma(k - step e_axis) - sigma(k) on the kept duals; sigma is zero outside its band."""
     axis, step = q.shift
-    blocks = np.asarray(sigma.blocks)  # torus blocks are all 1x1, so they stack
+    blocks = sigma.buckets[0]  # all 1x1 on the torus: one bucket
     labels = sigma.duals.labels
     pad = int(np.abs(labels).max()) + 1
     # sigma scattered into a zero cube that has room for every shifted label
@@ -178,7 +178,7 @@ def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndar
     return cube[tuple(shifted.T)] - blocks[keep]
 
 
-def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> Sequence:
+def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> list[np.ndarray]:
     """forward(q k) on the target duals, k the kernel of sigma(x, .) at each node x, a chunk of nodes at a time."""
     if grid is None:
         grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
@@ -188,7 +188,7 @@ def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float,
         forward(GridFunction(grid, inverse(sigma.rows(rows), grid).values * qvals), new_band, duals=target)
         for rows in batch_slices(math.prod(sigma.batch), grid.node_count)
     ]
-    return concat(parts).blocks
+    return concat(parts).buckets
 
 
 def laplace_difference(sigma: Symbol, grid=None) -> Symbol:

@@ -16,8 +16,11 @@ batch axis, and a single transform is the batch of one.
 `FourierCoefficients` is the one container for dual-indexed blocks, with an
 optional batch axis: the node axis of a symbol (`symbols.Symbol`, the same
 container) is one, so `inverse` of a symbol gives the kernel of sigma(x, .)
-at every node.  Its blocks are packed by dimension, and only this module
-knows that layout.  Long transform chains run in `batch_slices` chunks.
+at every node.  Its format is one packed bucket per run of duals of equal
+dimension, taken and stored as given; `blocks` is a per-dual view of it,
+`from_blocks` the one constructor from per-dual blocks, and the per-dual
+reductions (`hs_squares`, `sup_op_norms`) live here too.  Long transform
+chains run in `batch_slices` chunks.
 """
 
 from __future__ import annotations
@@ -60,32 +63,52 @@ class FourierCoefficients:
     """One d_xi x d_xi block per dual, optionally per entry of a batch axis.
 
     `batch` is () for a coefficient table a(xi), or (B,) for B tables, as
-    for a symbol sigma(x, xi) tabulated at the B nodes of `grid`.  `blocks`
-    is taken and kept as a per-dual sequence; the storage is `buckets`, one
-    complex array ``(count, [B,] d, d)`` per maximal run of consecutive
-    duals of equal dimension d (`duals.runs`): a single bucket on the torus,
-    one per spin on SU(2).
+    for a symbol sigma(x, xi) tabulated at the B nodes of `grid`.  The
+    format is `buckets`, one complex array ``(count, [B,] d, d)`` per
+    maximal run of consecutive duals of equal dimension d (`duals.runs`): a
+    single bucket on the torus, one per spin on SU(2).  A complex bucket is
+    stored as given, not copied, and nothing writes into one.  `blocks` is
+    a read-only per-dual view of the buckets; `from_blocks` builds a table
+    from per-dual blocks.
     """
 
     group: object
     band: float
     duals: Duals
-    blocks: Sequence[np.ndarray]
+    buckets: list[np.ndarray]
     grid: object = None
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.duals):
-            raise ValueError(f"{len(self.blocks)} blocks for {len(self.duals)} duals")
-        self.buckets = [np.asarray(self.blocks[start:stop], dtype=complex) for start, stop in self.duals.runs]
-        # a grid fixes the batch axis to its nodes; otherwise the first block tells
+        runs = self.duals.runs
+        if len(self.buckets) != len(runs):
+            first, last = self.duals[0].label, self.duals[-1].label
+            raise ValueError(f"{len(self.buckets)} buckets for duals {first} to {last}, which form {len(runs)} runs")
+        self.buckets = [np.asarray(b, dtype=complex) for b in self.buckets]
+        # a grid fixes the batch axis to its nodes; otherwise the first bucket tells
         self.batch = (self.grid.node_count,) if self.grid is not None else self.buckets[0].shape[1:-2]
-        for (start, _), bucket in zip(self.duals.runs, self.buckets):
-            dim = self.duals.dims[start]
+        for (start, stop), bucket in zip(runs, self.buckets):
+            dim = int(self.duals.dims[start])
             want = (*self.batch, dim, dim)
             if len(self.batch) > 1 or bucket.shape[1:] != want:
                 raise ValueError(f"block for {self.duals[start].label} has shape {bucket.shape[1:]}, wanted {want}")
-        self.blocks = _per_dual(self.buckets)
+            if len(bucket) != stop - start:
+                raise ValueError(f"bucket from {self.duals[start].label} holds {len(bucket)} blocks for {stop - start} duals")
         self._index = None
+
+    @classmethod
+    def from_blocks(cls, group, band: float, duals: Duals, blocks, grid=None, **fields):
+        """The table of one block per dual, each run of equal dimension stacked into its bucket."""
+        if len(blocks) != len(duals):
+            raise ValueError(f"{len(blocks)} blocks for {len(duals)} duals")
+        buckets = [np.asarray(blocks[start:stop], dtype=complex) for start, stop in duals.runs]
+        return cls(group, band, duals, buckets, grid, **fields)
+
+    @property
+    def blocks(self) -> Sequence[np.ndarray]:
+        """The per-dual sequence over the buckets: the bucket itself when there is one."""
+        if len(self.buckets) == 1:
+            return self.buckets[0]
+        return [b for bucket in self.buckets for b in bucket]
 
     def block(self, label) -> np.ndarray:
         if self._index is None:
@@ -96,17 +119,18 @@ class FourierCoefficients:
 
     def map_blocks(self, fn) -> "FourierCoefficients":
         """fn(xi, block) applied per dual; every other field is kept."""
-        return replace(self, blocks=[fn(xi, b) for xi, b in zip(self.duals, self.blocks)])
+        blocks = [fn(xi, b) for xi, b in zip(self.duals, self.blocks)]
+        return replace(self, buckets=FourierCoefficients.from_blocks(self.group, self.band, self.duals, blocks).buckets)
 
     def map_buckets(self, fn) -> "FourierCoefficients":
         """fn(bucket) applied per packed bucket ``(count, [B,] d, d)``; every other field is kept."""
-        return replace(self, blocks=_per_dual([fn(b) for b in self.buckets]))
+        return replace(self, buckets=[fn(b) for b in self.buckets])
 
     def rows(self, rows: slice) -> "FourierCoefficients":
         """Entries `rows` of the batch axis without a grid; a table without one is the same in every row."""
         if not self.batch:
             return self
-        return FourierCoefficients(self.group, self.band, self.duals, _per_dual([b[:, rows] for b in self.buckets]))
+        return FourierCoefficients(self.group, self.band, self.duals, [b[:, rows] for b in self.buckets])
 
     def __matmul__(self, other: "FourierCoefficients") -> "FourierCoefficients":
         """Blockwise product self(xi) @ other(xi) over the same duals; a one-sided batch axis broadcasts."""
@@ -117,7 +141,11 @@ class FourierCoefficients:
             (s[:, None] if lift[0] else s) @ (o[:, None] if lift[1] else o) for s, o in zip(self.buckets, other.buckets)
         ]
         grid = self.grid if self.grid is not None else other.grid
-        return FourierCoefficients(self.group, self.band, self.duals, _per_dual(products), grid)
+        return FourierCoefficients(self.group, self.band, self.duals, products, grid)
+
+    def hs_squares(self) -> np.ndarray:
+        """||sigma(x, xi)||_HS^2 for every dual in order, batch axis kept: shape (count, [B])."""
+        return np.concatenate([np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in self.buckets])
 
     def sup_op_norms(self) -> np.ndarray:
         """max over nodes of ||sigma(x, xi)||_op, for every dual in order."""
@@ -137,21 +165,14 @@ class FourierCoefficients:
         group, entries = group_by_name(payload["group"]), payload["entries"]
         duals = group.duals_of([entry["label"] for entry in entries])
         blocks = [np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"]) for entry in entries]
-        return cls(group, float(payload["band"]), duals, blocks, grid=grid)
+        return cls.from_blocks(group, float(payload["band"]), duals, blocks, grid=grid)
 
 
 def concat(parts: list[FourierCoefficients]) -> FourierCoefficients:
     """Tables over the same duals joined along their batch axis; a single table as it is."""
     if len(parts) == 1:
         return parts[0]
-    return replace(parts[0], blocks=_per_dual([np.concatenate(b, axis=1) for b in zip(*(p.buckets for p in parts))]))
-
-
-def _per_dual(buckets: list) -> Sequence[np.ndarray]:
-    """The per-dual sequence over buckets: the bucket itself when there is one."""
-    if len(buckets) == 1:
-        return buckets[0]
-    return [b for bucket in buckets for b in bucket]
+    return replace(parts[0], buckets=[np.concatenate(b, axis=1) for b in zip(*(p.buckets for p in parts))])
 
 
 def _op_norms(stack: np.ndarray) -> np.ndarray:
@@ -175,14 +196,15 @@ def forward(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
     return FourierCoefficients(grid.group, band, duals, _backend(grid)[0](f, duals))
 
 
-def _forward_torus(f: GridFunction, duals: Duals) -> np.ndarray:
+def _forward_torus(f: GridFunction, duals: Duals) -> list[np.ndarray]:
     grid: TorusGrid = f.grid
     cubes = np.fft.fftn(f.values.reshape(-1, *grid.shape), axes=range(1, len(grid.shape) + 1)) / grid.node_count
     values = cubes[(slice(None), *(duals.labels % grid.shape).T)]  # (B, count)
-    return values.T.reshape(len(duals), *f.values.shape[:-1], 1, 1)
+    return [values.T.reshape(len(duals), *f.values.shape[:-1], 1, 1)]
 
 
 def _forward_su2(f: GridFunction, duals: Duals) -> list[np.ndarray]:
+    """One bucket (1, *batch, d, d) per spin."""
     grid: SU2Grid = f.grid
     p, t, q = grid.shape
     vals = f.values.reshape(-1, p, t, q)
@@ -192,13 +214,14 @@ def _forward_su2(f: GridFunction, duals: Duals) -> list[np.ndarray]:
     stage2 = np.einsum("zmtk,nk->zmtn", stage1, epsi, optimize=True)
     theta_w = grid.gl_weights / (2.0 * p * q)
     dtabs = grid.d_tables()
-    blocks = []
+    buckets = []
     for j2 in duals.labels.tolist():
         slots = slice(grid.m2_slot(-j2), grid.m2_slot(j2) + 1, 2)
         sub = stage2[:, slots, :, slots]  # (z, c, t, r)
-        block = np.einsum("t,tcr,zctr->zrc", theta_w, dtabs[j2], sub, optimize=True)
-        blocks.append(block.reshape(*f.values.shape[:-1], j2 + 1, j2 + 1))
-    return blocks
+        # C order, as reductions over the last two axes (`hs_squares`) follow the memory order
+        block = np.einsum("t,tcr,zctr->zrc", theta_w, dtabs[j2], sub, optimize=True, order="C")
+        buckets.append(block.reshape(1, *f.values.shape[:-1], j2 + 1, j2 + 1))
+    return buckets
 
 
 def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
@@ -212,7 +235,7 @@ def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
     for xi in duals:
         conj_t = grid.rep_table(xi).conj()
         blocks.append(np.einsum("n,ncr->rc", wf, conj_t, optimize=True))
-    return FourierCoefficients(group, band, duals, blocks)
+    return FourierCoefficients.from_blocks(group, band, duals, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +254,7 @@ def _inverse_torus(a: FourierCoefficients, grid: TorusGrid) -> np.ndarray:
         raise PrecisionError(
             f"coefficient k={a.duals[outside[0]].label} cannot be represented on grid shape {grid.shape}"
         )
-    values = np.asarray(a.blocks).reshape(len(labels), -1).T  # all 1x1 on the torus: (B, count)
+    values = a.buckets[0].reshape(len(labels), -1).T  # all 1x1 on the torus: (B, count)
     cubes = np.zeros((len(values), *grid.shape), dtype=complex)
     cubes[(slice(None), *(labels % grid.shape).T)] += values
     return np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * grid.node_count
@@ -272,9 +295,8 @@ def _backend(grid):
 
 def l2_norm(a: FourierCoefficients) -> float:
     """Spectral L2 norm (sum_xi d_xi ||a(xi)||_HS^2)^(1/2)."""
-    squares = np.concatenate([np.sum(np.abs(b.reshape(len(b), -1)) ** 2, axis=1) for b in a.buckets])
     # accumulated in dual order, as a running sum: np.sum would pair terms up
-    return float(np.sqrt(np.cumsum(a.duals.dims * squares)[-1]))
+    return float(np.sqrt(np.cumsum(a.duals.dims * a.hs_squares())[-1]))
 
 
 def grid_lp_norm(f: GridFunction, p: float) -> float:
@@ -300,6 +322,6 @@ def random_bandlimited(grid, band: float, rng: np.random.Generator) -> GridFunct
         # per dual a real, then an imaginary d x d draw: one stream for the whole bucket
         draws = rng.normal(size=(stop - start, 2, duals.dims[start], duals.dims[start]))
         buckets.append(draws[:, 0] + 1j * draws[:, 1])
-    coeffs = FourierCoefficients(group, band, duals, _per_dual(buckets))
+    coeffs = FourierCoefficients(group, band, duals, buckets)
     scale = l2_norm(coeffs)
     return inverse(coeffs.map_buckets(lambda b: b / scale), grid)

@@ -113,9 +113,9 @@ class SU2:
 
     def native_cut(self, band: float) -> int:
         """Largest doubled spin enumerated at the given weight band."""
-        if not 1 <= band < np.inf:
-            raise ValueError(f"band must be finite and >= 1, got {band}")
-        top = band + _TOL
+        top = float(band) + _TOL
+        if not (1 <= band and 4.0 * top * top < np.inf):  # a Python float overflows to inf without a warning
+            raise ValueError(f"band must be finite, >= 1 and have a finite square, got {band}")
         # <j2> <= top iff (j2 + 1)^2 <= 4 top^2 - 3; the rounding is settled by the weights themselves
         j2 = int(np.sqrt(max(4.0 * top * top - 3.0, 1.0))) - 1
         while self.duals_of([j2 + 1]).weights[0] <= top:
@@ -167,10 +167,6 @@ class SU2:
         return (
             np.exp(-0.5j * m2 * phi)[:, None] * d * np.exp(-0.5j * m2 * psi)[None, :]
         )
-
-    def rep_table(self, xi: DualIndex, points: np.ndarray) -> np.ndarray:
-        self._check_dual(xi)
-        return np.stack([self.rep_matrix(xi, q) for q in points])
 
     def vector_field_symbol(self, j: int, xi: DualIndex) -> np.ndarray:
         """sigma_X(xi) = i J_x etc.; skew-Hermitian, Z diagonal diag(i m)."""

@@ -62,9 +62,10 @@ class Torus:
 
     def native_cut(self, band: float) -> float:
         """Radius of the |k| ball enumerated at the given weight band."""
-        if not np.isfinite(band):
-            raise ValueError(f"band must be finite, got {band}")
-        return float(np.floor(np.sqrt(max(band * band - 1.0 + _TOL, 0.0))))
+        square = float(band) * float(band)  # a Python float overflows to inf without a warning
+        if not np.isfinite(square):
+            raise ValueError(f"band must be finite and have a finite square, got {band}")
+        return float(np.floor(np.sqrt(max(square - 1.0 + _TOL, 0.0))))
 
     def band_of_native(self, radius: float) -> float:
         return float(np.sqrt(1.0 + radius * radius))
@@ -99,13 +100,6 @@ class Torus:
         self._check_dual(xi)
         k = np.asarray(xi.label, dtype=float)
         return np.array([[np.exp(1j * float(k @ np.atleast_1d(x)))]])
-
-    def rep_table(self, xi: DualIndex, points: np.ndarray) -> np.ndarray:
-        """xi evaluated at many points, shape (N, 1, 1)."""
-        self._check_dual(xi)
-        k = np.asarray(xi.label, dtype=float)
-        vals = np.exp(1j * (points @ k))
-        return vals[:, None, None]
 
     def vector_field_symbol(self, j: int, xi: DualIndex) -> np.ndarray:
         """sigma of d/dx_j at k, the 1x1 matrix [i k_j]."""
@@ -182,7 +176,8 @@ class TorusGrid:
 
     def rep_table(self, xi: DualIndex) -> np.ndarray:
         """xi at every node, shape (N, 1, 1)."""
-        return self.group.rep_table(xi, self.nodes)
+        self.group._check_dual(xi)
+        return np.exp(1j * (self.nodes @ np.asarray(xi.label, dtype=float)))[:, None, None]
 
     def meta(self) -> dict:
         return {

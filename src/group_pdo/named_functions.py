@@ -54,6 +54,3 @@ def named_function(name: str, grid, band: float = None, seed: int = 0) -> GridFu
             raise ValueError("random needs a band")
         return random_bandlimited(grid, band, np.random.default_rng(seed))
     raise ValueError(f"unknown function {name!r}")
-
-
-FUNCTION_NAMES = ("one", "cos", "step", "logsin", "dirichlet", "random")

@@ -30,36 +30,17 @@ class KernelTable:
     values: np.ndarray  # (N, N), K(x_i, y_j)
     band: float
 
-    def csv_rows(self):
-        yield ["# kernel-table", f"group={self.grid.group.name}", f"nodes={self.grid.node_count}", f"band={self.band!r}"]
-        yield ["# row-major K(x_i, y_j); columns alternate re, im"]
-        yield from _re_im_rows(self.values)
-
 
 @dataclass
 class GridOperator:
     """Op(sigma) on grid values: `matrix` is M = K * w (column-scaled), a dense (N, N)
     array from `realize` or a `SymbolMatrix` from `operator`; both offer `@`, `.T` and
-    `.shape`; `csv_rows` needs the dense one."""
+    `.shape`."""
 
     grid: object
     matrix: object
     band: float
     provenance: str = ""
-
-    @property
-    def node_count(self) -> int:
-        return self.matrix.shape[0]
-
-    def csv_rows(self):
-        yield ["# dense-operator", f"group={self.grid.group.name}", f"nodes={self.node_count}", f"band={self.band!r}", self.provenance]
-        yield ["# row-major M[i, j] = K(x_i, y_j) w_j; columns alternate re, im"]
-        yield from _re_im_rows(self.matrix)
-
-
-def _re_im_rows(matrix: np.ndarray):
-    for row in matrix:
-        yield [part for z in row for part in (z.real, z.imag)]
 
 
 def same_grid(g1, g2) -> bool:

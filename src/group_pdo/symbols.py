@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularSymbolError
-from .fourier import FourierCoefficients, GridFunction, _per_dual
+from .fourier import FourierCoefficients, GridFunction
 from .groups import SU2, Duals, Torus
 
 
@@ -57,7 +57,7 @@ def identity_symbol(group, band: float, grid=None) -> Symbol:
     duals = group.enumerate_dual(band)
     nodes = () if grid is None else (grid.node_count,)
     buckets = [np.tile(np.eye(duals.dims[a], dtype=complex), (b - a, *nodes, 1, 1)) for a, b in duals.runs]
-    return Symbol(group, band, duals, _per_dual(buckets), grid=grid, provenance="identity")
+    return Symbol(group, band, duals, buckets, grid=grid, provenance="identity")
 
 
 def multiplier(group, band: float, fn: Callable[[Duals], np.ndarray], name: str = "multiplier") -> Symbol:
@@ -73,7 +73,7 @@ def multiplier(group, band: float, fn: Callable[[Duals], np.ndarray], name: str 
     for start, stop in duals.runs:
         b = np.asarray(fn(duals[start:stop]))
         buckets.append(b[:, None, None] * np.eye(duals.dims[start]) if b.ndim == 1 else b)
-    return Symbol(group, band, duals, _per_dual(buckets), provenance=name)
+    return Symbol(group, band, duals, buckets, provenance=name)
 
 
 def multiplier_power(group, s: float, band: float) -> Symbol:
@@ -103,7 +103,7 @@ def hirschman_wainger(rho: float, nu: float, band: float, group: Torus = None) -
     weights = duals.weights.tolist()
     phase = np.exp(1j * np.array([w**a for w in weights]))
     values = phase * np.array([w ** (-nu) for w in weights])
-    return Symbol(group, band, duals, values.reshape(-1, 1, 1), provenance=f"hirschman_wainger(rho={rho},nu={nu})")
+    return Symbol(group, band, duals, [values.reshape(-1, 1, 1)], provenance=f"hirschman_wainger(rho={rho},nu={nu})")
 
 
 def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: float) -> Symbol:
@@ -120,7 +120,7 @@ def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: floa
         powers = np.array([w**delta for w in duals.weights[start:stop].tolist()])
         buckets.append(np.exp(tf * powers[:, None])[:, :, None, None] * np.eye(duals.dims[start]))
     return Symbol(
-        group, band, duals, _per_dual(buckets), grid=f.grid, provenance=f"schrodinger(t={t},delta={delta})"
+        group, band, duals, buckets, grid=f.grid, provenance=f"schrodinger(t={t},delta={delta})"
     )
 
 
@@ -180,7 +180,7 @@ def extract_symbol(op: Callable[[GridFunction], GridFunction], grid, band: float
             for j in range(xi.dim):
                 applied[:, i, j] = op(GridFunction(grid, table[:, i, j])).values
         blocks.append(np.einsum("nba,nbc->nac", table.conj(), applied, optimize=True))
-    return Symbol(group, band, duals, blocks, grid=grid, provenance="extracted")
+    return Symbol.from_blocks(group, band, duals, blocks, grid=grid, provenance="extracted")
 
 
 # ---------------------------------------------------------------------------

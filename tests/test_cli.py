@@ -147,6 +147,9 @@ class TestErrorPaths:
         "transform --group su2 --band nan",
         "transform --group t1 --band inf",
         "weyl --group t1 --lambdas 2,inf --alpha 0",
+        "transform --group t1 --band 1e300",
+        "transform --group su2 --band 1e300",
+        "weyl --group su2 --lambdas 2,1e200 --alpha 0",
     ],
 )
 def test_non_finite_band_is_usage_error(argv, tmp_path):

@@ -155,7 +155,7 @@ class TestGriddedKernelSide:
             assert out.grid is sig.grid
             qvals = q.values(grid)
             for node in range(grid.node_count):
-                at_node = FourierCoefficients(group, sig.band, sig.duals, [b[node] for b in sig.blocks])
+                at_node = FourierCoefficients.from_blocks(group, sig.band, sig.duals, [b[node] for b in sig.blocks])
                 kernel = inverse(at_node, grid)
                 want = forward(GridFunction(grid, kernel.values * qvals), out.band, duals=out.duals)
                 for b, w in zip(out.blocks, want.blocks):

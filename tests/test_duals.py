@@ -91,7 +91,7 @@ def test_mask_equality_and_json_round_trip(name, band_seed):
     assert (sub == duals) == bool(mask.all())
     assert duals == group.enumerate_dual(band) and duals[: len(duals)] == duals
     blocks = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in duals.dims.tolist()]
-    text = json.dumps(FourierCoefficients(group, band, duals, blocks).to_json_dict())
+    text = json.dumps(FourierCoefficients.from_blocks(group, band, duals, blocks).to_json_dict())
     back = FourierCoefficients.from_json_dict(json.loads(text))
     assert back.duals == duals
     assert json.dumps(back.to_json_dict()) == text

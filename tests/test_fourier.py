@@ -65,9 +65,7 @@ class TestForward:
 class TestInverse:
     def test_trivial_rep_gives_constant(self, su2):
         grid = su2.haar_grid(4)
-        coeffs = FourierCoefficients(
-            su2, 1.0, su2.duals_of([0]), [np.array([[1.0 + 0j]])]
-        )
+        coeffs = FourierCoefficients.from_blocks(su2, 1.0, su2.duals_of([0]), [np.array([[1.0 + 0j]])])
         f = inverse(coeffs, grid)
         np.testing.assert_allclose(f.values, 1.0, atol=1e-14)
 
@@ -168,6 +166,50 @@ class TestPackedContainer:
             assert len(back.buckets) == 1
             np.testing.assert_array_equal(back.buckets[0], sig.buckets[0])
 
+    @staticmethod
+    def random_buckets(group, band, rng, grid=None):
+        duals = group.enumerate_dual(band)
+        nodes = () if grid is None else (grid.node_count,)
+        shapes = [(stop - start, *nodes, duals.dims[start], duals.dims[start]) for start, stop in duals.runs]
+        return duals, [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
+
+    def test_complex_buckets_are_stored_without_a_copy(self, t1, su2, rng):
+        for group, band in ((t1, 5.0), (su2, su2.band_of_native(4))):
+            duals, buckets = self.random_buckets(group, band, rng)
+            coeffs = FourierCoefficients(group, band, duals, buckets)
+            assert len(coeffs.buckets) == len(buckets)
+            for stored, given in zip(coeffs.buckets, buckets):
+                assert np.shares_memory(stored, given)
+
+    def test_wrong_buckets_are_refused_naming_the_dual(self, su2, rng):
+        band = su2.band_of_native(3)
+        duals, buckets = self.random_buckets(su2, band, rng)
+        with pytest.raises(ValueError, match="3 buckets for duals 0 to 3, which form 4 runs"):
+            FourierCoefficients(su2, band, duals, buckets[:3])
+        with pytest.raises(ValueError, match=r"block for 2 has shape \(2, 2\), wanted \(3, 3\)"):
+            FourierCoefficients(su2, band, duals, [*buckets[:2], buckets[1], buckets[3]])
+        with pytest.raises(ValueError, match="bucket from 1 holds 2 blocks for 1 duals"):
+            FourierCoefficients(su2, band, duals, [buckets[0], np.concatenate([buckets[1]] * 2), *buckets[2:]])
+
+    def test_from_blocks_equals_the_bucket_constructor(self, t1, t2, su2, rng):
+        for group, band in ((t1, 5.0), (t2, t2.band_of_native(2)), (su2, su2.band_of_native(3))):
+            for grid in (None, group.grid_for_band(band)):
+                duals, buckets = self.random_buckets(group, band, rng, grid)
+                packed = FourierCoefficients(group, band, duals, buckets, grid)
+                stacked = FourierCoefficients.from_blocks(group, band, duals, list(packed.blocks), grid)
+                assert stacked.batch == packed.batch and stacked.duals == packed.duals
+                assert len(stacked.buckets) == len(packed.buckets)
+                for a, b in zip(stacked.buckets, packed.buckets):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_hs_squares_equal_a_per_dual_loop(self, t2, su2, rng):
+        for group, band in ((t2, t2.band_of_native(2)), (su2, su2.band_of_native(3))):
+            for grid in (None, group.grid_for_band(band)):
+                coeffs = FourierCoefficients(group, band, *self.random_buckets(group, band, rng, grid), grid)
+                loop = np.array([np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in coeffs.blocks])
+                assert coeffs.hs_squares().shape == (len(coeffs.duals), *coeffs.batch)
+                np.testing.assert_array_equal(coeffs.hs_squares(), loop)
+
 
 class TestBatch:
     def test_batch_matches_single_transforms(self, t2, su2, rng):
@@ -196,7 +238,7 @@ class TestBatch:
         kernels = inverse(sig, grid)
         assert kernels.values.shape == (grid.node_count, grid.node_count)
         for node in (0, 7, grid.node_count - 1):
-            at_node = FourierCoefficients(su2, band, sig.duals, [b[node] for b in sig.blocks])
+            at_node = FourierCoefficients.from_blocks(su2, band, sig.duals, [b[node] for b in sig.blocks])
             np.testing.assert_allclose(kernels.values[node], inverse(at_node, grid).values, atol=1e-13)
 
     def test_chunked_chains_match_one_chunk(self, t1, t2, su2, monkeypatch):

@@ -147,7 +147,7 @@ def per_dual_identity(group, band, grid=None) -> Symbol:
     duals = group.enumerate_dual(band)
     nodes = () if grid is None else (grid.node_count,)
     blocks = [np.broadcast_to(np.eye(xi.dim, dtype=complex), (*nodes, xi.dim, xi.dim)) for xi in duals]
-    return Symbol(group, band, duals, blocks, grid=grid, provenance="identity")
+    return Symbol.from_blocks(group, band, duals, blocks, grid=grid, provenance="identity")
 
 
 def assert_same_buckets(a: Symbol, b: Symbol):

@@ -183,19 +183,6 @@ class TestRealize:
         op_adj = realize(sig.adjoint(), grid)
         np.testing.assert_allclose(op.matrix.conj().T, op_adj.matrix, atol=1e-8)
 
-    def test_csv_exports_carry_metadata(self, t1, tmp_path):
-        grid = t1.haar_grid(10)
-        sig = identity_symbol(t1, t1.band_of_native(3))
-        ktab = kernel(sig, grid)
-        op = realize(sig, grid)
-        rows_k = list(ktab.csv_rows())
-        rows_m = list(op.csv_rows())
-        assert "group=t1" in rows_k[0][1] and "group=t1" in rows_m[0][1]
-        assert len(rows_k) == 2 + grid.node_count
-        assert len(rows_k[2]) == 2 * grid.node_count  # re, im pairs
-        back = np.array(rows_m[2][0::2]) + 1j * np.array(rows_m[2][1::2])
-        np.testing.assert_allclose(back, op.matrix[0], atol=1e-15)
-
     def test_gridded_symbol_two_path(self, t1, rng):
         grid = t1.haar_grid(40)
         band = t1.band_of_native(8)

@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread and its own output
 directory.  The list is the benchmark's 13 commands (``bench/workloads.py``)
-at seeds 1 and 7, plus 28 more that cover the other subcommands, groups and
+at seeds 1 and 7, plus 29 more that cover the other subcommands, groups and
 refusals.  Exit codes, stdout, stderr, result-file names and result-file
 bytes are compared; the checkout paths are masked in stdout and stderr.
 
@@ -64,6 +64,7 @@ EXTRA = (
     "interval --n 1 --rho 0.5 --nu 0.125",
     "threshold --n 3 --p 4 --rho 0 --delta 0",
     "lp-sharpness --p 4 --rho 0.5 --nu0 0.1 --lambdas 64,128,256",
+    "selftest",
 )
 
 
