@@ -519,8 +519,6 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
     sum.
     """
     checks = []
-    if grid is None:
-        grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
     ktab = kernel(sigma, grid)  # one table for both kernel reductions
     const, hs_k = _kernel_row_l1(ktab), _kernel_hs(ktab)
     del ktab

@@ -23,6 +23,7 @@ from .groups import SU2, Torus
 from .symbols import Symbol, multiplier
 
 _TOL = 1e-9
+_ALIAS_TOL = 1e-8  # round-trip residual, relative to max(|entry|, 1), above which an x-dependence is aliased
 
 
 @dataclass
@@ -199,7 +200,7 @@ def laplace_difference(sigma: Symbol, grid=None) -> Symbol:
 # invariant x-derivatives
 
 
-def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float = 1e-8) -> Symbol:
+def invariant_derivative(beta: tuple[int, ...], sigma: Symbol) -> Symbol:
     """d^beta sigma: left-invariant derivatives of the x-dependence.
 
     The x-dependence of each matrix entry is expanded in the group Fourier
@@ -237,7 +238,7 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol, alias_tol: float 
         coeffs = forward(GridFunction(grid, g), x_band, duals=mults.duals)
         scale = np.maximum(np.max(np.abs(g), axis=1), 1.0)
         resid = np.max(np.abs(inverse(coeffs, grid).values - g), axis=1)
-        bad = np.flatnonzero(resid > alias_tol * scale)
+        bad = np.flatnonzero(resid > _ALIAS_TOL * scale)
         if bad.size:
             entry = rows.start + int(bad[0])
             k = int(np.searchsorted(np.cumsum(sigma.duals.dims**2), entry, side="right"))  # dims^2 entries per dual

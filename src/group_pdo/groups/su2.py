@@ -118,6 +118,8 @@ class SU2:
             raise ValueError(f"band must be finite, >= 1 and have a finite square, got {band}")
         # <j2> <= top iff (j2 + 1)^2 <= 4 top^2 - 3; the rounding is settled by the weights themselves
         j2 = int(np.sqrt(max(4.0 * top * top - 3.0, 1.0))) - 1
+        if j2 >= np.iinfo(np.int64).max:  # the labels j2 and j2 + 1 below must be int64
+            raise ValueError(f"band {band} needs doubled spins up to {float(j2):.3g}, more than an int64 holds")
         while self.duals_of([j2 + 1]).weights[0] <= top:
             j2 += 1
         while self.duals_of([j2]).weights[0] > top:
@@ -207,13 +209,19 @@ class SU2:
 
 @dataclass
 class SU2Grid:
+    """Product Haar grid in (phi, theta, psi), nodes raveled in that order.
+
+    It caches, on first use, only the Euler phase tables and the Wigner-d
+    tables at the theta nodes.  ``rep_table`` is assembled from them on each
+    call: a kept copy (N (j2+1)^2 complex numbers per spin) saved no time.
+    """
+
     group: SU2
     j2max_exact: int
     phi: np.ndarray = field(init=False, repr=False)
     psi: np.ndarray = field(init=False, repr=False)
     cos_theta: np.ndarray = field(init=False, repr=False)
     gl_weights: np.ndarray = field(init=False, repr=False)
-    euler: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
@@ -227,8 +235,7 @@ class SU2Grid:
         self.cos_theta, self.gl_weights = np.polynomial.legendre.leggauss(t)
         theta = np.arccos(self.cos_theta)
         mesh = np.meshgrid(self.phi, theta, self.psi, indexing="ij")
-        self.euler = np.stack([a.ravel() for a in mesh], axis=1)
-        self.nodes = euler_to_quat(*self.euler.T).T
+        self.nodes = euler_to_quat(*(a.ravel() for a in mesh)).T
         w = np.ones((p, 1, 1)) * (self.gl_weights / (2.0 * p * q))[None, :, None]
         self.weights = np.broadcast_to(w, (p, t, q)).ravel().copy()
         self._cache: dict = {}
@@ -278,26 +285,19 @@ class SU2Grid:
         return self._cache["dtab"]
 
     def rep_table(self, xi: DualIndex) -> np.ndarray:
-        """D^xi at every node, shape (N, d, d), assembled separably and cached."""
-        key = ("rep", xi.label)
-        if key not in self._cache:
-            j2 = xi.label
-            if j2 > self.j2max_exact:
-                raise PrecisionError(
-                    f"representation j2={j2} exceeds grid tables (j2max {self.j2max_exact})"
-                )
-            ephi, epsi = self.phase_tables()
-            m2 = np.arange(-j2, j2 + 1, 2)
-            slots = self.m2_slot(m2)
-            dt = self.d_tables()[j2]  # (t, d, d)
-            table = np.einsum(
-                "aj,tab,bk->jtkab", ephi[slots].conj(), dt, epsi[slots].conj()
-            ).reshape(self.node_count, j2 + 1, j2 + 1)
-            if self.node_count * (j2 + 1) ** 2 <= 40_000_000:
-                self._cache[key] = table
-            else:
-                return table
-        return self._cache[key]
+        """D^xi at every node, shape (N, d, d), assembled separably from the cached tables."""
+        j2 = xi.label
+        if j2 > self.j2max_exact:
+            raise PrecisionError(
+                f"representation j2={j2} exceeds grid tables (j2max {self.j2max_exact})"
+            )
+        ephi, epsi = self.phase_tables()
+        m2 = np.arange(-j2, j2 + 1, 2)
+        slots = self.m2_slot(m2)
+        dt = self.d_tables()[j2]  # (t, d, d)
+        return np.einsum(
+            "aj,tab,bk->jtkab", ephi[slots].conj(), dt, epsi[slots].conj()
+        ).reshape(self.node_count, j2 + 1, j2 + 1)
 
     def meta(self) -> dict:
         return {

@@ -12,10 +12,11 @@ a ``(j2+1) x (j2+1)`` matrix are ordered by ascending weight,
 orthogonal.  The full representation matrix in z-y-z Euler angles is
 ``D^j_{m'm}(phi, theta, psi) = exp(-i m' phi) d^j_{m'm}(theta) exp(-i m psi)``.
 
-The values are computed by the three-term recursion in ``j`` at fixed
-``(m, n)``, which stays stable far beyond the range where the explicit
-factorial sum overflows.  The factorial sum is kept (``wigner_d_sum``) as an
-independent cross-check for small spins.
+The tables are built one spin at a time: the border of ``d^j`` from a closed
+form, its interior from ``d^{j-1}`` and ``d^{j-2}`` by the three-term
+recursion in ``j`` at fixed ``(m, n)``, which stays stable far beyond the
+range where the explicit factorial sum overflows.  The factorial sum is kept
+(``wigner_d_sum``) as an independent cross-check for small spins.
 """
 
 from __future__ import annotations
@@ -49,45 +50,47 @@ def _seed(j2: int, m2: int, n2: int, cos_half: np.ndarray, sin_half: np.ndarray)
 def wigner_d_tables(j2max: int, theta: np.ndarray) -> list[np.ndarray]:
     """All d^j(theta) for j2 = 0..j2max, each of shape (len(theta), j2+1, j2+1).
 
-    The recursion in j (Bonnet-type; it reduces to the Legendre recursion at
-    m = n = 0) is run upward from the seed level j0 = max(|m|, |n|) for every
-    pair (m, n), vectorised over the theta nodes and, at fixed m, over the n
-    whose recursion has started:
+    One step per spin.  The border of d^j, where max(|m|, |n|) = j, is the
+    seed level of its pairs (``_seed``).  The interior comes from d^{j-1} and
+    d^{j-2}, vectorised over the theta nodes and the pairs, by the recursion
+    in j (Bonnet-type; it reduces to the Legendre recursion at m = n = 0):
 
         w1(j) d^{j+1} = (2j+1) (cos(theta) - m n / (j (j+1))) d^j - w3(j) d^{j-1}
 
     with w1(j) = sqrt(((j+1)^2-m^2)((j+1)^2-n^2))/(j+1) and
-    w3(j) = sqrt((j^2-m^2)(j^2-n^2))/j.
+    w3(j) = sqrt((j^2-m^2)(j^2-n^2))/j; a pair on the border of d^j has
+    w3(j) = 0 and no d^{j-1}, so that term is left out.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    nt = theta.size
-    cos_t = np.cos(theta)
+    cos_t = np.cos(theta)[:, None, None]
     cos_half = np.cos(theta / 2.0)
     sin_half = np.sin(theta / 2.0)
 
-    tables = [np.zeros((nt, j2 + 1, j2 + 1)) for j2 in range(j2max + 1)]
-    # At fixed m2 the spins run j2 = |m2|, |m2| + 2, ...; the pairs (m2, n2) whose seed
-    # level max(|m2|, |n2|) is j2 join there: every |n2| <= |m2| first, then n2 = +-j2.
-    for m2 in range(-j2max, j2max + 1):
-        m = m2 / 2.0
-        n2 = np.zeros(0, dtype=int)
-        prev = cur = np.zeros((0, nt))
-        for j2 in range(abs(m2), j2max + 1, 2):
-            joining = np.arange(-j2, j2 + 1, 2) if j2 == abs(m2) else np.array([-j2, j2])
-            n2 = np.concatenate([n2, joining])
-            prev = np.concatenate([prev, np.zeros((len(joining), nt))])
-            cur = np.concatenate([cur, [_seed(j2, m2, int(k), cos_half, sin_half) for k in joining]])
-            tables[j2][:, (m2 + j2) // 2, (n2 + j2) // 2] = cur.T
-            n = (n2 / 2.0)[:, None]
-            j = j2 / 2.0
+    tables: list[np.ndarray] = []
+    for j2 in range(j2max + 1):
+        table = np.empty((theta.size, j2 + 1, j2 + 1))
+        if j2 == 2:
+            table[:, 1:-1, 1:-1] = cos_t * tables[0]
+        elif j2 > 2:
+            # step from spin j = (j2 - 2) / 2 to j + 1 on the pairs of d^j, in place and in the order
+            # of the formula; table-sized temporaries freed per spin raised an su2 transform's peak RSS
+            m = (np.arange(-j2 + 2, j2 - 1, 2) / 2.0)[:, None]
+            n = m.T
+            j = (j2 - 2) / 2.0
             jp = j + 1.0
             w1 = np.sqrt((jp * jp - m * m) * (jp * jp - n * n)) / jp
-            if j2 == 0:
-                nxt = cos_t * cur
-            else:
+            nxt = table[:, 1:-1, 1:-1]
+            np.subtract(cos_t, m * n / (j * jp), out=nxt)
+            nxt *= 2 * j + 1
+            nxt *= tables[j2 - 2]
+            if j2 >= 4:  # the border pairs of d^j have no d^{j-1}, and w3 = 0 there
                 w3 = np.sqrt((j * j - m * m) * (j * j - n * n)) / j
-                nxt = ((2 * j + 1) * (cos_t - m * n / (j * jp)) * cur - w3 * prev) / w1
-            prev, cur = cur, nxt
+                nxt[:, 1:-1, 1:-1] -= w3[1:-1, 1:-1] * tables[j2 - 4]
+            nxt /= w1
+        for m2 in range(-j2, j2 + 1, 2):
+            for n2 in range(-j2, j2 + 1, 2) if abs(m2) == j2 else (-j2, j2):
+                table[:, (m2 + j2) // 2, (n2 + j2) // 2] = _seed(j2, m2, n2, cos_half, sin_half)
+        tables.append(table)
     return tables
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffops import DifferenceOp, admissible_collection, difference, invariant_derivative
+from .diffops import admissible_collection, difference, invariant_derivative
 from .errors import BandExhaustedError
 from .symbols import Symbol
 
@@ -86,7 +86,6 @@ def seminorm(
     sigma: Symbol,
     params: ClassParams,
     windows=None,
-    collection: list[DifferenceOp] = None,
     grid=None,
 ) -> SeminormReport:
     """Seminorm report of sigma for the given class parameters.
@@ -97,7 +96,7 @@ def seminorm(
     sigma must carry enough margin for the deepest composition.
     """
     group = sigma.group
-    ops = admissible_collection(group) if collection is None else list(collection)
+    ops = admissible_collection(group)
     deepest_native = sigma.native_band - params.l * max((q.native_band for q in ops), default=0)
     if deepest_native < 0:
         raise BandExhaustedError(
@@ -193,15 +192,13 @@ def class_membership(
     delta: float,
     l: int,
     windows,
-    slope_tol: float = SLOPE_TOL,
-    collection=None,
     grid=None,
 ) -> MembershipVerdict:
     """Fit log(partial sup) against log(window) per entry; flat means consistent."""
     if len(windows) < 2:
         raise ValueError("class_membership needs at least two band windows")
     report = seminorm(
-        sigma, ClassParams(m=m, rho=rho, delta=delta, l=l), windows, collection=collection, grid=grid
+        sigma, ClassParams(m=m, rho=rho, delta=delta, l=l), windows, grid=grid
     )
     slopes = []
     worst = ((), ())
@@ -220,7 +217,7 @@ def class_membership(
             worst_slope = slope
             worst = (e.alpha, e.beta)
     return MembershipVerdict(
-        consistent=bool(worst_slope <= slope_tol),
+        consistent=bool(worst_slope <= SLOPE_TOL),
         slopes=slopes,
         worst_entry=worst,
         worst_slope=worst_slope,

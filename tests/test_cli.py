@@ -153,14 +153,28 @@ class TestErrorPaths:
     ],
 )
 def test_non_finite_band_is_usage_error(argv, tmp_path):
-    # a fresh process with a timeout, so an enumeration that never ends fails the suite instead of hanging it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "out"
-    cmd = [sys.executable, "-m", "group_pdo.cli", *argv.split(), "--out", str(out)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    done, out = run_fresh(argv, tmp_path)
     assert done.returncode == 2, done.stderr
     assert "usage error: band must be finite" in done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", ["transform --group su2 --band 1e100", "transform --group t1 --band 1e100"])
+def test_band_past_int64_labels_is_usage_error(argv, tmp_path):
+    # the square is finite, but the labels up to this band do not fit an int64: refused before any allocation
+    done, out = run_fresh(argv, tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert "usage error" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def run_fresh(argv: str, tmp_path):
+    """The CLI in a fresh process with a timeout, so an enumeration that never ends fails instead of hanging."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-m", "group_pdo.cli", *argv.split(), "--out", str(out)]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60), out
 
 
 def test_threads_take_effect_after_numpy_import(tmp_path):

@@ -63,7 +63,7 @@ class TestWigner:
             assert np.abs(oracle.imag).max() < 1e-12
             np.testing.assert_allclose(wigner_d_matrix(j2, theta), oracle.real, atol=1e-11)
 
-    @pytest.mark.parametrize("j2", [68, 96])
+    @pytest.mark.parametrize("j2", [68, 96, 128])
     def test_large_spin_tables_match_oracle(self, j2, rng):
         # past j2 = 67 the seed's binomial no longer fits in an int64
         thetas = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0.0, np.pi, 3)])
@@ -73,6 +73,13 @@ class TestWigner:
             oracle = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
             np.testing.assert_allclose(d, oracle.real, atol=1e-11)
             np.testing.assert_allclose(d @ d.T, np.eye(j2 + 1), atol=1e-12)
+
+    def test_tables_have_exact_mn_symmetry(self):
+        # d^j_{m,n} = d^j_{-n,-m} in exact arithmetic; the recursion's operands are symmetric under
+        # (m, n) -> (-n, -m), so any drift in the expression order shows up as a moved bit
+        thetas = np.array([0.0, 0.3, np.pi / 2, 2.9, np.pi])
+        for d in wigner_d_tables(128, thetas):
+            assert np.array_equal(d, d[:, ::-1, ::-1].transpose(0, 2, 1))
 
     def test_spin_half_explicit(self):
         theta = 0.7
@@ -208,6 +215,14 @@ class TestQuadrature:
             table = grid.rep_table(xi)
             integral = np.einsum("n,nab->ab", grid.weights, table)
             assert np.abs(integral).max() < 1e-12
+
+    def test_su2_rep_table_is_rebuilt_per_call(self, su2):
+        grid = su2.haar_grid(6)
+        xi = su2.dual_index(4)
+        first, second = grid.rep_table(xi), grid.rep_table(xi)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert sorted(grid._cache) == ["dtab", "phase"]  # only the phase and d tables are kept
 
     def test_schur_orthogonality_su2(self, su2, rng):
         grid = su2.haar_grid(8)

@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread and its own output
 directory.  The list is the benchmark's 13 commands (``bench/workloads.py``)
-at seeds 1 and 7, plus 29 more that cover the other subcommands, groups and
+at seeds 1 and 7, plus 30 more that cover the other subcommands, groups and
 refusals.  Exit codes, stdout, stderr, result-file names and result-file
 bytes are compared; the checkout paths are masked in stdout and stderr.
 
@@ -39,6 +39,7 @@ EXTRA = (
     "transform --group t3 --band 6 --samples 2",
     "transform --group su2 --band 12 --samples 3",
     "transform --group su2 --band 35 --samples 1",
+    "transform --group su2 --band 49 --samples 1",
     "transform --group su2 --band 12 --resolution 16 --samples 1",
     "seminorm --group t1 --band 40 --symbol hlhw --symbol-params rho=0.5,nu=0.25 --m -0.25 --rho 0.5 --delta 0 --l 2",
     "seminorm --group t2 --band 8 --symbol multiplier_power --symbol-params s=-1 --m -1 --rho 1 --delta 0 --l 2",
