@@ -20,7 +20,7 @@ import numpy as np
 from .fourier import GridFunction, grid_lp_norm, sup_norm
 from .groups import Torus
 from .named_functions import dirichlet_kernel
-from .quantize import GridOperator, KernelTable, apply, kernel, matvec_rows, operator
+from .quantize import GridOperator, apply, kernel_rows, matvec_rows, operator
 from .symbols import Symbol, hirschman_wainger
 
 GROWTH_SLOPE_TOL = 0.05
@@ -42,20 +42,23 @@ def hs_norm_symbol(sigma: Symbol) -> float:
 
 def hs_norm_kernel(sigma: Symbol, grid=None) -> float:
     """Double quadrature of |K|^2; equals hs_norm_symbol at finite band."""
-    return _kernel_hs(kernel(sigma, grid))
+    return _kernel_bounds(sigma, grid)[1]
 
 
 def linf_bound_constant(sigma: Symbol, grid=None) -> float:
     """max over x of the L1 norm of the kernel row F^-1 sigma(x,.)."""
-    return _kernel_row_l1(kernel(sigma, grid))
+    return _kernel_bounds(sigma, grid)[0]
 
 
-def _kernel_hs(ktab: KernelTable) -> float:
-    return float(np.sqrt(np.einsum("i,ij,j->", ktab.grid.weights, np.abs(ktab.values) ** 2, ktab.grid.weights)))
-
-
-def _kernel_row_l1(ktab: KernelTable) -> float:
-    return float(np.max(np.abs(ktab.values) @ ktab.grid.weights))
+def _kernel_bounds(sigma: Symbol, grid) -> tuple[float, float]:
+    """(max_i sum_j |K_ij| w_j, (sum_ij w_i |K_ij|^2 w_j)^(1/2)), reduced a chunk of kernel rows at a time."""
+    row_l1, row_sq = [], []
+    for _, k in kernel_rows(sigma, grid):  # consecutive rows, in order
+        w, block = k.grid.weights, np.abs(k.values)
+        del k  # the complex rows are not held while the next chunk is made
+        row_l1.append(block @ w)
+        row_sq.append(np.square(block, out=block) @ w)
+    return float(np.max(np.concatenate(row_l1))), float(np.sqrt(w @ np.concatenate(row_sq)))
 
 
 def l2_multiplier_norm(sigma: Symbol) -> float:
@@ -519,9 +522,7 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
     sum.
     """
     checks = []
-    ktab = kernel(sigma, grid)  # one table for both kernel reductions
-    const, hs_k = _kernel_row_l1(ktab), _kernel_hs(ktab)
-    del ktab
+    const, hs_k = _kernel_bounds(sigma, grid)  # one pass over the kernel rows for both
     for i, f in enumerate(f_samples):
         lhs = sup_norm(apply(sigma, f))
         rhs = (1.0 + 1e-8) * const * sup_norm(f) + 1e-300

@@ -105,7 +105,8 @@ class SU2:
         j2 = np.asarray(labels, dtype=int)
         if j2.ndim != 1 or np.any(j2 < 0):
             raise ValueError("doubled spin must be >= 0")
-        return Duals(j2, j2 + 1, j2 * (j2 + 2) / 4.0)
+        # the Casimir in float: the int64 product j2 * (j2 + 2) wraps past j2 ~ 3e9
+        return Duals(j2, j2 + 1, j2 * (j2 + 2.0) / 4.0)
 
     def enumerate_dual(self, band: float) -> Duals:
         """All doubled spins j2 with <j2> <= band, in increasing order."""
@@ -284,20 +285,20 @@ class SU2Grid:
             self._cache["dtab"] = wigner_d_tables(self.j2max_exact, theta)
         return self._cache["dtab"]
 
-    def rep_table(self, xi: DualIndex) -> np.ndarray:
-        """D^xi at every node, shape (N, d, d), assembled separably from the cached tables."""
+    def rep_table(self, xi: DualIndex, rows=slice(None)) -> np.ndarray:
+        """D^xi at the nodes `rows` (every node by default), shape (len, d, d), assembled
+        separably from the cached tables."""
         j2 = xi.label
         if j2 > self.j2max_exact:
             raise PrecisionError(
                 f"representation j2={j2} exceeds grid tables (j2max {self.j2max_exact})"
             )
         ephi, epsi = self.phase_tables()
-        m2 = np.arange(-j2, j2 + 1, 2)
-        slots = self.m2_slot(m2)
-        dt = self.d_tables()[j2]  # (t, d, d)
+        slots = self.m2_slot(np.arange(-j2, j2 + 1, 2))
+        j, t, k = np.unravel_index(np.arange(self.node_count)[rows], self.shape)
         return np.einsum(
-            "aj,tab,bk->jtkab", ephi[slots].conj(), dt, epsi[slots].conj()
-        ).reshape(self.node_count, j2 + 1, j2 + 1)
+            "na,nab,nb->nab", ephi[slots, j[:, None]].conj(), self.d_tables()[j2][t], epsi[slots, k[:, None]].conj()
+        )
 
     def meta(self) -> dict:
         return {

@@ -5,13 +5,18 @@ K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) and Op(sigma) on grid
 values is the matrix M[i, j] = K(x_i, y_j) w_j.  The norm estimators take a
 `GridOperator` record holding M: dense from `realize`, the oracle, or as a
 matrix-free `SymbolMatrix` from `operator`, which applies M and its
-transpose by Fourier transforms (invariant symbols only).  On the torus the
-kernel rows are translates of the kernels of sigma(x_i, .), from one
-batched inverse and one gather per chunk of rows.
+transpose by Fourier transforms (invariant symbols only).  `kernel_rows`
+yields K a chunk of rows at a time, so the kernel bounds never hold it
+whole; the dense `kernel` is those chunks stacked.  On the torus the rows
+are translates of the kernels of sigma(x_i, .), from one batched inverse
+per chunk (one in all for an invariant sigma); on SU(2) they are a sum over
+the Euler angles of y, separated as in the inverse transform but split by
+the parity of the weights.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +84,36 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
 
 
 def kernel(sigma: Symbol, grid=None) -> KernelTable:
-    """K(x, y) = F^{-1} sigma(x, .)(y^{-1} x) tabulated on node pairs."""
+    """K(x, y) = F^{-1} sigma(x, .)(y^{-1} x) tabulated on node pairs, from the chunks of `kernel_rows`."""
+    values = None
+    for rows, k in kernel_rows(sigma, grid):
+        if values is None:  # on the grid kernel_rows resolved
+            grid, values = k.grid, np.empty((k.grid.node_count,) * 2, dtype=complex)
+        values[rows] = k.values
+    return KernelTable(grid, values, sigma.band)
+
+
+def kernel_rows(sigma: Symbol, grid=None) -> Iterator[tuple[slice, GridFunction]]:
+    """Yield (rows, K[rows]) for consecutive slices of the nodes x, K[rows] the batch of functions
+    y -> K(x, y) on the grid sigma is tabulated on (its own when gridded, else `grid` or the smallest
+    for its band), each chunk within the `batch_slices` budget, so that a reduction over the kernel
+    never holds it whole."""
     grid = _resolve_grid(sigma, grid)
+    n = grid.node_count
     if isinstance(grid, TorusGrid):
-        return KernelTable(grid, _kernel_torus(sigma, grid), sigma.band)
-    if isinstance(grid, SU2Grid):
-        return KernelTable(grid, _kernel_su2(sigma, grid), sigma.band)
-    raise TypeError(f"unsupported grid {type(grid)!r}")
+        # Translation-closed grid: K(x_i, y_j) = k_i[(i - j) mod shape], k_i the kernel of sigma(x_i, .),
+        # one kernel for every row when sigma is invariant
+        single = inverse(sigma, grid).values if sigma.invariant else None
+        for rows in batch_slices(n, n):
+            kernels = single if sigma.invariant else inverse(sigma.rows(rows), grid).values
+            yield rows, GridFunction(grid, _translates(kernels, grid.shape, np.arange(n)[rows]))
+            del kernels  # not held while the next chunk is made
+    elif isinstance(grid, SU2Grid):
+        rows_of = _su2_rows(sigma, grid)
+        for rows in batch_slices(n, n):
+            yield rows, GridFunction(grid, rows_of(rows))
+    else:
+        raise TypeError(f"unsupported grid {type(grid)!r}")
 
 
 def _resolve_grid(sigma: Symbol, grid):
@@ -97,54 +125,76 @@ def _resolve_grid(sigma: Symbol, grid):
     return grid
 
 
-def _kernel_torus(sigma: Symbol, grid: TorusGrid) -> np.ndarray:
-    # Translation-closed grid: K(x_i, y_j) = k_i[(i - j) mod shape], k_i the kernel of sigma(x_i, .);
-    # an invariant sigma has one kernel, so its rows are gathered straight into the result
-    n = grid.node_count
-    if sigma.invariant:
-        return _translates(inverse(sigma, grid).values, grid.shape, np.arange(n))
-    out = np.empty((n, n), dtype=complex)
-    for rows in batch_slices(n, n):
-        out[rows] = _translates(inverse(sigma.rows(rows), grid).values, grid.shape, np.arange(n)[rows])
-    return out
-
-
 def _translates(kernels: np.ndarray, shape, nodes: np.ndarray) -> np.ndarray:
-    """Rows k_i[(i - j) mod shape] over j for the nodes i, from one kernel for all or one each:
-    windows of the doubled kernel cube read backwards, so no index array per entry is formed."""
+    """Rows k_i[(i - j) mod shape] over j for the nodes i, from one kernel for all or one each.
+
+    One kernel is read through windows of its doubled cube, backwards: a strided copy.  A kernel
+    per row is gathered through per-axis indices (i_a - j_a) mod m_a broadcast against each other,
+    as the doubled cubes of a chunk of kernels would hold 2^dim times its size.  Neither forms an
+    index per entry.
+    """
     kernels = kernels.reshape(-1, *shape)
-    doubled = np.tile(kernels, (1, *[2] * len(shape)))
-    windows = np.lib.stride_tricks.sliding_window_view(doubled, shape, axis=tuple(range(1, len(shape) + 1)))
-    starts = [(i + 1) % m for i, m in zip(np.unravel_index(nodes, shape), shape)]
-    rows = windows[(..., *[slice(None, None, -1)] * len(shape))][(np.arange(len(kernels)), *starts)]
-    return rows.reshape(len(nodes), -1)
+    count, dims = len(nodes), len(shape)
+    axes = np.unravel_index(nodes, shape)
+    if len(kernels) == 1:
+        doubled = np.tile(kernels[0], [2] * dims)
+        windows = np.lib.stride_tricks.sliding_window_view(doubled, shape)[(..., *[slice(None, None, -1)] * dims)]
+        rows = windows[tuple((i + 1) % m for i, m in zip(axes, shape))]
+    else:
+        index = [np.arange(count).reshape(count, *[1] * dims)]
+        for axis, (i, m) in enumerate(zip(axes, shape)):
+            index.append(((i[:, None] - np.arange(m)) % m).reshape(count, *[m if a == axis else 1 for a in range(dims)]))
+        rows = kernels[tuple(index)]
+    return rows.reshape(count, -1)
 
 
-def _kernel_su2(sigma: Symbol, grid: SU2Grid) -> np.ndarray:
-    n = grid.node_count
-    total = sum(xi.dim**2 for xi in sigma.duals)
-    left = np.empty((n, total), dtype=complex)
-    right = np.empty((n, total), dtype=complex)
-    pos = 0
-    for xi, sblock in zip(sigma.duals, sigma.blocks):
-        table = grid.rep_table(xi)
-        d2 = xi.dim**2
-        if sigma.invariant:
-            prod = np.einsum("nab,bc->nac", table, sblock, optimize=True)
-        else:
-            prod = np.einsum("nab,nbc->nac", table, sblock, optimize=True)
-        left[:, pos : pos + d2] = xi.dim * prod.reshape(n, d2)
-        right[:, pos : pos + d2] = table.reshape(n, d2)
-        pos += d2
-    return left @ right.conj().T
+def _su2_rows(sigma: Symbol, grid: SU2Grid):
+    """The function rows -> K[rows], by the separated sum over the Euler angles (phi, theta, psi) of y.
+
+    With P_x(xi) = d_xi xi(x) sigma(x, xi) and conj D^xi_ac = e^{i m_a phi} d^xi_ac(theta) e^{i m_c psi},
+    K(x, y) = sum over a, c of e^{i m_a phi} A_x(theta)[a, c] e^{i m_c psi}, where A_x(theta)[a, c] is
+    the sum over spins of P_x(xi)[a, c] d^xi_ac(theta).  Both weights m_a, m_c of a spin have its
+    parity, so A is held per parity r in h = j2max + 1 slots a side: slot s holds
+    2m = 2s - j2max + (j2max + r) % 2, and a slot past j2max stays zero.  Per slot pair the sum over
+    the spins of its parity is one real GEMM, followed by one phi GEMM per parity and one psi GEMM.
+    The d and phase tables do not depend on x and are laid out once, here.
+    """
+    p, t, q = grid.shape
+    top = grid.j2max_exact
+    h, spins = top + 1, top // 2 + 1
+    # phase rows per parity slot, zero past j2max
+    slots = 2 * np.arange(h) + (top + np.arange(2)[:, None]) % 2
+    ephi, epsi = (np.vstack([e, np.zeros_like(e[:1])])[slots] for e in grid.phase_tables())
+    dtabs = grid.d_tables()
+    d = np.zeros((2, h, h, t, spins))  # [parity, a, c, theta, spin]
+    for j2 in sigma.duals.labels.tolist():
+        ac = slice((top - j2) // 2, (top + j2) // 2 + 1)
+        d[j2 % 2, ac, ac, :, j2 // 2] = dtabs[j2].transpose(1, 2, 0)
+
+    def rows_of(rows) -> np.ndarray:
+        x = np.arange(grid.node_count)[rows]
+        prods = np.zeros((2, h, h, spins, len(x)), dtype=complex)  # [parity, a, c, spin, x]
+        for xi, bucket in zip(sigma.duals, sigma.rows(x).buckets):
+            j2 = xi.label
+            ac = slice((top - j2) // 2, (top + j2) // 2 + 1)
+            prods[j2 % 2, ac, ac, j2 // 2] = (xi.dim * (grid.rep_table(xi, x) @ bucket[0])).transpose(1, 2, 0)
+        # A: real d against the interleaved real and imaginary parts of the products, [r, a, c, theta, x]
+        stage = np.matmul(d, prods.view(float)).view(complex)
+        del prods  # not held through the phase GEMMs
+        # phi, one GEMM per parity: [r, phi, a] x [r, a, (c theta x)]
+        stage = np.matmul(ephi.transpose(0, 2, 1), stage.reshape(2, h, -1))
+        # psi, one GEMM over both parities: [(x phi theta), (r c)] x [(r c), psi]
+        stage = stage.reshape(2, p, h, t, len(x)).transpose(4, 1, 3, 0, 2).reshape(-1, 2 * h)
+        return (stage @ epsi.reshape(2 * h, q)).reshape(len(x), -1)
+
+    return rows_of
 
 
 def realize(sigma: Symbol, grid=None) -> GridOperator:
     """Dense matrix M[i, j] = K(x_i, y_j) w_j acting on grid values."""
-    grid = _resolve_grid(sigma, grid)
     ktab = kernel(sigma, grid)
-    m = ktab.values * grid.weights[None, :]
-    return GridOperator(grid, m, sigma.band, provenance=sigma.provenance)
+    m = ktab.values * ktab.grid.weights[None, :]
+    return GridOperator(ktab.grid, m, sigma.band, provenance=sigma.provenance)
 
 
 def operator(sigma: Symbol, grid=None) -> GridOperator:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,3 +395,30 @@ class TestAudit:
         sig = multiplier_power(t1, 0.0, band).map_blocks(lambda xi, b: 0 * b)
         rep = bound_audit(sig, [GridFunction(grid, np.ones(12))], grid)
         assert rep.violations == 0
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, band", [("su2", 6.0), ("t2", 20.0)])
+def test_kernel_bounds_stay_below_half_a_kernel(name, band, t2, su2, rng):
+    # the kernel reductions hold chunks of kernel rows, never the N x N table (N = 1452 and 1600):
+    # each traced peak stays below half of its N^2 x 16 B
+    group = {"su2": su2, "t2": t2}[name]
+    grid = group.grid_for_band(band)
+    half = grid.node_count**2 * 16 / 2
+    f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, 1]))
+    samples = [random_bandlimited(grid, band, rng) for _ in range(2)]
+    for sig in (multiplier_power(group, -1.0, band), schrodinger_phase(group, 0.3, f, 0.5, band)):
+        assert _traced_peak(lambda: linf_bound_constant(sig, grid)) < half
+        assert _traced_peak(lambda: hs_norm_kernel(sig, grid)) < half
+        # apply of a gridded symbol still forms a blockwise product as large as the symbol (a carried-over
+        # item in ROADMAP.md): the audit is allowed that much more until apply goes chunk by chunk
+        own = 0 if sig.invariant else sum(b.nbytes for b in sig.buckets)
+        assert _traced_peak(lambda: bound_audit(sig, samples, grid)) < half + own

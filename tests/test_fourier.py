@@ -264,8 +264,7 @@ class TestBatch:
                 beta = (1,) + (0,) * (group.dim - 1)
                 for tau in (difference(q, sig), invariant_derivative(beta, sig)):
                     out.append(np.concatenate([np.ravel(b) for b in tau.blocks]))
-                if group is t2:
-                    out.append(kernel(sig, grid).values)
+                out.append(kernel(sig, grid).values)
             out.append(kernel(multiplier_power(t1, -1.0, 9.0), t1.haar_grid(40)).values)
             return out
 

@@ -1,4 +1,7 @@
 import itertools
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +47,18 @@ class TestDualEnumeration:
     def test_weight_identity(self, su2):
         for xi in su2.enumerate_dual(9.0):
             assert xi.weight**2 - 1.0 == pytest.approx(xi.casimir, abs=1e-12)
+
+    @pytest.mark.parametrize("j2", [3_100_000_000, 4_000_000_000, 2**62])
+    def test_su2_casimir_of_huge_spin_is_exact(self, su2, j2):
+        # past j2 ~ 3.04e9 an int64 j2 * (j2 + 2) wraps: a negative Casimir and a NaN weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            duals = su2.duals_of([j2])
+        casimir = Fraction(j2 * (j2 + 2), 4)
+        weight = Decimal(1 + casimir.numerator / Decimal(casimir.denominator)).sqrt()
+        assert np.isfinite(duals.casimir[0]) and np.isfinite(duals.weights[0])
+        assert abs(Fraction(duals.casimir[0]) - casimir) <= Fraction(1, 10**15) * casimir
+        assert abs(Decimal(duals.weights[0]) - weight) <= Decimal("1e-15") * weight
 
 
 class TestWigner:
@@ -223,6 +238,9 @@ class TestQuadrature:
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
         assert sorted(grid._cache) == ["dtab", "phase"]  # only the phase and d tables are kept
+        picked = np.array([5, 0, 300, 301, 5])
+        assert np.array_equal(grid.rep_table(xi, picked), first[picked])
+        assert np.array_equal(grid.rep_table(xi, slice(40, 90)), first[40:90])
 
     def test_schur_orthogonality_su2(self, su2, rng):
         grid = su2.haar_grid(8)

@@ -5,7 +5,7 @@ from conftest import weighted_smax
 from group_pdo.errors import PrecisionError
 from group_pdo.fourier import GridFunction, forward, random_bandlimited
 from group_pdo.groups import TorusGrid
-from group_pdo.quantize import SymbolMatrix, apply, kernel, operator, realize
+from group_pdo.quantize import SymbolMatrix, _su2_rows, apply, kernel, kernel_rows, operator, realize
 from group_pdo.symbols import (
     identity_symbol,
     multiplier,
@@ -117,6 +117,57 @@ class TestKernel:
                         for xi, b in zip(sig.duals, sig.blocks)
                     )
                     assert ktab.values[i, j] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("cut, gridded", [(3, True), (12, True), (3, False), (22, False)])
+    def test_su2_rows_match_trace_sum(self, su2, cut, gridded):
+        # the separated rows against sum_xi d_xi Tr(xi(y)^H xi(x) sigma(x, xi)) from rep_matrix, for a
+        # symbol of random full blocks at 10 x 5 random node pairs, up to j2 = 22 (band 12)
+        band = su2.band_of_native(cut)
+        grid = su2.grid_for_band(band)
+        rng = np.random.default_rng(cut)
+        sig = identity_symbol(su2, band, grid=grid if gridded else None).map_blocks(
+            lambda xi, b: rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+        )
+        xs, ys = rng.choice(grid.node_count, 10, replace=False), rng.choice(grid.node_count, 5, replace=False)
+        rows = _su2_rows(sig, grid)(xs)
+        reps = {i: [su2.rep_matrix(xi, grid.nodes[i]) for xi in sig.duals] for i in {*xs, *ys}}
+        scale = np.abs(rows).max()
+        for i, row in zip(xs, rows):
+            for j in ys:
+                expected = sum(
+                    xi.dim * np.trace(ry.conj().T @ rx @ (b[i] if gridded else b))
+                    for xi, b, rx, ry in zip(sig.duals, sig.blocks, reps[i], reps[j])
+                )
+                assert abs(row[j] - expected) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_su2_kernel_matches_dense_factor_product(self, su2, gridded):
+        # the dense oracle: K = L R^H with L[i, (xi, a, c)] = d_xi (xi(x_i) sigma(x_i, xi))[a, c]
+        # and R[j, (xi, a, c)] = xi(y_j)[a, c], one column block per spin
+        band = su2.band_of_native(10)
+        grid = su2.grid_for_band(band)
+        f = GridFunction(grid, grid.nodes[:, 0] + 0.5 * grid.nodes[:, 1])
+        sig = schrodinger_phase(su2, 0.3, f, 0.5, band) if gridded else z_plus_c_inverse(0.3, band)
+        left, right = [], []
+        for xi, block in zip(sig.duals, sig.blocks):
+            table = grid.rep_table(xi)
+            left.append(xi.dim * (table @ block).reshape(grid.node_count, -1))
+            right.append(table.reshape(grid.node_count, -1))
+        dense = np.hstack(left) @ np.hstack(right).conj().T
+        np.testing.assert_allclose(kernel(sig, grid).values, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+    def test_kernel_is_the_stacked_rows(self, t1, t2, su2):
+        # kernel_rows covers the nodes in order, in more than one chunk, and kernel() is those chunks
+        for group, grid in ((t1, t1.haar_grid(700)), (t2, t2.grid_for_band(12.0)), (su2, su2.grid_for_band(6.0))):
+            band = grid.exactness_band
+            f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, -1]))
+            for sig in (multiplier_power(group, -1.0, band), schrodinger_phase(group, 0.3, f, 0.5, band)):
+                chunks = list(kernel_rows(sig, grid))
+                assert len(chunks) > 1
+                covered = np.concatenate([np.arange(grid.node_count)[rows] for rows, _ in chunks])
+                assert np.array_equal(covered, np.arange(grid.node_count))
+                assert all(k.grid is grid for _, k in chunks)
+                assert np.array_equal(np.concatenate([k.values for _, k in chunks]), kernel(sig, grid).values)
 
     def test_x_dependent_factor(self, t1, rng):
         band = t1.band_of_native(4)

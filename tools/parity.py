@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread and its own output
 directory.  The list is the benchmark's 13 commands (``bench/workloads.py``)
-at seeds 1 and 7, plus 30 more that cover the other subcommands, groups and
+at seeds 1 and 7, plus 32 more that cover the other subcommands, groups and
 refusals.  Exit codes, stdout, stderr, result-file names and result-file
 bytes are compared; the checkout paths are masked in stdout and stderr.
 
@@ -53,8 +53,10 @@ EXTRA = (
     "quantize --group su2 --band 5 --symbol schrodinger --symbol-params t=0.5,delta=0.5 --function random",
     "hsnorm --group t2 --band 10 --symbol multiplier_power --symbol-params s=-1",
     "hsnorm --group su2 --band 6 --symbol schrodinger --symbol-params t=0.3,delta=0.5",
+    "hsnorm --group su2 --band 8 --symbol z_plus_c_inverse --symbol-params c=0.3",
     "linf --group t1 --band 64 --symbol hlhw --symbol-params rho=0.5,nu=0.25 --samples 5",
     "linf --group su2 --band 5 --symbol z_plus_c_inverse --symbol-params c=0.3 --samples 5",
+    "linf --group t2 --band 20 --symbol multiplier_power --symbol-params s=-2 --samples 2",
     "audit --group t1 --band 32 --symbol multiplier_power --symbol-params s=-2 --samples 5",
     "audit --group su2 --band 5 --symbol z_plus_c_inverse --symbol-params c=0.3 --samples 3",
     "weyl --group su2 --alpha 0 --lambdas 12,16,24,48",
