@@ -386,6 +386,8 @@ class SeriesReport:
 
 def casimir_series(group, s: float, lambdas) -> SeriesReport:
     """Partial sums of sum d_xi^2 <xi>^(-s); converges iff s > dim G."""
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     lambdas = sorted(float(v) for v in lambdas)
     duals = group.enumerate_dual(lambdas[-1])
     weights = duals.weights

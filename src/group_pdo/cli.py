@@ -14,6 +14,7 @@ files, prints the message and maps the outcome to an exit code.
 from __future__ import annotations
 
 import argparse
+import cmath
 import ctypes
 import functools
 import glob
@@ -68,6 +69,8 @@ def _parse_params(text: str) -> dict:
             out[key] = complex(val) if "j" in val else float(val)
         except ValueError:
             out[key] = val
+        if not isinstance(out[key], str) and not cmath.isfinite(out[key]):
+            raise ValueError(f"--symbol-params {key}={val} must be finite")
     return out
 
 
@@ -256,6 +259,8 @@ def main(argv=None) -> int:
 
     try:
         set_blas_threads(args.threads)
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be >= 1, got {args.samples}")
         return _dispatch(args)
     except PrecisionError as exc:
         print(f"precision/band error: {exc}", file=sys.stderr)
@@ -299,8 +304,8 @@ def _build(args, need_margin=0):
     """`_setup` plus the `--symbol` built from `--symbol-params`: (band, grid, sigma)."""
     from .symbols import build_symbol
 
-    band, grid = _setup(args, need_margin)
     params = _parse_params(args.symbol_params)
+    band, grid = _setup(args, need_margin)
     needs_grid = args.symbol.strip().lower() == "schrodinger"
     sigma = build_symbol(
         args.symbol, grid.group, band, grid=grid if needs_grid else None, params=params, seed=args.seed

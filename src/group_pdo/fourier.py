@@ -8,10 +8,13 @@ The transform pair is
 realised by quadrature on a grid whose exactness band covers the requested
 band.  On the torus the forward/inverse reduce to FFTs plus one gather or
 scatter of the coefficients; on SU(2) they are separated over the Euler
-angles (phase contractions in phi/psi, a Wigner-d contraction over the
-Gauss-Legendre theta nodes, one spin at a time), so no dense
-node-by-coefficient matrix is ever formed.  Both directions take a leading
-batch axis, and a single transform is the batch of one.
+angles as matrix products (Kostelec and Rockmore's separated SO(3)
+transform): phase GEMMs in phi and psi split by the parity of the weights,
+and per side of each spin shell of `groups.wigner.SpinShells` one GEMM over
+the Gauss-Legendre theta nodes or the spins, so no dense node-by-coefficient
+matrix is ever formed.  The inverse's stages also give `quantize`'s SU(2)
+kernel rows.  Both directions take a leading batch axis, and a single
+transform is the batch of one.
 
 `FourierCoefficients` is the one container for dual-indexed blocks, with an
 optional batch axis: the node axis of a symbol (`symbols.Symbol`, the same
@@ -204,38 +207,32 @@ def _forward_torus(f: GridFunction, duals: Duals) -> list[np.ndarray]:
 
 
 def _forward_su2(f: GridFunction, duals: Duals) -> list[np.ndarray]:
-    """One bucket (1, *batch, d, d) per spin."""
+    """One bucket (1, *batch, d, d) per spin: the phi GEMM over both parities, the psi GEMM per parity,
+    then per side of each spin shell one GEMM over theta against its d values, the quadrature weights
+    folded in, into the coefficient grid [r, a, c, j2 // 2, z] of `_su2_synthesis`."""
     grid: SU2Grid = f.grid
     p, t, q = grid.shape
-    vals = f.values.reshape(-1, p, t, q)
-    ephi, epsi = grid.phase_tables()
-    # B[z, m2_c, t, m2_r] = sum over phi,psi of f_z * exp(i m2_c phi / 2) exp(i m2_r psi / 2)
-    stage1 = np.einsum("mj,zjtk->zmtk", ephi, vals, optimize=True)
-    stage2 = np.einsum("zmtk,nk->zmtn", stage1, epsi, optimize=True)
-    theta_w = grid.gl_weights / (2.0 * p * q)
-    dtabs = grid.d_tables()
-    buckets = []
-    for j2 in duals.labels.tolist():
-        slots = slice(grid.m2_slot(-j2), grid.m2_slot(j2) + 1, 2)
-        sub = stage2[:, slots, :, slots]  # (z, c, t, r)
-        # C order, as reductions over the last two axes (`hs_squares`) follow the memory order
-        block = np.einsum("t,tcr,zctr->zrc", theta_w, dtabs[j2], sub, optimize=True, order="C")
-        buckets.append(block.reshape(1, *f.values.shape[:-1], j2 + 1, j2 + 1))
-    return buckets
+    (ephi, epsi), top = grid.phase_rows(), int(duals.labels.max())
+    h, count = ephi.shape[1], math.prod(f.values.shape[:-1])
+    # phi: [(r a), phi] x [phi, (theta z psi)]
+    stage = ephi.reshape(2 * h, p) @ f.values.reshape(count, p, t, q).transpose(1, 2, 0, 3).reshape(p, -1)
+    # psi, per parity: [r, c, psi] x [r, psi, (a theta z)], so that every slot pair (a, c) is a view [r, c, a]
+    stage = np.matmul(epsi, stage.reshape(2, -1, q).transpose(0, 2, 1)).reshape(2, h, h, t, count).view(float)
+    coeffs, weights = np.empty((2, h, h, t, 2 * count)), grid.gl_weights / (2.0 * p * q)
+    for j0, sides in enumerate(grid.shells().shells[: top + 1]):
+        r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
+        for a, c, d in sides:  # [a, c, spin, theta] x [a, c, theta, z]
+            weighted = (d[:n] * weights).transpose(1, 2, 0, 3)
+            np.matmul(weighted, stage[r, c, a].transpose(1, 0, 2, 3), out=coeffs[r, a, c, j0 // 2 : j0 // 2 + n])
+    coeffs, batch = coeffs.view(complex), f.values.shape[:-1]
+    # a copy per spin, even where the transposed view is contiguous (j2 = 0): no bucket keeps the grid alive
+    return [_spin(coeffs, j2).T.copy().reshape(1, *batch, j2 + 1, j2 + 1) for j2 in duals.labels]
 
 
-def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
-    """Plain quadrature sum per coefficient; the slow reference path."""
-    grid = f.grid
-    grid.require_band(band)
-    group = grid.group
-    duals = group.enumerate_dual(band)
-    wf = grid.weights * f.values
-    blocks = []
-    for xi in duals:
-        conj_t = grid.rep_table(xi).conj()
-        blocks.append(np.einsum("n,ncr->rc", wf, conj_t, optimize=True))
-    return FourierCoefficients.from_blocks(group, band, duals, blocks)
+def _spin(coeffs: np.ndarray, j2: int) -> np.ndarray:
+    """The entries [a, c, z] of spin j2 in the coefficient grid [r, a, c, j2 // 2, z]."""
+    slots = slice((coeffs.shape[1] - 1 - j2) // 2, (coeffs.shape[1] + 1 + j2) // 2)  # 2m = -j2 .. j2
+    return coeffs[j2 % 2, slots, slots, j2 // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +258,38 @@ def _inverse_torus(a: FourierCoefficients, grid: TorusGrid) -> np.ndarray:
 
 
 def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> np.ndarray:
+    return _su2_synthesis(grid, a.duals.labels.tolist(), a.buckets, math.prod(a.batch))
+
+
+def _su2_synthesis(grid: SU2Grid, spins: list[int], blocks, count: int, conjugate: bool = False) -> np.ndarray:
+    """sum over j2 in `spins` of (j2 + 1) Tr(D^j2(y) b) (with `conjugate`, of conj D^j2) at every node y,
+    for each of the `count` blocks b (j2 + 1, j2 + 1) in the array of each spin from `blocks`: (count, nodes).
+    The blocks fill the coefficient grid [r, a, c, j2 // 2, z] over the parity slots of `SpinShells`, the
+    accumulator's size (there are as many theta nodes as spins of a parity).  Per side of each shell one
+    GEMM over its spins maps a view of it to a view of the accumulator [r, a, c, theta, z]; then one phi
+    GEMM per parity and one psi GEMM over both parities."""
+    top = max(spins)
+    if top > grid.j2max_exact:
+        raise PrecisionError(f"coefficient j2={top} cannot be represented on grid with j2max {grid.j2max_exact}")
     p, t, q = grid.shape
-    m2_all = 2 * grid.j2max_exact + 1
-    acc = np.zeros((math.prod(a.batch), m2_all, t, m2_all), dtype=complex)  # [z, a, theta, b]
-    dtabs = grid.d_tables()
-    labels = a.duals.labels
-    if labels.max() > grid.j2max_exact:
-        raise PrecisionError(
-            f"coefficient j2={labels[labels > grid.j2max_exact][0]} cannot be represented on grid "
-            f"with j2max {grid.j2max_exact}"
-        )
-    for (start, _), bucket in zip(a.duals.runs, a.buckets):
-        j2 = int(labels[start])
-        slots = slice(grid.m2_slot(-j2), grid.m2_slot(j2) + 1, 2)
-        for block in bucket.reshape(-1, len(acc), j2 + 1, j2 + 1):  # a batch of one without a batch axis
-            contrib = (j2 + 1) * np.einsum("tab,zba->ztab", dtabs[j2], block, optimize=True)
-            acc[:, slots, :, slots] += contrib.transpose(0, 2, 1, 3)
-    ephi, epsi = grid.phase_tables()
-    return np.einsum("aj,zatb,bk->zjtk", ephi.conj(), acc, epsi.conj(), optimize=True)
+    ephi, epsi = (e if conjugate else e.conj() for e in grid.phase_rows())
+    h = ephi.shape[1]
+    # a shell reads only entries inside the squares of its spins, so with every spin 0..top given none is unset
+    coeffs = (np.empty if len(spins) > top else np.zeros)((2, h, h, t, count), dtype=complex)
+    for j2, block in zip(spins, blocks):
+        _spin(coeffs, j2)[:] = (j2 + 1) * block.reshape(count, j2 + 1, j2 + 1).transpose(2, 1, 0)
+    coeffs, acc = coeffs.view(float), np.zeros((2, h, h, t, 2 * count))  # acc: [r, a, c, theta, (z re/im)]
+    for j0, sides in enumerate(grid.shells().shells[: top + 1]):
+        r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
+        for a, c, d in sides:  # [a, c, theta, spin] x [a, c, spin, z]
+            np.matmul(d[:n].transpose(1, 2, 3, 0), coeffs[r, a, c, j0 // 2 : j0 // 2 + n], out=acc[r, a, c])
+    del coeffs
+    # phi, one GEMM per parity: [r, phi, a] x [r, a, (c theta z)]
+    stage = np.matmul(ephi.transpose(0, 2, 1), acc.view(complex).reshape(2, h, -1))
+    del acc  # not held through the psi GEMM
+    # psi, one GEMM over both parities: [(z phi theta), (r c)] x [(r c), psi]
+    stage = stage.reshape(2, p, h, t, count).transpose(4, 1, 3, 0, 2).reshape(-1, 2 * h)
+    return (stage @ epsi.reshape(2 * h, q)).reshape(count, -1)
 
 
 def _backend(grid):

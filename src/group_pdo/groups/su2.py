@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import PrecisionError
 from .dual import DualIndex, Duals
-from .wigner import angular_momentum_matrices, wigner_d_matrix, wigner_d_tables
+from .wigner import SpinShells, angular_momentum_matrices, wigner_d_matrix
 
 _TOL = 1e-9
 
@@ -212,9 +212,10 @@ class SU2:
 class SU2Grid:
     """Product Haar grid in (phi, theta, psi), nodes raveled in that order.
 
-    It caches, on first use, only the Euler phase tables and the Wigner-d
-    tables at the theta nodes.  ``rep_table`` is assembled from them on each
-    call: a kept copy (N (j2+1)^2 complex numbers per spin) saved no time.
+    It caches, on first use, only its parity phase rows and its spin shells,
+    the one copy of its Wigner-d values that every SU(2) path reads.
+    ``rep_table`` is assembled from them on each call: a kept copy
+    (N (j2+1)^2 complex numbers per spin) saved no time.
     """
 
     group: SU2
@@ -266,23 +267,18 @@ class SU2Grid:
 
     # Cached tables for the separated (phi, theta, psi) transforms.
 
-    def phase_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E_phi, E_psi) with E_phi[m2, j] = exp(i m2 phi_j / 2), m2 in [-j2max, j2max]."""
+    def phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E_phi, E_psi) [r, s, j] = exp(i m2 angle_j / 2) at the parity slots of `SpinShells`, 0 if empty."""
         if "phase" not in self._cache:
-            m2 = np.arange(-self.j2max_exact, self.j2max_exact + 1)
-            ephi = np.exp(0.5j * np.outer(m2, self.phi))
-            epsi = np.exp(0.5j * np.outer(m2, self.psi))
-            self._cache["phase"] = (ephi, epsi)
+            m2 = self.shells().weights2[..., None]
+            kept = np.abs(m2) <= self.j2max_exact
+            self._cache["phase"] = tuple(np.where(kept, np.exp(0.5j * m2 * a), 0) for a in (self.phi, self.psi))
         return self._cache["phase"]
 
-    def m2_slot(self, m2: np.ndarray) -> np.ndarray:
-        return m2 + self.j2max_exact
-
-    def d_tables(self) -> list[np.ndarray]:
-        """Wigner-d tables at the theta nodes for j2 = 0..j2max_exact."""
+    def shells(self) -> SpinShells:
+        """The Wigner-d values at the theta nodes for j2 = 0..j2max_exact, in spin shells."""
         if "dtab" not in self._cache:
-            theta = np.arccos(self.cos_theta)
-            self._cache["dtab"] = wigner_d_tables(self.j2max_exact, theta)
+            self._cache["dtab"] = SpinShells(self.j2max_exact, np.arccos(self.cos_theta))
         return self._cache["dtab"]
 
     def rep_table(self, xi: DualIndex, rows=slice(None)) -> np.ndarray:
@@ -293,12 +289,11 @@ class SU2Grid:
             raise PrecisionError(
                 f"representation j2={j2} exceeds grid tables (j2max {self.j2max_exact})"
             )
-        ephi, epsi = self.phase_tables()
-        slots = self.m2_slot(np.arange(-j2, j2 + 1, 2))
+        ephi, epsi = (e[j2 % 2] for e in self.phase_rows())
+        slots = (self.j2max_exact - j2) // 2 + np.arange(j2 + 1)
         j, t, k = np.unravel_index(np.arange(self.node_count)[rows], self.shape)
-        return np.einsum(
-            "na,nab,nb->nab", ephi[slots, j[:, None]].conj(), self.d_tables()[j2][t], epsi[slots, k[:, None]].conj()
-        )
+        d = self.shells().spin(j2, np.arange(self.shape[1]))[t]  # at every theta node, then at each row's
+        return np.einsum("na,nab,nb->nab", ephi[slots, j[:, None]].conj(), d, epsi[slots, k[:, None]].conj())
 
     def meta(self) -> dict:
         return {

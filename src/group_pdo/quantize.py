@@ -9,9 +9,9 @@ transpose by Fourier transforms (invariant symbols only).  `kernel_rows`
 yields K a chunk of rows at a time, so the kernel bounds never hold it
 whole; the dense `kernel` is those chunks stacked.  On the torus the rows
 are translates of the kernels of sigma(x_i, .), from one batched inverse
-per chunk (one in all for an invariant sigma); on SU(2) they are a sum over
-the Euler angles of y, separated as in the inverse transform but split by
-the parity of the weights.
+per chunk (one in all for an invariant sigma); on SU(2) they are the SU(2)
+inverse transform's spin-shell stages, run on the blocks xi(x) sigma(x, xi)
+at the nodes x of a chunk, so they keep no layout of their own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PrecisionError
-from .fourier import GridFunction, batch_slices, forward, inverse, sup_norm
+from .fourier import GridFunction, _su2_synthesis, batch_slices, forward, inverse, sup_norm
 from .groups import SU2Grid, TorusGrid
 from .symbols import Symbol
 
@@ -109,9 +109,8 @@ def kernel_rows(sigma: Symbol, grid=None) -> Iterator[tuple[slice, GridFunction]
             yield rows, GridFunction(grid, _translates(kernels, grid.shape, np.arange(n)[rows]))
             del kernels  # not held while the next chunk is made
     elif isinstance(grid, SU2Grid):
-        rows_of = _su2_rows(sigma, grid)
         for rows in batch_slices(n, n):
-            yield rows, GridFunction(grid, rows_of(rows))
+            yield rows, GridFunction(grid, _su2_rows(sigma, grid, rows))
     else:
         raise TypeError(f"unsupported grid {type(grid)!r}")
 
@@ -148,46 +147,12 @@ def _translates(kernels: np.ndarray, shape, nodes: np.ndarray) -> np.ndarray:
     return rows.reshape(count, -1)
 
 
-def _su2_rows(sigma: Symbol, grid: SU2Grid):
-    """The function rows -> K[rows], by the separated sum over the Euler angles (phi, theta, psi) of y.
-
-    With P_x(xi) = d_xi xi(x) sigma(x, xi) and conj D^xi_ac = e^{i m_a phi} d^xi_ac(theta) e^{i m_c psi},
-    K(x, y) = sum over a, c of e^{i m_a phi} A_x(theta)[a, c] e^{i m_c psi}, where A_x(theta)[a, c] is
-    the sum over spins of P_x(xi)[a, c] d^xi_ac(theta).  Both weights m_a, m_c of a spin have its
-    parity, so A is held per parity r in h = j2max + 1 slots a side: slot s holds
-    2m = 2s - j2max + (j2max + r) % 2, and a slot past j2max stays zero.  Per slot pair the sum over
-    the spins of its parity is one real GEMM, followed by one phi GEMM per parity and one psi GEMM.
-    The d and phase tables do not depend on x and are laid out once, here.
-    """
-    p, t, q = grid.shape
-    top = grid.j2max_exact
-    h, spins = top + 1, top // 2 + 1
-    # phase rows per parity slot, zero past j2max
-    slots = 2 * np.arange(h) + (top + np.arange(2)[:, None]) % 2
-    ephi, epsi = (np.vstack([e, np.zeros_like(e[:1])])[slots] for e in grid.phase_tables())
-    dtabs = grid.d_tables()
-    d = np.zeros((2, h, h, t, spins))  # [parity, a, c, theta, spin]
-    for j2 in sigma.duals.labels.tolist():
-        ac = slice((top - j2) // 2, (top + j2) // 2 + 1)
-        d[j2 % 2, ac, ac, :, j2 // 2] = dtabs[j2].transpose(1, 2, 0)
-
-    def rows_of(rows) -> np.ndarray:
-        x = np.arange(grid.node_count)[rows]
-        prods = np.zeros((2, h, h, spins, len(x)), dtype=complex)  # [parity, a, c, spin, x]
-        for xi, bucket in zip(sigma.duals, sigma.rows(x).buckets):
-            j2 = xi.label
-            ac = slice((top - j2) // 2, (top + j2) // 2 + 1)
-            prods[j2 % 2, ac, ac, j2 // 2] = (xi.dim * (grid.rep_table(xi, x) @ bucket[0])).transpose(1, 2, 0)
-        # A: real d against the interleaved real and imaginary parts of the products, [r, a, c, theta, x]
-        stage = np.matmul(d, prods.view(float)).view(complex)
-        del prods  # not held through the phase GEMMs
-        # phi, one GEMM per parity: [r, phi, a] x [r, a, (c theta x)]
-        stage = np.matmul(ephi.transpose(0, 2, 1), stage.reshape(2, h, -1))
-        # psi, one GEMM over both parities: [(x phi theta), (r c)] x [(r c), psi]
-        stage = stage.reshape(2, p, h, t, len(x)).transpose(4, 1, 3, 0, 2).reshape(-1, 2 * h)
-        return (stage @ epsi.reshape(2 * h, q)).reshape(len(x), -1)
-
-    return rows_of
+def _su2_rows(sigma: Symbol, grid: SU2Grid, rows) -> np.ndarray:
+    """K[rows], by the SU(2) inverse transform's stages at the nodes x of the rows:
+    K(x, y) = sum_xi d_xi Tr(xi(y)^H P) = sum_xi d_xi Tr(conj(xi(y)) P^T) with P = xi(x) sigma(x, xi)."""
+    x = np.arange(grid.node_count)[rows]
+    blocks = ((grid.rep_table(xi, x) @ b[0]).transpose(0, 2, 1) for xi, b in zip(sigma.duals, sigma.rows(x).buckets))
+    return _su2_synthesis(grid, sigma.duals.labels.tolist(), blocks, len(x), conjugate=True)
 
 
 def realize(sigma: Symbol, grid=None) -> GridOperator:

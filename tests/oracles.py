@@ -1,0 +1,74 @@
+"""Reference transforms that the fast paths in `group_pdo.fourier` are checked against.
+
+`forward_direct` is the plain quadrature sum per coefficient.  The SU(2)
+pair `forward_su2_per_spin` / `inverse_su2_per_spin` contracts each spin on
+its own, by einsum against Wigner-d tables built here with
+`wigner_d_tables` and phase tables of the full weight range, so it shares
+no layout with the spin-shell engine.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from group_pdo.fourier import FourierCoefficients, GridFunction
+from group_pdo.groups import wigner_d_tables
+
+
+def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
+    """Plain quadrature sum per coefficient; the slow reference path."""
+    grid = f.grid
+    grid.require_band(band)
+    group = grid.group
+    duals = group.enumerate_dual(band)
+    wf = grid.weights * f.values
+    blocks = []
+    for xi in duals:
+        conj_t = grid.rep_table(xi).conj()
+        blocks.append(np.einsum("n,ncr->rc", wf, conj_t, optimize=True))
+    return FourierCoefficients.from_blocks(group, band, duals, blocks)
+
+
+def _tables(grid):
+    """Wigner-d tables at the theta nodes and (E_phi, E_psi) with E[m2 + top, j] = exp(i m2 angle_j / 2)."""
+    m2 = np.arange(-grid.j2max_exact, grid.j2max_exact + 1)
+    phases = tuple(np.exp(0.5j * np.outer(m2, angles)) for angles in (grid.phi, grid.psi))
+    return wigner_d_tables(grid.j2max_exact, np.arccos(grid.cos_theta)), phases
+
+
+def forward_su2_per_spin(f: GridFunction, band: float) -> FourierCoefficients:
+    """The SU(2) forward transform one spin at a time, batch axis kept."""
+    grid = f.grid
+    grid.require_band(band)
+    duals = grid.group.enumerate_dual(band)
+    p, t, q = grid.shape
+    dtabs, (ephi, epsi) = _tables(grid)
+    vals = f.values.reshape(-1, p, t, q)
+    stage1 = np.einsum("mj,zjtk->zmtk", ephi, vals, optimize=True)
+    stage2 = np.einsum("zmtk,nk->zmtn", stage1, epsi, optimize=True)
+    theta_w = grid.gl_weights / (2.0 * p * q)
+    buckets = []
+    for j2 in duals.labels.tolist():
+        slots = slice(grid.j2max_exact - j2, grid.j2max_exact + j2 + 1, 2)
+        sub = stage2[:, slots, :, slots]  # (z, c, t, r)
+        block = np.einsum("t,tcr,zctr->zrc", theta_w, dtabs[j2], sub, optimize=True, order="C")
+        buckets.append(block.reshape(1, *f.values.shape[:-1], j2 + 1, j2 + 1))
+    return FourierCoefficients(grid.group, band, duals, buckets)
+
+
+def inverse_su2_per_spin(a: FourierCoefficients, grid) -> GridFunction:
+    """The SU(2) inverse transform one spin at a time, batch axis kept."""
+    p, t, q = grid.shape
+    top = grid.j2max_exact
+    acc = np.zeros((math.prod(a.batch), 2 * top + 1, t, 2 * top + 1), dtype=complex)  # [z, a, theta, b]
+    dtabs, (ephi, epsi) = _tables(grid)
+    for (start, _), bucket in zip(a.duals.runs, a.buckets):
+        j2 = int(a.duals.labels[start])
+        slots = slice(top - j2, top + j2 + 1, 2)
+        for block in bucket.reshape(-1, len(acc), j2 + 1, j2 + 1):
+            contrib = (j2 + 1) * np.einsum("tab,zba->ztab", dtabs[j2], block, optimize=True)
+            acc[:, slots, :, slots] += contrib.transpose(0, 2, 1, 3)
+    values = np.einsum("aj,zatb,bk->zjtk", ephi.conj(), acc, epsi.conj(), optimize=True)
+    return GridFunction(grid, values.reshape(*a.batch, grid.node_count))

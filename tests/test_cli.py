@@ -159,6 +159,34 @@ def test_non_finite_band_is_usage_error(argv, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("transform --group su2 --band 3 --samples 0", "--samples must be >= 1, got 0"),
+        ("audit --group su2 --band 3 --samples -1", "--samples must be >= 1, got -1"),
+        ("linf --group t1 --band 8 --samples 0", "--samples must be >= 1, got 0"),
+        (
+            "hsnorm --group su2 --band 3 --symbol z_plus_c_inverse --symbol-params c=nan",
+            "--symbol-params c=nan must be finite",
+        ),
+        (
+            "linf --group t1 --band 8 --symbol multiplier_power --symbol-params s=-inf",
+            "--symbol-params s=-inf must be finite",
+        ),
+        ("weyl --group su2 --s nan", "s must be finite, got nan"),
+    ],
+)
+def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    # no sample loop may pass vacuously, and no NaN may pass for a violated invariant (exit 1) or a result
+    import group_pdo.symbols
+
+    monkeypatch.setattr(group_pdo.symbols, "build_symbol", lambda *a, **k: pytest.fail("a symbol was built"))
+    code, _, files = run(argv.split(), tmp_path)
+    assert code == 2
+    assert files == []
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", ["transform --group su2 --band 1e100", "transform --group t1 --band 1e100"])
 def test_band_past_int64_labels_is_usage_error(argv, tmp_path):
     # the square is finite, but the labels up to this band do not fit an int64: refused before any allocation

@@ -2,19 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from group_pdo.errors import PrecisionError
 from group_pdo.fourier import (
     FourierCoefficients,
     GridFunction,
     forward,
-    forward_direct,
     grid_l2_norm,
     inverse,
     l2_norm,
     random_bandlimited,
 )
+from group_pdo.groups import SU2
 from group_pdo.named_functions import dirichlet_kernel
+from oracles import forward_direct, forward_su2_per_spin, inverse_su2_per_spin
 
 
 class TestForward:
@@ -273,3 +276,54 @@ class TestBatch:
         assert len(fourier.batch_slices(su2_grid.node_count, su2_grid.node_count)) == 116
         for a, b in zip(whole, chains()):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+
+class TestSU2Engine:
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        top=st.integers(1, 64),
+        below=st.integers(0, 6),
+        batch=st.sampled_from([1, 7, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(top=64, below=0, batch=1, seed=0)
+    @example(top=16, below=0, batch=64, seed=1)
+    @example(top=10, below=6, batch=7, seed=2).via("only the spin 0 below the grid's exactness")
+    def test_engine_matches_per_spin_oracle(self, top, below, batch, seed):
+        # the spin-shell engine against the per-spin einsums, both directions, at the grid's exactness
+        # and below it; a batch only where it holds at most 2^19 values
+        su2 = SU2()
+        grid = su2.haar_grid(top)
+        if batch * grid.node_count > 2**19:
+            batch = 1 if 7 * grid.node_count > 2**19 else 7
+        band = su2.band_of_native(max(top - below, 0))
+        rng = np.random.default_rng(seed)
+        shape = (batch, grid.node_count) if batch > 1 else (grid.node_count,)
+        f = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        fast, slow = forward(f, band), forward_su2_per_spin(f, band)
+        assert fast.batch == slow.batch and fast.duals == slow.duals
+        scale = max(np.abs(b).max() for b in slow.buckets)
+        for a, b in zip(fast.buckets, slow.buckets):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-14 * scale
+            assert a.base is None or a.base.nbytes == a.nbytes  # no bucket keeps a larger work array alive
+        coeffs = fast.map_buckets(lambda b: rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape))
+        fast, slow = inverse(coeffs, grid).values, inverse_su2_per_spin(coeffs, grid).values
+        assert fast.shape == slow.shape
+        assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
+
+    def test_grid_holds_one_copy_of_the_d_values(self, rng):
+        # after transforms at two bands and a rep table, the grid's d values are its spin shells, in
+        # exactly the bytes of the per-spin tables, and every shell block is a view of them
+        su2 = SU2()
+        grid = su2.haar_grid(12)
+        for cut in (12, 7):
+            band = su2.band_of_native(cut)
+            inverse(forward(random_bandlimited(grid, band, rng), band), grid)
+        grid.rep_table(su2.dual_index(5))
+        assert sorted(grid._cache) == ["dtab", "phase"]
+        shells = grid._cache["dtab"]
+        assert shells.values.size == sum((j2 + 1) ** 2 for j2 in range(13)) * grid.shape[1]
+        for sides in shells.shells:
+            for _, _, view in sides:
+                assert view.base is shells.values

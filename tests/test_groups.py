@@ -2,6 +2,7 @@ import itertools
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -61,7 +62,35 @@ class TestDualEnumeration:
         assert abs(Decimal(duals.weights[0]) - weight) <= Decimal("1e-15") * weight
 
 
+def _seed(j2: int, m2: int, n2: int, cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
+    """d^{j0}_{mn} at the lowest admissible spin j0 = max(|m|, |n|), one entry at a time."""
+    if j2 == 0:
+        return np.ones_like(cos_half)
+    if m2 == j2:
+        binom = comb(j2, (j2 - n2) // 2)
+        return sqrt(binom) * cos_half ** ((j2 + n2) // 2) * (-sin_half) ** ((j2 - n2) // 2)
+    if m2 == -j2:
+        binom = comb(j2, (j2 + n2) // 2)
+        return sqrt(binom) * cos_half ** ((j2 - n2) // 2) * sin_half ** ((j2 + n2) // 2)
+    if n2 == j2:
+        binom = comb(j2, (j2 - m2) // 2)
+        return sqrt(binom) * cos_half ** ((j2 + m2) // 2) * sin_half ** ((j2 - m2) // 2)
+    binom = comb(j2, (j2 + m2) // 2)
+    return sqrt(binom) * cos_half ** ((j2 - m2) // 2) * (-sin_half) ** ((j2 + m2) // 2)
+
+
 class TestWigner:
+    def test_borders_equal_the_closed_form_per_entry(self):
+        # the border of every d^j, from one table of powers, bit for bit against the entry-by-entry closed form
+        thetas = np.concatenate([[0.0, np.pi / 2, np.pi], np.arccos(np.polynomial.legendre.leggauss(9)[0])])
+        cos_half, sin_half = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+        for j2, d in enumerate(wigner_d_tables(128, thetas)):
+            border = d.copy()
+            for m2 in range(-j2, j2 + 1, 2):
+                for n2 in range(-j2, j2 + 1, 2) if abs(m2) == j2 else (-j2, j2):
+                    border[:, (m2 + j2) // 2, (n2 + j2) // 2] = _seed(j2, m2, n2, cos_half, sin_half)
+            assert np.array_equal(d, border), j2
+
     @pytest.mark.parametrize("j2", range(11))
     def test_recursion_matches_factorial_sum(self, j2):
         for theta in (0.2, 1.1, 2.5, 3.0):

@@ -129,7 +129,7 @@ class TestKernel:
             lambda xi, b: rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
         )
         xs, ys = rng.choice(grid.node_count, 10, replace=False), rng.choice(grid.node_count, 5, replace=False)
-        rows = _su2_rows(sig, grid)(xs)
+        rows = _su2_rows(sig, grid, xs)
         reps = {i: [su2.rep_matrix(xi, grid.nodes[i]) for xi in sig.duals] for i in {*xs, *ys}}
         scale = np.abs(rows).max()
         for i, row in zip(xs, rows):
