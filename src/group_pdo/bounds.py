@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import GridFunction, grid_lp_norm, sup_norm
+from .fourier import GridFunction, sup_norm
 from .groups import Torus
 from .named_functions import dirichlet_kernel
 from .quantize import GridOperator, apply, kernel_rows, matvec_rows, operator
-from .symbols import Symbol, hirschman_wainger
+from .symbols import Symbol, float_powers, hirschman_wainger
 
 GROWTH_SLOPE_TOL = 0.05
 
@@ -32,12 +32,21 @@ GROWTH_SLOPE_TOL = 0.05
 
 def hs_norm_symbol(sigma: Symbol) -> float:
     """(integral over x of sum_xi d_xi ||sigma(x,xi)||_HS^2)^(1/2)."""
-    squares = sigma.hs_squares()
+    return _hs_norm(sigma, sigma.hs_squares())
+
+
+def _hs_norm(sigma: Symbol, squares: np.ndarray) -> float:
+    """`hs_norm_symbol` from sigma's `hs_squares()`."""
     if not sigma.invariant:
         # one dot per dual: a batched product does not keep each dot's bits
         squares = np.array([sigma.grid.weights @ row for row in squares])
     # accumulated in dual order, as a running sum: np.sum would pair terms up
     return float(np.sqrt(np.cumsum(sigma.duals.dims * squares)[-1]))
+
+
+def hs_relative_difference(hs_kernel: float, hs_symbol: float) -> float:
+    """|hs_kernel - hs_symbol| relative to hs_symbol, or absolute when hs_symbol is 0."""
+    return abs(hs_kernel - hs_symbol) / hs_symbol if hs_symbol > 0 else abs(hs_kernel - hs_symbol)
 
 
 def hs_norm_kernel(sigma: Symbol, grid=None) -> float:
@@ -99,13 +108,12 @@ def lp_lower_bound(
     The starts advance in lock step as the rows of one block (Higham and
     Tisseur's block norm estimator): one `matvec_rows` through M and one
     through M.T per step, and a start leaves when its quotient settles or
-    its iterate vanishes.  The rest is per row, each 1/r root taken on a
-    Python float (numpy's vectorised pow may differ in the last bit), so
-    `history` (start-major), `value` and `witness` (first strict maximum by
-    start, then step) are bit for bit those of each start alone wherever M
-    maps a block row as one vector (dense M, torus FFT); SU(2)'s batched
-    BLAS contractions may move the last bits.  Zero iterates restart from
-    draws taken in step order, then start order.
+    its iterate vanishes.  The rest is per row, each 1/r root taken by
+    `float_powers`, so `history` (start-major), `value` and `witness` (first
+    strict maximum by start, then step) are bit for bit those of each start
+    alone wherever M maps a block row as one vector (dense M, torus FFT);
+    SU(2)'s batched BLAS contractions may move the last bits.  Zero iterates
+    restart from draws taken in step order, then start order.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("p must be finite and > 1")
@@ -117,7 +125,7 @@ def lp_lower_bound(
     rng = np.random.default_rng(seed)
 
     def norms(v, r):
-        return np.array([s ** (1.0 / r) for s in np.sum(w * np.abs(v) ** r, axis=-1).tolist()])
+        return float_powers(np.sum(w * np.abs(v) ** r, axis=-1), 1.0 / r)
 
     def dual(v, r):
         a = np.abs(v)
@@ -174,8 +182,6 @@ def lp_lower_bound(
 @dataclass
 class BmoReport:
     value: float
-    radii: tuple
-    centers: int
     skipped: int
     best_center: int
     best_radius: float
@@ -215,8 +221,6 @@ def bmo_seminorm(g: GridFunction, ball_radii) -> BmoReport:
                 best, best_center, best_radius = osc, c, r
     return BmoReport(
         value=best,
-        radii=radii,
-        centers=grid.node_count,
         skipped=skipped,
         best_center=best_center,
         best_radius=best_radius,
@@ -256,8 +260,8 @@ def fefferman_interval(n: int, rho: float, nu: float) -> IntervalReport:
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    if nu < 0.0:
-        raise ValueError("nu must be >= 0")
+    if not 0.0 <= nu < np.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if n < 1:
         raise ValueError("n must be >= 1")
     ratio = nu / (n * (1.0 - rho))
@@ -301,6 +305,8 @@ def finite_regularity_threshold(n: int, p: float, rho: float, delta: float) -> T
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
+    if not (0.0 <= rho <= 1.0 and 0.0 <= delta <= 1.0):
+        raise ValueError(f"rho and delta must lie in [0, 1], got rho={rho}, delta={delta}")
     if n < 1:
         raise ValueError("n must be >= 1")
     kappa = 2
@@ -322,11 +328,8 @@ def finite_regularity_threshold(n: int, p: float, rho: float, delta: float) -> T
 
 @dataclass
 class WeylReport:
-    group: str
-    alpha: float
     variant: str
     rows: list  # (lambda, sum, ratio to lambda^{(alpha+1) n})
-    band_limit: float = None
     last_band_fraction: float = None
 
 
@@ -338,6 +341,8 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylRe
     of the sum sitting in the last dyadic band reported as a truncation
     diagnostic.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     lambdas = sorted(float(v) for v in lambdas)
     n = group.dim
     if alpha > -1.0:
@@ -347,13 +352,14 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylRe
         variant = "tail"
         if band_limit is None:
             raise ValueError("the tail variant (alpha < -1) requires band_limit")
+        if band_limit < lambdas[-1]:
+            raise ValueError(f"band_limit {band_limit} is below the largest lambda {lambdas[-1]}: an empty tail")
         top = float(band_limit)
     else:
         raise ValueError("alpha = -1 separates the two variants; pick a side")
     duals = group.enumerate_dual(top)
     weights = duals.weights
-    # the powers as Python floats: numpy's vectorised pow may differ in the last bit
-    terms = np.array([d**2 * w ** (alpha * n) for d, w in zip(duals.dims.tolist(), weights.tolist())])
+    terms = duals.dims**2 * float_powers(weights, alpha * n)
     rows = []
     for lam in lambdas:
         if variant == "cumulative":
@@ -367,19 +373,14 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylRe
         last = float(terms[weights >= top / 2.0].sum())
         last_fraction = last / total if total > 0 else 0.0
     return WeylReport(
-        group=group.name,
-        alpha=alpha,
         variant=variant,
         rows=rows,
-        band_limit=band_limit,
         last_band_fraction=last_fraction,
     )
 
 
 @dataclass
 class SeriesReport:
-    group: str
-    s: float
     rows: list  # (lambda, partial sum)
     last_band_fraction: float
 
@@ -391,14 +392,14 @@ def casimir_series(group, s: float, lambdas) -> SeriesReport:
     lambdas = sorted(float(v) for v in lambdas)
     duals = group.enumerate_dual(lambdas[-1])
     weights = duals.weights
-    terms = np.array([d**2 * w ** (-s) for d, w in zip(duals.dims.tolist(), weights.tolist())])
+    terms = duals.dims**2 * float_powers(weights, -s)
     rows = []
     for lam in lambdas:
         rows.append((lam, float(terms[weights <= lam + 1e-9].sum())))
     total = rows[-1][1]
     prev = rows[-2][1] if len(rows) > 1 else 0.0
     frac = (total - prev) / total if total > 0 else 0.0
-    return SeriesReport(group=group.name, s=s, rows=rows, last_band_fraction=frac)
+    return SeriesReport(rows=rows, last_band_fraction=frac)
 
 
 # ---------------------------------------------------------------------------
@@ -407,42 +408,26 @@ def casimir_series(group, s: float, lambdas) -> SeriesReport:
 
 @dataclass
 class SharpnessSeries:
-    rho: float
-    nu0: float
     p: float
     lambdas: list
     bounds: list
     slope: float
     verdict: str
     expected_rate: float
-    iterations: int
-    seed: int
 
 
 def sharpness_experiment(
-    rho: float,
-    nu0: float,
-    p: float,
-    lambdas,
-    iterations: int = 30,
-    seed: int = 0,
-) -> SharpnessSeries:
-    """Lower-bound growth of the truncated Hirschman-Wainger multiplier on T^1.
+    rho: float, nu0: float, ps, lambdas, iterations: int = 30, seed: int = 0
+) -> list[SharpnessSeries]:
+    """Lower-bound growth of the truncated Hirschman-Wainger multiplier on T^1, one series per p in `ps`.
 
     For each native cutoff lambda the symbol is truncated to |k| <= lambda,
     applied matrix-free on the matching grid (quantize.operator: transforms,
-    no N x N matrix), and probed with lp_lower_bound;
-    the verdict compares the log-log slope over the last decade against the
-    0.05 threshold.  The classical rate (1-rho)|1/2-1/p| - nu0 is attached
-    as an order-of-magnitude expectation only.
+    no N x N matrix), and probed with lp_lower_bound at every p, the p sharing
+    one operator per cutoff; the verdict compares the log-log slope over the
+    last decade against the 0.05 threshold.  The classical rate
+    (1-rho)|1/2-1/p| - nu0 is attached as an order-of-magnitude expectation only.
     """
-    return sharpness_experiment_multi(rho, nu0, [p], lambdas, iterations, seed)[0]
-
-
-def sharpness_experiment_multi(
-    rho: float, nu0: float, ps, lambdas, iterations: int = 30, seed: int = 0
-) -> list[SharpnessSeries]:
-    """Sharpness series for several p sharing one operator per cutoff."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     if not 0.0 <= nu0 < (1.0 - rho) / 2.0:
@@ -469,16 +454,12 @@ def sharpness_experiment_multi(
         verdict = "growth" if slope > GROWTH_SLOPE_TOL else "plateau"
         out.append(
             SharpnessSeries(
-                rho=rho,
-                nu0=nu0,
                 p=p,
                 lambdas=list(lambdas),
                 bounds=bounds[p],
                 slope=slope,
                 verdict=verdict,
                 expected_rate=expected[p],
-                iterations=iterations,
-                seed=seed,
             )
         )
     return out
@@ -531,8 +512,8 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
         checks.append(
             AuditCheck(name=f"linf_bound[{i}]", value=lhs, bound=rhs, ok=bool(lhs <= rhs))
         )
-    hs_s = hs_norm_symbol(sigma)
-    rel = abs(hs_k - hs_s) / hs_s if hs_s > 0 else abs(hs_k - hs_s)
+    squares = sigma.hs_squares()  # one pass for the HS norm and the dyadic increments
+    rel = hs_relative_difference(hs_k, _hs_norm(sigma, squares))
     checks.append(AuditCheck(name="hs_identity", value=rel, bound=1e-8, ok=bool(rel <= 1e-8)))
 
     weights = sigma.duals.weights
@@ -551,7 +532,7 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
             )
         )
         if m_fit > n / 2.0:
-            hs_terms = sigma.duals.dims * sigma.hs_squares().reshape(len(weights), -1).max(axis=1)
+            hs_terms = sigma.duals.dims * squares.reshape(len(weights), -1).max(axis=1)
             edges = [2.0**j for j in range(1, int(np.log2(max(weights.max(), 2.0))) + 1)]
             incs = []
             lo = 0.0

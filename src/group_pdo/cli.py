@@ -415,9 +415,9 @@ def _transform(args) -> Outcome:
 def _seminorm(args) -> Outcome:
     from .seminorms import ClassParams, seminorm
 
+    params = ClassParams(m=args.m, rho=args.rho, delta=args.delta, l=args.l)  # refused before a symbol is built
     _, grid, sigma = _build(args, need_margin=args.l)
     windows = _parse_list(args.windows) if args.windows else None
-    params = ClassParams(m=args.m, rho=args.rho, delta=args.delta, l=args.l)
     rep = seminorm(sigma, params, windows, grid=grid if sigma.invariant else None)
     rows = [["alpha", "beta", "window", "partial_sup"]]
     for e in rep.entries:
@@ -461,8 +461,7 @@ def _classcheck(args) -> Outcome:
 
 
 def _quantize(args) -> Outcome:
-    import numpy as np
-
+    from .fourier import sup_norm
     from .named_functions import named_function
     from .quantize import apply
 
@@ -472,18 +471,18 @@ def _quantize(args) -> Outcome:
     rows = [["node", "re", "im"]] + [
         [i, float(v.real), float(v.imag)] for i, v in enumerate(out.values)
     ]
-    sup = float(np.max(np.abs(out.values)))
+    sup = sup_norm(out)
     message = f"quantize: applied {sigma.provenance} to {args.function}, sup={sup:.6g}"
     return Outcome(rows, {"sup": sup}, "PASS", message, tolerances={"band_check": 1e-8}, grid=grid)
 
 
 def _hsnorm(args) -> Outcome:
-    from .bounds import hs_norm_kernel, hs_norm_symbol
+    from .bounds import hs_norm_kernel, hs_norm_symbol, hs_relative_difference
 
     band, grid, sigma = _build(args)
     hs_s = hs_norm_symbol(sigma)
     hs_k = hs_norm_kernel(sigma, grid)
-    rel = abs(hs_k - hs_s) / hs_s if hs_s else 0.0
+    rel = hs_relative_difference(hs_k, hs_s)
     ok = rel <= 1e-8
     verdict = "PASS" if ok else "FAIL"
     return Outcome(
@@ -529,7 +528,7 @@ def _linf(args) -> Outcome:
 def _lp_sharpness(args) -> Outcome:
     from .bounds import sharpness_experiment
 
-    series = sharpness_experiment(args.rho, args.nu0, args.p, _parse_list(args.lambdas), args.iterations, args.seed)
+    series = sharpness_experiment(args.rho, args.nu0, [args.p], _parse_list(args.lambdas), args.iterations, args.seed)[0]
     rows = [["lambda", "lp_lower_bound"], *zip(series.lambdas, series.bounds)]
     results = {"slope": series.slope, "expected_rate": series.expected_rate, "bounds": series.bounds}
     message = (

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BandExhaustedError, PrecisionError
 from .fourier import GridFunction, batch_slices, concat, forward, inverse
 from .groups import SU2, Torus
+from .quantize import _resolve_grid
 from .symbols import Symbol, multiplier
 
 _TOL = 1e-9
@@ -38,7 +39,6 @@ class DifferenceOp:
     """
 
     name: str
-    order: int
     native_band: int
     point_fn: Callable[[np.ndarray], np.ndarray]
     shift: Optional[tuple[int, int]] = None
@@ -65,7 +65,6 @@ def admissible_collection(group) -> list[DifferenceOp]:
                 ops.append(
                     DifferenceOp(
                         name=f"q[{'+' if step > 0 else '-'}{j + 1}]",
-                        order=1,
                         native_band=1,
                         point_fn=_torus_shift_fn(j, step),
                         shift=(j, step),
@@ -79,7 +78,6 @@ def admissible_collection(group) -> list[DifferenceOp]:
                 ops.append(
                     DifferenceOp(
                         name=f"q[{a}{b}]",
-                        order=1,
                         native_band=1,
                         point_fn=_su2_coeff_fn(a, b),
                     )
@@ -96,14 +94,14 @@ def laplace_op(group) -> DifferenceOp:
         def fn(points):
             return np.sum(2.0 - 2.0 * np.cos(points), axis=1).astype(complex)
 
-        return DifferenceOp(name="laplace", order=2, native_band=1, point_fn=fn)
-    if isinstance(group, SU2):
+    elif isinstance(group, SU2):
 
         def fn(points):
             return (2.0 - 2.0 * points[:, 0]).astype(complex)
 
-        return DifferenceOp(name="laplace", order=2, native_band=1, point_fn=fn)
-    raise TypeError(f"unsupported group {group!r}")
+    else:
+        raise TypeError(f"unsupported group {group!r}")
+    return DifferenceOp(name="laplace", native_band=1, point_fn=fn)
 
 
 def _torus_shift_fn(axis: int, step: int):
@@ -181,19 +179,13 @@ def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndar
 
 def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> list[np.ndarray]:
     """forward(q k) on the target duals, k the kernel of sigma(x, .) at each node x, a chunk of nodes at a time."""
-    if grid is None:
-        grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
-    grid.require_band(sigma.band, what="symbol band")
+    grid = _resolve_grid(sigma, grid)
     qvals = q.values(grid)
     parts = [
         forward(GridFunction(grid, inverse(sigma.rows(rows), grid).values * qvals), new_band, duals=target)
         for rows in batch_slices(math.prod(sigma.batch), grid.node_count)
     ]
     return concat(parts).buckets
-
-
-def laplace_difference(sigma: Symbol, grid=None) -> Symbol:
-    return difference(laplace_op(sigma.group), sigma, grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ angles as matrix products (Kostelec and Rockmore's separated SO(3)
 transform): phase GEMMs in phi and psi split by the parity of the weights,
 and per side of each spin shell of `groups.wigner.SpinShells` one GEMM over
 the Gauss-Legendre theta nodes or the spins, so no dense node-by-coefficient
-matrix is ever formed.  The inverse's stages also give `quantize`'s SU(2)
-kernel rows.  Both directions take a leading batch axis, and a single
+matrix is ever formed.  The inverse, conjugated, also gives `quantize`'s
+SU(2) kernel rows.  Both directions take a leading batch axis, and a single
 transform is the batch of one.
 
 `FourierCoefficients` is the one container for dual-indexed blocks, with an
@@ -212,7 +212,7 @@ def _forward_su2(f: GridFunction, duals: Duals) -> list[np.ndarray]:
     folded in, into the coefficient grid [r, a, c, j2 // 2, z] of `_su2_synthesis`."""
     grid: SU2Grid = f.grid
     p, t, q = grid.shape
-    (ephi, epsi), top = grid.phase_rows(), int(duals.labels.max())
+    (ephi, epsi), top = (e.conj() for e in grid.phase_rows()), int(duals.labels.max())
     h, count = ephi.shape[1], math.prod(f.values.shape[:-1])
     # phi: [(r a), phi] x [phi, (theta z psi)]
     stage = ephi.reshape(2 * h, p) @ f.values.reshape(count, p, t, q).transpose(1, 2, 0, 3).reshape(p, -1)
@@ -261,9 +261,9 @@ def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> np.ndarray:
     return _su2_synthesis(grid, a.duals.labels.tolist(), a.buckets, math.prod(a.batch))
 
 
-def _su2_synthesis(grid: SU2Grid, spins: list[int], blocks, count: int, conjugate: bool = False) -> np.ndarray:
-    """sum over j2 in `spins` of (j2 + 1) Tr(D^j2(y) b) (with `conjugate`, of conj D^j2) at every node y,
-    for each of the `count` blocks b (j2 + 1, j2 + 1) in the array of each spin from `blocks`: (count, nodes).
+def _su2_synthesis(grid: SU2Grid, spins: list[int], blocks, count: int) -> np.ndarray:
+    """sum over j2 in `spins` of (j2 + 1) Tr(D^j2(y) b) at every node y, for each of the `count`
+    blocks b (j2 + 1, j2 + 1) in the array of each spin from `blocks`: (count, nodes).
     The blocks fill the coefficient grid [r, a, c, j2 // 2, z] over the parity slots of `SpinShells`, the
     accumulator's size (there are as many theta nodes as spins of a parity).  Per side of each shell one
     GEMM over its spins maps a view of it to a view of the accumulator [r, a, c, theta, z]; then one phi
@@ -272,7 +272,7 @@ def _su2_synthesis(grid: SU2Grid, spins: list[int], blocks, count: int, conjugat
     if top > grid.j2max_exact:
         raise PrecisionError(f"coefficient j2={top} cannot be represented on grid with j2max {grid.j2max_exact}")
     p, t, q = grid.shape
-    ephi, epsi = (e if conjugate else e.conj() for e in grid.phase_rows())
+    ephi, epsi = grid.phase_rows()
     h = ephi.shape[1]
     # a shell reads only entries inside the squares of its spins, so with every spin 0..top given none is unset
     coeffs = (np.empty if len(spins) > top else np.zeros)((2, h, h, t, count), dtype=complex)
@@ -310,14 +310,8 @@ def l2_norm(a: FourierCoefficients) -> float:
     return float(np.sqrt(np.cumsum(a.duals.dims * a.hs_squares())[-1]))
 
 
-def grid_lp_norm(f: GridFunction, p: float) -> float:
-    if not np.isfinite(p):
-        return float(np.max(np.abs(f.values)))
-    return float(np.sum(f.grid.weights * np.abs(f.values) ** p) ** (1.0 / p))
-
-
 def grid_l2_norm(f: GridFunction) -> float:
-    return grid_lp_norm(f, 2.0)
+    return float(np.sum(f.grid.weights * np.abs(f.values) ** 2.0) ** 0.5)
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -1,4 +1,4 @@
-"""The unitary dual as an array record, and one point of it on demand."""
+"""The unitary dual as an array record, one point of it on demand, and what a grid reads off it."""
 
 from __future__ import annotations
 
@@ -73,3 +73,24 @@ class Duals:
     def weights(self) -> np.ndarray:
         """`DualIndex.weight` of every dual, bit for bit."""
         return np.sqrt(1.0 + self.casimir)
+
+
+class GridMeta:
+    """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`."""
+
+    @property
+    def node_count(self) -> int:
+        return self.nodes.shape[0]
+
+    @property
+    def exactness_band(self) -> float:
+        """Largest weight band whose dual ball is pairwise-exactly integrable."""
+        return self.group.band_of_native(self.native_exact)
+
+    def meta(self) -> dict:
+        return {
+            "group": self.group.name,
+            "shape": list(self.shape),
+            "nodes": self.node_count,
+            "exactness_band": self.exactness_band,
+        }

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex, Duals
+from .dual import DualIndex, Duals, GridMeta
 from .wigner import SpinShells, angular_momentum_matrices, wigner_d_matrix
 
 _TOL = 1e-9
@@ -209,7 +209,7 @@ class SU2:
 
 
 @dataclass
-class SU2Grid:
+class SU2Grid(GridMeta):
     """Product Haar grid in (phi, theta, psi), nodes raveled in that order.
 
     It caches, on first use, only its parity phase rows and its spin shells,
@@ -247,16 +247,8 @@ class SU2Grid:
         return (self.phi.size, self.cos_theta.size, self.psi.size)
 
     @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
     def native_exact(self) -> int:
         return self.j2max_exact
-
-    @property
-    def exactness_band(self) -> float:
-        return self.group.band_of_native(self.j2max_exact)
 
     def require_band(self, band: float, what: str = "band"):
         if self.group.native_cut(band) > self.j2max_exact:
@@ -268,11 +260,13 @@ class SU2Grid:
     # Cached tables for the separated (phi, theta, psi) transforms.
 
     def phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E_phi, E_psi) [r, s, j] = exp(i m2 angle_j / 2) at the parity slots of `SpinShells`, 0 if empty."""
+        """(E_phi, E_psi) [r, s, j] = exp(-i m2 angle_j / 2), the phase factors of D, at the parity slots of
+        `SpinShells`, 0 if empty."""
         if "phase" not in self._cache:
             m2 = self.shells().weights2[..., None]
             kept = np.abs(m2) <= self.j2max_exact
-            self._cache["phase"] = tuple(np.where(kept, np.exp(0.5j * m2 * a), 0) for a in (self.phi, self.psi))
+            # the conjugate of exp(+i m2 angle / 2), not exp(-i ...): the bits the pinned result files hold
+            self._cache["phase"] = tuple(np.where(kept, np.exp(0.5j * m2 * a), 0).conj() for a in (self.phi, self.psi))
         return self._cache["phase"]
 
     def shells(self) -> SpinShells:
@@ -282,8 +276,8 @@ class SU2Grid:
         return self._cache["dtab"]
 
     def rep_table(self, xi: DualIndex, rows=slice(None)) -> np.ndarray:
-        """D^xi at the nodes `rows` (every node by default), shape (len, d, d), assembled
-        separably from the cached tables."""
+        """D^xi at the nodes `rows`, a slice (every node by default) or an index array, shape
+        (len, d, d), assembled separably from the cached tables."""
         j2 = xi.label
         if j2 > self.j2max_exact:
             raise PrecisionError(
@@ -291,14 +285,6 @@ class SU2Grid:
             )
         ephi, epsi = (e[j2 % 2] for e in self.phase_rows())
         slots = (self.j2max_exact - j2) // 2 + np.arange(j2 + 1)
-        j, t, k = np.unravel_index(np.arange(self.node_count)[rows], self.shape)
+        j, t, k = np.unravel_index(np.arange(self.node_count)[rows] if isinstance(rows, slice) else rows, self.shape)
         d = self.shells().spin(j2, np.arange(self.shape[1]))[t]  # at every theta node, then at each row's
-        return np.einsum("na,nab,nb->nab", ephi[slots, j[:, None]].conj(), d, epsi[slots, k[:, None]].conj())
-
-    def meta(self) -> dict:
-        return {
-            "group": "su2",
-            "shape": list(self.shape),
-            "nodes": self.node_count,
-            "exactness_band": self.exactness_band,
-        }
+        return np.einsum("na,nab,nb->nab", ephi[slots, j[:, None]], d, epsi[slots, k[:, None]])

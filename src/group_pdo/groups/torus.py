@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex, Duals
+from .dual import DualIndex, Duals, GridMeta
 
 _TOL = 1e-9
 
@@ -139,7 +139,7 @@ class Torus:
 
 
 @dataclass
-class TorusGrid:
+class TorusGrid(GridMeta):
     group: Torus
     shape: tuple[int, ...]
     nodes: np.ndarray = field(init=False, repr=False)
@@ -153,19 +153,9 @@ class TorusGrid:
         self.weights = np.full(size, 1.0 / size)
 
     @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
     def native_exact(self) -> int:
         """Largest per-axis frequency K with pairwise-exact quadrature."""
         return min((m - 1) // 2 for m in self.shape)
-
-    @property
-    def exactness_band(self) -> float:
-        """Largest weight band whose dual ball is pairwise-exactly integrable."""
-        k = self.native_exact
-        return float(np.sqrt(1.0 + k * k))
 
     def require_band(self, band: float, what: str = "band"):
         if self.group.native_cut(band) > self.native_exact + _TOL:
@@ -178,11 +168,3 @@ class TorusGrid:
         """xi at every node, shape (N, 1, 1)."""
         self.group._check_dual(xi)
         return np.exp(1j * (self.nodes @ np.asarray(xi.label, dtype=float)))[:, None, None]
-
-    def meta(self) -> dict:
-        return {
-            "group": self.group.name,
-            "shape": list(self.shape),
-            "nodes": self.node_count,
-            "exactness_band": self.exactness_band,
-        }

@@ -7,11 +7,12 @@ values is the matrix M[i, j] = K(x_i, y_j) w_j.  The norm estimators take a
 matrix-free `SymbolMatrix` from `operator`, which applies M and its
 transpose by Fourier transforms (invariant symbols only).  `kernel_rows`
 yields K a chunk of rows at a time, so the kernel bounds never hold it
-whole; the dense `kernel` is those chunks stacked.  On the torus the rows
-are translates of the kernels of sigma(x_i, .), from one batched inverse
-per chunk (one in all for an invariant sigma); on SU(2) they are the SU(2)
-inverse transform's spin-shell stages, run on the blocks xi(x) sigma(x, xi)
-at the nodes x of a chunk, so they keep no layout of their own.
+whole, and `realize` fills M from those chunks.  On the torus the rows are
+translates of the kernels of sigma(x_i, .), from one batched inverse per
+chunk (one in all for an invariant sigma); on SU(2) they are the conjugate
+of the SU(2) inverse transform of the conjugate-transposed blocks
+xi(x) sigma(x, xi) at the nodes x of a chunk, so they keep no layout of
+their own.
 """
 
 from __future__ import annotations
@@ -30,13 +31,6 @@ BAND_CHECK_TOL = 1e-8
 
 
 @dataclass
-class KernelTable:
-    grid: object
-    values: np.ndarray  # (N, N), K(x_i, y_j)
-    band: float
-
-
-@dataclass
 class GridOperator:
     """Op(sigma) on grid values: `matrix` is M = K * w (column-scaled), a dense (N, N)
     array from `realize` or a `SymbolMatrix` from `operator`; both offer `@`, `.T` and
@@ -45,13 +39,6 @@ class GridOperator:
     grid: object
     matrix: object
     band: float
-    provenance: str = ""
-
-
-def same_grid(g1, g2) -> bool:
-    if g1 is g2:
-        return True
-    return type(g1) is type(g2) and g1.meta() == g2.meta()
 
 
 def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFunction:
@@ -60,10 +47,7 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
     f must be band-limited within sigma's band; with check_band the input is
     round-tripped through the band and rejected if it does not come back.
     """
-    grid = f.grid
-    if not sigma.invariant and not same_grid(sigma.grid, grid):
-        raise ValueError("gridded symbol and function live on different grids")
-    grid.require_band(sigma.band, what="symbol band")
+    grid = _resolve_grid(sigma, f.grid)
     coeffs = forward(f, sigma.band, duals=sigma.duals)
     if check_band:
         back = inverse(coeffs, grid)
@@ -81,16 +65,6 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
     for xi, block in zip(prod.duals, prod.blocks):
         vals += xi.dim * np.einsum("nab,nba->n", grid.rep_table(xi), block, optimize=True)
     return GridFunction(grid, vals)
-
-
-def kernel(sigma: Symbol, grid=None) -> KernelTable:
-    """K(x, y) = F^{-1} sigma(x, .)(y^{-1} x) tabulated on node pairs, from the chunks of `kernel_rows`."""
-    values = None
-    for rows, k in kernel_rows(sigma, grid):
-        if values is None:  # on the grid kernel_rows resolved
-            grid, values = k.grid, np.empty((k.grid.node_count,) * 2, dtype=complex)
-        values[rows] = k.values
-    return KernelTable(grid, values, sigma.band)
 
 
 def kernel_rows(sigma: Symbol, grid=None) -> Iterator[tuple[slice, GridFunction]]:
@@ -118,8 +92,9 @@ def kernel_rows(sigma: Symbol, grid=None) -> Iterator[tuple[slice, GridFunction]
 def _resolve_grid(sigma: Symbol, grid):
     if grid is None:
         grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
-    if not sigma.invariant and not same_grid(sigma.grid, grid):
-        raise ValueError("gridded symbol cannot be tabulated on a different grid")
+    same = sigma.grid is grid or (type(sigma.grid) is type(grid) and sigma.grid.meta() == grid.meta())
+    if not (sigma.invariant or same):
+        raise ValueError("a gridded symbol lives on its own grid, not on a different one")
     grid.require_band(sigma.band, what="symbol band")
     return grid
 
@@ -148,24 +123,31 @@ def _translates(kernels: np.ndarray, shape, nodes: np.ndarray) -> np.ndarray:
 
 
 def _su2_rows(sigma: Symbol, grid: SU2Grid, rows) -> np.ndarray:
-    """K[rows], by the SU(2) inverse transform's stages at the nodes x of the rows:
-    K(x, y) = sum_xi d_xi Tr(xi(y)^H P) = sum_xi d_xi Tr(conj(xi(y)) P^T) with P = xi(x) sigma(x, xi)."""
+    """K[rows], the conjugate of the SU(2) inverse transform of P^H at the nodes x of the rows:
+    K(x, y) = sum_xi d_xi Tr(xi(y)^H P) = conj(sum_xi d_xi Tr(xi(y) P^H)) with P = xi(x) sigma(x, xi)."""
     x = np.arange(grid.node_count)[rows]
-    blocks = ((grid.rep_table(xi, x) @ b[0]).transpose(0, 2, 1) for xi, b in zip(sigma.duals, sigma.rows(x).buckets))
-    return _su2_synthesis(grid, sigma.duals.labels.tolist(), blocks, len(x), conjugate=True)
+    # each product P is conjugated in place and read transposed: no buffer beside it
+    blocks = (
+        np.conj(p, out=p).transpose(0, 2, 1)
+        for p in (grid.rep_table(xi, x) @ b[0] for xi, b in zip(sigma.duals, sigma.rows(x).buckets))
+    )
+    values = _su2_synthesis(grid, sigma.duals.labels.tolist(), blocks, len(x))
+    return np.conj(values, out=values)
 
 
 def realize(sigma: Symbol, grid=None) -> GridOperator:
-    """Dense matrix M[i, j] = K(x_i, y_j) w_j acting on grid values."""
-    ktab = kernel(sigma, grid)
-    m = ktab.values * ktab.grid.weights[None, :]
-    return GridOperator(ktab.grid, m, sigma.band, provenance=sigma.provenance)
+    """Dense matrix M[i, j] = K(x_i, y_j) w_j acting on grid values, filled a chunk of `kernel_rows` at a time."""
+    grid = _resolve_grid(sigma, grid)
+    m = np.empty((grid.node_count,) * 2, dtype=complex)
+    for rows, k in kernel_rows(sigma, grid):
+        np.multiply(k.values, grid.weights, out=m[rows])
+    return GridOperator(grid, m, sigma.band)
 
 
 def operator(sigma: Symbol, grid=None) -> GridOperator:
     """The matrix of `realize` without forming it: a `SymbolMatrix` for an invariant sigma."""
     grid = _resolve_grid(sigma, grid)
-    return GridOperator(grid, SymbolMatrix(sigma, grid), sigma.band, provenance=sigma.provenance)
+    return GridOperator(grid, SymbolMatrix(sigma, grid), sigma.band)
 
 
 def matvec_rows(matrix, x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .bounds import (
     finite_regularity_threshold,
     hs_norm_kernel,
     hs_norm_symbol,
+    hs_relative_difference,
     l2_multiplier_norm,
     lp_lower_bound,
 )
@@ -128,7 +129,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         free = operator(sig, grid).matrix
         ferr = max(np.abs(free @ g.values - via).max(), np.abs(free.T @ g.values - op.matrix.T @ g.values).max())
         _check(results, f"{tag}: matrix-free vs realize", float(ferr), 1e-12)
-        rel = abs(hs_norm_kernel(sig, grid) - hs_norm_symbol(sig)) / hs_norm_symbol(sig)
+        rel = hs_relative_difference(hs_norm_kernel(sig, grid), hs_norm_symbol(sig))
         _check(results, f"{tag}: hs identity", rel, 1e-8)
 
         # p=2 anchor against the weighted dense singular value

@@ -39,6 +39,8 @@ class ClassParams:
     l: int
 
     def __post_init__(self):
+        if not np.isfinite(self.m):
+            raise ValueError(f"order m must be finite, got {self.m}")
         if not (0.0 <= self.rho <= 1.0 and 0.0 <= self.delta <= 1.0):
             raise ValueError("rho and delta must lie in [0, 1]")
         if self.l < 0:
@@ -55,8 +57,6 @@ class SeminormEntry:
 
 @dataclass
 class SeminormReport:
-    params: ClassParams
-    windows: tuple
     entries: list
     collection: tuple
     collection_relative: bool
@@ -106,12 +106,14 @@ def seminorm(
     if windows is None:
         windows = (deepest_band,)
     windows = tuple(sorted(float(v) for v in windows))
+    if not all(1.0 <= v < np.inf for v in windows) or len(set(windows)) < len(windows):
+        raise ValueError(f"band windows {windows} must be distinct, finite and >= 1, the least weight")
     if windows[-1] > deepest_band + 1e-9:
         raise BandExhaustedError(
             f"window {windows[-1]:.6g} exceeds the band trusted after {params.l} "
             f"differences ({deepest_band:.6g})"
         )
-    if grid is None and sigma.grid is None and not _all_shift_exact(ops):
+    if grid is None and sigma.grid is None and not all(q.shift is not None for q in ops):
         grid = group.grid_for_band(sigma.band)
 
     entries = []
@@ -143,17 +145,11 @@ def seminorm(
         "difference collection" if relative else ""
     )
     return SeminormReport(
-        params=params,
-        windows=windows,
         entries=entries,
         collection=ops_names,
         collection_relative=relative,
         note=note,
     )
-
-
-def _all_shift_exact(ops) -> bool:
-    return all(q.shift is not None for q in ops)
 
 
 def _measure(tau: Symbol, alpha, beta, params: ClassParams, windows) -> SeminormEntry:

@@ -49,6 +49,15 @@ class Symbol(FourierCoefficients):
         return out
 
 
+def float_powers(base: np.ndarray, s: float) -> np.ndarray:
+    """base ** s per entry on Python floats (numpy's vectorised pow may differ in the last bit);
+    a power past the float range is refused with a ValueError naming the exponent."""
+    try:
+        return np.array([b**s for b in base.tolist()])
+    except OverflowError:
+        raise ValueError(f"a power with exponent {s} overflows the float range") from None
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -78,9 +87,8 @@ def multiplier(group, band: float, fn: Callable[[Duals], np.ndarray], name: str 
 
 def multiplier_power(group, s: float, band: float) -> Symbol:
     """sigma(xi) = <xi>^s I, the symbol of (I - Laplacian)^(s/2)."""
-    # the powers as Python floats: numpy's vectorised pow may differ in the last bit
     return multiplier(
-        group, band, lambda duals: [w**s for w in duals.weights.tolist()], name=f"multiplier_power(s={s})"
+        group, band, lambda duals: float_powers(duals.weights, s), name=f"multiplier_power(s={s})"
     )
 
 
@@ -99,10 +107,8 @@ def hirschman_wainger(rho: float, nu: float, band: float, group: Torus = None) -
         raise ValueError("the Hirschman-Wainger symbol is defined on t1")
     a = 1.0 - rho
     duals = group.enumerate_dual(band)
-    # the powers as Python floats: numpy's vectorised pow may differ in the last bit
-    weights = duals.weights.tolist()
-    phase = np.exp(1j * np.array([w**a for w in weights]))
-    values = phase * np.array([w ** (-nu) for w in weights])
+    phase = np.exp(1j * float_powers(duals.weights, a))
+    values = phase * float_powers(duals.weights, -nu)
     return Symbol(group, band, duals, [values.reshape(-1, 1, 1)], provenance=f"hirschman_wainger(rho={rho},nu={nu})")
 
 
@@ -117,7 +123,7 @@ def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: floa
     tf = 1j * t * fv.real
     buckets = []
     for start, stop in duals.runs:
-        powers = np.array([w**delta for w in duals.weights[start:stop].tolist()])
+        powers = float_powers(duals.weights[start:stop], delta)
         buckets.append(np.exp(tf * powers[:, None])[:, :, None, None] * np.eye(duals.dims[start]))
     return Symbol(
         group, band, duals, buckets, grid=f.grid, provenance=f"schrodinger(t={t},delta={delta})"

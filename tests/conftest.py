@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from group_pdo.groups import SU2, Torus
+from group_pdo.quantize import kernel_rows
 
 
 @pytest.fixture
@@ -22,6 +23,11 @@ def t2():
 @pytest.fixture
 def su2():
     return SU2()
+
+
+def dense_kernel(sigma, grid) -> np.ndarray:
+    """K(x_i, y_j) on every node pair: the chunks of `kernel_rows` stacked."""
+    return np.concatenate([k.values for _, k in kernel_rows(sigma, grid)])
 
 
 def weighted_smax(op) -> float:

@@ -18,7 +18,7 @@ from group_pdo.bounds import (
     hs_norm_symbol,
     linf_bound_constant,
     lp_lower_bound,
-    sharpness_experiment_multi,
+    sharpness_experiment,
     weyl_count,
 )
 from group_pdo.errors import SingularSymbolError
@@ -286,7 +286,7 @@ def test_criterion_07_fefferman_interval():
 def test_criterion_08_sharpness_experiment():
     t0 = time.perf_counter()
     lambdas = [2**i for i in range(6, 13)]  # 64 .. 4096
-    series = sharpness_experiment_multi(0.5, 0.1, [2.0, 2.2, 8.0], lambdas, iterations=25, seed=7)
+    series = sharpness_experiment(0.5, 0.1, [2.0, 2.2, 8.0], lambdas, iterations=25, seed=7)
     elapsed = time.perf_counter() - t0
     by_p = {s.p: s for s in series}
     rate_ratio = by_p[8.0].slope / 0.0875

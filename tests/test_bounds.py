@@ -342,9 +342,9 @@ class TestSharpnessValidation:
         from group_pdo.bounds import sharpness_experiment
 
         with pytest.raises(ValueError):
-            sharpness_experiment(0.5, 0.3, 4.0, [8, 16])  # nu0 >= (1-rho)/2
+            sharpness_experiment(0.5, 0.3, [4.0], [8, 16])  # nu0 >= (1-rho)/2
         with pytest.raises(ValueError):
-            sharpness_experiment(1.2, 0.1, 4.0, [8, 16])
+            sharpness_experiment(1.2, 0.1, [4.0], [8, 16])
 
     def test_zero_operator_restarts_and_reports_zero(self, t1):
         op = realize(identity_symbol(t1, 2.0), t1.haar_grid(9))

@@ -50,6 +50,16 @@ class TestVerdictCommands:
         assert payload["results"]["rel_diff"] <= 1e-8
         assert payload["config"]["symbol"] == "multiplier_power"
 
+    def test_hsnorm_zero_symbol_side_compares_absolutely(self, tmp_path, monkeypatch):
+        # as in the audit: a zero symbol side leaves the absolute difference, so a kernel side of 1e-3 fails
+        monkeypatch.setattr(group_pdo.bounds, "hs_norm_symbol", lambda sigma: 0.0)
+        monkeypatch.setattr(group_pdo.bounds, "hs_norm_kernel", lambda sigma, grid=None: 1e-3)
+        code, out, files = run(["hsnorm", "--group", "t1", "--band", "8"], tmp_path)
+        assert code == 1
+        payload = json.load(open(os.path.join(out, [f for f in files if f.endswith(".json")][0])))
+        assert payload["results"]["rel_diff"] == 1e-3
+        assert payload["verdict"] == "FAIL"
+
     def test_classcheck_growth_exit_zero(self, tmp_path, capsys):
         code, _, _ = run(
             ["classcheck", "--group", "t1", "--band", "70", "--symbol", "identity",
@@ -159,6 +169,10 @@ def test_non_finite_band_is_usage_error(argv, tmp_path):
     assert not out.exists()
 
 
+SEMINORM = "seminorm --group t1 --band 8 --symbol identity --rho 1 --delta 0 --l 1"
+POWER = "--group t1 --band 8 --symbol multiplier_power --symbol-params s"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -174,17 +188,38 @@ def test_non_finite_band_is_usage_error(argv, tmp_path):
             "--symbol-params s=-inf must be finite",
         ),
         ("weyl --group su2 --s nan", "s must be finite, got nan"),
+        ("interval --n 1 --rho 0.5 --nu nan", "nu must be finite and >= 0, got nan"),
+        ("interval --n 1 --rho 0.5 --nu inf", "nu must be finite and >= 0, got inf"),
+        ("threshold --n 3 --p 4 --rho nan --delta 0", "rho and delta must lie in [0, 1], got rho=nan, delta=0.0"),
+        ("threshold --n 3 --p 4 --rho 0 --delta nan", "rho and delta must lie in [0, 1], got rho=0.0, delta=nan"),
+        (f"{SEMINORM} --m nan", "order m must be finite, got nan"),
+        (f"{SEMINORM} --m 0 --windows nan", "band windows (nan,) must be distinct, finite and >= 1"),
+        (f"{SEMINORM} --m 0 --windows 0.5", "band windows (0.5,) must be distinct, finite and >= 1"),
+        (
+            "classcheck --group t1 --band 8 --symbol identity --m 0 --rho 1 --delta 0 --l 1 --windows 2,2",
+            "band windows (2.0, 2.0) must be distinct, finite and >= 1",
+        ),
+        ("weyl --group t1 --alpha -2 --lambdas 2,4 --band-limit 1", "band_limit 1.0 is below the largest lambda 4.0"),
+        ("weyl --group t1 --alpha inf --lambdas 2,4", "alpha must be finite, got inf"),
+        ("weyl --group t1 --alpha=-inf --lambdas 2,4 --band-limit 8", "alpha must be finite, got -inf"),
+        (f"hsnorm {POWER}=800", "a power with exponent 800.0 overflows the float range"),
+        (f"linf {POWER}=400", "a power with exponent 400.0 overflows the float range"),
+        (f"audit {POWER}=400 --samples 2", "a power with exponent 400.0 overflows the float range"),
+        (f"quantize {POWER}=1e308", "a power with exponent 1e+308 overflows the float range"),
     ],
 )
 def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     # no sample loop may pass vacuously, and no NaN may pass for a violated invariant (exit 1) or a result
     import group_pdo.symbols
 
-    monkeypatch.setattr(group_pdo.symbols, "build_symbol", lambda *a, **k: pytest.fail("a symbol was built"))
+    if not message.startswith(("band windows", "a power with exponent")):  # those refuse the symbol once built
+        monkeypatch.setattr(group_pdo.symbols, "build_symbol", lambda *a, **k: pytest.fail("a symbol was built"))
     code, _, files = run(argv.split(), tmp_path)
     assert code == 2
     assert files == []
-    assert f"usage error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", ["transform --group su2 --band 1e100", "transform --group t1 --band 1e100"])

@@ -249,7 +249,7 @@ class TestBatch:
         # into many small chunks (7 functions of the su2 grid, 9 of the t2 grid) as in one
         from group_pdo import fourier
         from group_pdo.diffops import admissible_collection, difference, invariant_derivative
-        from group_pdo.quantize import kernel
+        from conftest import dense_kernel
         from group_pdo.symbols import multiplier_power, schrodinger_phase
 
         su2_grid, t2_grid = su2.haar_grid(8), t2.haar_grid(24)
@@ -267,8 +267,8 @@ class TestBatch:
                 beta = (1,) + (0,) * (group.dim - 1)
                 for tau in (difference(q, sig), invariant_derivative(beta, sig)):
                     out.append(np.concatenate([np.ravel(b) for b in tau.blocks]))
-                out.append(kernel(sig, grid).values)
-            out.append(kernel(multiplier_power(t1, -1.0, 9.0), t1.haar_grid(40)).values)
+                out.append(dense_kernel(sig, grid))
+            out.append(dense_kernel(multiplier_power(t1, -1.0, 9.0), t1.haar_grid(40)))
             return out
 
         whole = chains()

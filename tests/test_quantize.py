@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import weighted_smax
+from conftest import dense_kernel, weighted_smax
 from group_pdo.errors import PrecisionError
 from group_pdo.fourier import GridFunction, forward, random_bandlimited
 from group_pdo.groups import TorusGrid
-from group_pdo.quantize import SymbolMatrix, _su2_rows, apply, kernel, kernel_rows, operator, realize
+from group_pdo.quantize import SymbolMatrix, _su2_rows, apply, kernel_rows, operator, realize
 from group_pdo.symbols import (
     identity_symbol,
     multiplier,
@@ -73,18 +73,18 @@ class TestApply:
 class TestKernel:
     def test_dirichlet_kernel_t1(self, t1):
         grid = t1.haar_grid(16)
-        ktab = kernel(identity_symbol(t1, t1.band_of_native(2)), grid)
+        ktab = dense_kernel(identity_symbol(t1, t1.band_of_native(2)), grid)
         x = grid.nodes[:, 0]
         diff = x[:, None] - x[None, :]
         np.testing.assert_allclose(
-            ktab.values, 1 + 2 * np.cos(diff) + 2 * np.cos(2 * diff), atol=1e-12
+            ktab, 1 + 2 * np.cos(diff) + 2 * np.cos(2 * diff), atol=1e-12
         )
 
     def test_invariant_kernel_depends_on_quotient(self, su2):
         band = su2.band_of_native(3)
         grid = su2.haar_grid(3)
         sig = multiplier_power(su2, -1.0, band)
-        ktab = kernel(sig, grid)
+        ktab = dense_kernel(sig, grid)
         # spot check K(x, y) = F^-1 sigma (y^-1 x) at random node pairs
         idx = np.random.default_rng(3).integers(0, grid.node_count, size=(20, 2))
         for i, j in idx:
@@ -92,7 +92,7 @@ class TestKernel:
             expected = sum(
                 xi.dim * np.trace(su2.rep_matrix(xi, z) @ b) for xi, b in zip(sig.duals, sig.blocks)
             )
-            assert ktab.values[i, j] == pytest.approx(expected, abs=1e-10)
+            assert ktab[i, j] == pytest.approx(expected, abs=1e-10)
 
     def test_t2_matches_trace_sum(self, t2):
         # K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) on a grid with unequal axes,
@@ -108,7 +108,7 @@ class TestKernel:
             multiplier_power(t2, -1.0, band).map_blocks(twist),
             schrodinger_phase(t2, 0.7, f, 0.5, band).map_blocks(twist),
         ):
-            ktab = kernel(sig, grid)
+            ktab = dense_kernel(sig, grid)
             for i, x in enumerate(grid.nodes):
                 for j, y in enumerate(grid.nodes):
                     z = t2.multiply(t2.inverse(y), x)
@@ -116,7 +116,7 @@ class TestKernel:
                         xi.dim * np.trace(t2.rep_matrix(xi, z) @ (b if sig.invariant else b[i]))
                         for xi, b in zip(sig.duals, sig.blocks)
                     )
-                    assert ktab.values[i, j] == pytest.approx(expected, abs=1e-12)
+                    assert ktab[i, j] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("cut, gridded", [(3, True), (12, True), (3, False), (22, False)])
     def test_su2_rows_match_trace_sum(self, su2, cut, gridded):
@@ -154,10 +154,10 @@ class TestKernel:
             left.append(xi.dim * (table @ block).reshape(grid.node_count, -1))
             right.append(table.reshape(grid.node_count, -1))
         dense = np.hstack(left) @ np.hstack(right).conj().T
-        np.testing.assert_allclose(kernel(sig, grid).values, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+        np.testing.assert_allclose(dense_kernel(sig, grid), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
 
     def test_kernel_is_the_stacked_rows(self, t1, t2, su2):
-        # kernel_rows covers the nodes in order, in more than one chunk, and kernel() is those chunks
+        # kernel_rows covers the nodes in order, in more than one chunk, and realize fills M = K w from them
         for group, grid in ((t1, t1.haar_grid(700)), (t2, t2.grid_for_band(12.0)), (su2, su2.grid_for_band(6.0))):
             band = grid.exactness_band
             f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, -1]))
@@ -167,7 +167,8 @@ class TestKernel:
                 covered = np.concatenate([np.arange(grid.node_count)[rows] for rows, _ in chunks])
                 assert np.array_equal(covered, np.arange(grid.node_count))
                 assert all(k.grid is grid for _, k in chunks)
-                assert np.array_equal(np.concatenate([k.values for _, k in chunks]), kernel(sig, grid).values)
+                stacked = np.concatenate([k.values for _, k in chunks])
+                assert np.array_equal(stacked * grid.weights, realize(sig, grid).matrix)
 
     def test_x_dependent_factor(self, t1, rng):
         band = t1.band_of_native(4)
@@ -176,17 +177,17 @@ class TestKernel:
         sig = identity_symbol(t1, band, grid=grid).map_blocks(
             lambda xi, b: a[:, None, None] * b
         )
-        ktab = kernel(sig, grid)
-        base = kernel(identity_symbol(t1, band), grid)
-        np.testing.assert_allclose(ktab.values, a[:, None] * base.values, atol=1e-11)
+        ktab = dense_kernel(sig, grid)
+        base = dense_kernel(identity_symbol(t1, band), grid)
+        np.testing.assert_allclose(ktab, a[:, None] * base, atol=1e-11)
 
     def test_apply_via_kernel_quadrature(self, su2, rng):
         band = su2.band_of_native(4)
         grid = su2.haar_grid(4)
         sig = multiplier_power(su2, -0.5, band)
         f = random_bandlimited(grid, band, rng)
-        ktab = kernel(sig, grid)
-        via_kernel = ktab.values @ (grid.weights * f.values)
+        ktab = dense_kernel(sig, grid)
+        via_kernel = ktab @ (grid.weights * f.values)
         direct = apply(sig, f)
         np.testing.assert_allclose(via_kernel, direct.values, atol=1e-8)
 

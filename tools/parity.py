@@ -4,18 +4,21 @@ Usage (from the repository root):
 
     python tools/parity.py <rev>
 
-The revision is checked out with ``git worktree`` under a temporary
+The revision's files are exported with ``git archive`` into a temporary
 directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
-(uncommitted edits included), with one BLAS thread and its own output
-directory.  The list is the benchmark's 13 commands (``bench/workloads.py``)
-at seeds 1 and 7, plus 32 more that cover the other subcommands, groups and
-refusals.  Exit codes, stdout, stderr, result-file names and result-file
-bytes are compared; the checkout paths are masked in stdout and stderr.
+(uncommitted edits included), with one BLAS thread, a random hash seed of
+its own and its own output directory.  The list is the benchmark's 13
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 32 more that cover
+the other subcommands, groups and refusals.  Exit codes, stdout, stderr,
+result-file names and result-file bytes are compared; the checkout paths
+are masked in stdout and stderr.
 
 One line per invocation is printed.  The exit code is 0 when every
 invocation is identical, 1 on any difference, and 2 when the revision
-cannot be checked out.  This is a local check, not part of CI.
+cannot be exported.  Against ``HEAD`` on a clean checkout it is a
+determinism check: CI runs it so, and any byte that depends on the process
+(a hash seed, an address, the order of a set) fails it.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ def run(tree: str, argv, workdir: str):
     os.makedirs(workdir)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    env["PYTHONHASHSEED"] = "random"  # each process its own, even where the caller pins one
     env.pop("GROUP_PDO_OUT", None)
     cmd = [sys.executable, "-m", "group_pdo.cli", *argv, "--out", "out"]
     try:
@@ -117,14 +121,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     scratch = tempfile.mkdtemp(prefix="group-pdo-parity-")
     base = os.path.join(scratch, "base")
-    made = subprocess.run(
-        ["git", "-C", ROOT, "worktree", "add", "--detach", base, args.rev], capture_output=True, text=True
-    )
+    os.makedirs(base)
+    made = subprocess.run(["git", "-C", ROOT, "archive", args.rev], capture_output=True)
     if made.returncode != 0:
-        print(f"cannot check out {args.rev}: {made.stderr.strip()}", file=sys.stderr)
+        print(f"cannot export {args.rev}: {made.stderr.decode().strip()}", file=sys.stderr)
         shutil.rmtree(scratch, ignore_errors=True)
         return 2
     try:
+        subprocess.run(["tar", "-x", "-C", base], input=made.stdout, check=True)
         todo = invocations()
         failed = 0
         for i, cmd in enumerate(todo):
@@ -137,7 +141,6 @@ def main(argv=None) -> int:
         print(f"{len(todo) - failed} of {len(todo)} invocations identical to {args.rev}")
         return 1 if failed else 0
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
 
 
