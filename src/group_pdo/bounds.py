@@ -333,6 +333,14 @@ class WeylReport:
     last_band_fraction: float = None
 
 
+def _lambda_ladder(lambdas) -> list[float]:
+    """The lambdas of a dual sum, sorted; each must be a finite band >= 1, the least weight."""
+    ladder = sorted(float(v) for v in lambdas)
+    if not ladder or not all(1.0 <= v < np.inf for v in ladder):
+        raise ValueError(f"band must be finite and >= 1 at every lambda of a non-empty ladder, got {ladder}")
+    return ladder
+
+
 def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylReport:
     """Exact dual sums sum d_xi^2 <xi>^(alpha n) over <xi> <= lambda.
 
@@ -343,7 +351,7 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylRe
     """
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    lambdas = sorted(float(v) for v in lambdas)
+    lambdas = _lambda_ladder(lambdas)
     n = group.dim
     if alpha > -1.0:
         variant = "cumulative"
@@ -389,7 +397,7 @@ def casimir_series(group, s: float, lambdas) -> SeriesReport:
     """Partial sums of sum d_xi^2 <xi>^(-s); converges iff s > dim G."""
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    lambdas = sorted(float(v) for v in lambdas)
+    lambdas = _lambda_ladder(lambdas)
     duals = group.enumerate_dual(lambdas[-1])
     weights = duals.weights
     terms = duals.dims**2 * float_powers(weights, -s)

@@ -65,6 +65,8 @@ def _parse_params(text: str) -> dict:
         key, _, val = item.partition("=")
         key = key.strip()
         val = val.strip()
+        if not key:
+            raise ValueError(f"--symbol-params {item.strip()} has no key")
         try:
             out[key] = complex(val) if "j" in val else float(val)
         except ValueError:
@@ -261,6 +263,8 @@ def main(argv=None) -> int:
         set_blas_threads(args.threads)
         if getattr(args, "samples", 1) < 1:
             raise ValueError(f"--samples must be >= 1, got {args.samples}")
+        if getattr(args, "margin", 0) < 0:
+            raise ValueError(f"--margin must be >= 0, got {args.margin}")
         return _dispatch(args)
     except PrecisionError as exc:
         print(f"precision/band error: {exc}", file=sys.stderr)

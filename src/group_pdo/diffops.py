@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BandExhaustedError, PrecisionError
-from .fourier import GridFunction, batch_slices, concat, forward, inverse
-from .groups import SU2, Torus
+from .fourier import GridFunction, concat, forward, inverse
+from .groups import SU2, Torus, batch_slices
 from .quantize import _resolve_grid
 from .symbols import Symbol, multiplier
 
@@ -112,19 +112,17 @@ def _torus_shift_fn(axis: int, step: int):
 
 
 def _su2_coeff_fn(a: int, b: int):
-    # spin-1/2 in the ascending weight basis, straight from the quaternion
+    # spin-1/2 in the ascending weight basis, straight from the quaternion: only the entry (a, b)
+    entry = {
+        (0, 0): lambda q0, q1, q2, q3: q0 + 1j * q3,
+        (0, 1): lambda q0, q1, q2, q3: q2 - 1j * q1,
+        (1, 0): lambda q0, q1, q2, q3: -q2 - 1j * q1,
+        (1, 1): lambda q0, q1, q2, q3: q0 - 1j * q3,
+    }[(a, b)]
+
     def fn(points):
-        q0, q1, q2, q3 = points[:, 0], points[:, 1], points[:, 2], points[:, 3]
-        mats = {
-            (0, 0): q0 + 1j * q3,
-            (0, 1): q2 - 1j * q1,
-            (1, 0): -q2 - 1j * q1,
-            (1, 1): q0 - 1j * q3,
-        }
-        val = mats[(a, b)].astype(complex)
-        if a == b:
-            val = val - 1.0
-        return val
+        val = entry(*points.T).astype(complex)
+        return val - 1.0 if a == b else val
 
     return fn
 

@@ -6,15 +6,10 @@ The transform pair is
     f(x)  = sum_xi d_xi Tr(xi(x) a(xi))       (inverse)
 
 realised by quadrature on a grid whose exactness band covers the requested
-band.  On the torus the forward/inverse reduce to FFTs plus one gather or
-scatter of the coefficients; on SU(2) they are separated over the Euler
-angles as matrix products (Kostelec and Rockmore's separated SO(3)
-transform): phase GEMMs in phi and psi split by the parity of the weights,
-and per side of each spin shell of `groups.wigner.SpinShells` one GEMM over
-the Gauss-Legendre theta nodes or the spins, so no dense node-by-coefficient
-matrix is ever formed.  The inverse, conjugated, also gives `quantize`'s
-SU(2) kernel rows.  Both directions take a leading batch axis, and a single
-transform is the batch of one.
+band.  The group-specific halves belong to the grid: `forward` hands the
+values to its `analysis` and `inverse` the buckets to its `synthesis` (FFTs
+on the torus, separated Euler-angle GEMMs on SU(2)).  Both directions take
+a leading batch axis, and a single transform is the batch of one.
 
 `FourierCoefficients` is the one container for dual-indexed blocks, with an
 optional batch axis: the node axis of a symbol (`symbols.Symbol`, the same
@@ -22,8 +17,7 @@ container) is one, so `inverse` of a symbol gives the kernel of sigma(x, .)
 at every node.  Its format is one packed bucket per run of duals of equal
 dimension, taken and stored as given; `blocks` is a per-dual view of it,
 `from_blocks` the one constructor from per-dual blocks, and the per-dual
-reductions (`hs_squares`, `sup_op_norms`) live here too.  Long transform
-chains run in `batch_slices` chunks.
+reductions (`hs_squares`, `sup_op_norms`) live here too.
 """
 
 from __future__ import annotations
@@ -34,16 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PrecisionError
-from .groups import Duals, SU2Grid, TorusGrid, group_by_name
-
-_BATCH_BYTES = 4 * 2**20  # complex grid values held by one chunk of a batched transform chain
-
-
-def batch_slices(count: int, nodes: int) -> list[slice]:
-    """Consecutive slices of a batch of `count` functions on `nodes` nodes, each within _BATCH_BYTES."""
-    step = max(1, _BATCH_BYTES // (16 * nodes))
-    return [slice(start, start + step) for start in range(0, count, step)]
+from .groups import Duals, group_by_name
 
 
 @dataclass
@@ -185,119 +170,24 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward
+# transforms
 
 
 def forward(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
-    """Fourier coefficients of f (batch axis kept) on the dual ball <xi> <= band.
+    """Fourier coefficients of f (batch axis kept) on the dual ball <xi> <= band, by the grid's `analysis`.
 
     Refuses bands beyond the grid's exactness band instead of aliasing.
     """
     grid = f.grid
     grid.require_band(band)
     duals = grid.group.enumerate_dual(band) if duals is None else duals
-    return FourierCoefficients(grid.group, band, duals, _backend(grid)[0](f, duals))
-
-
-def _forward_torus(f: GridFunction, duals: Duals) -> list[np.ndarray]:
-    grid: TorusGrid = f.grid
-    cubes = np.fft.fftn(f.values.reshape(-1, *grid.shape), axes=range(1, len(grid.shape) + 1)) / grid.node_count
-    values = cubes[(slice(None), *(duals.labels % grid.shape).T)]  # (B, count)
-    return [values.T.reshape(len(duals), *f.values.shape[:-1], 1, 1)]
-
-
-def _forward_su2(f: GridFunction, duals: Duals) -> list[np.ndarray]:
-    """One bucket (1, *batch, d, d) per spin: the phi GEMM over both parities, the psi GEMM per parity,
-    then per side of each spin shell one GEMM over theta against its d values, the quadrature weights
-    folded in, into the coefficient grid [r, a, c, j2 // 2, z] of `_su2_synthesis`."""
-    grid: SU2Grid = f.grid
-    p, t, q = grid.shape
-    (ephi, epsi), top = (e.conj() for e in grid.phase_rows()), int(duals.labels.max())
-    h, count = ephi.shape[1], math.prod(f.values.shape[:-1])
-    # phi: [(r a), phi] x [phi, (theta z psi)]
-    stage = ephi.reshape(2 * h, p) @ f.values.reshape(count, p, t, q).transpose(1, 2, 0, 3).reshape(p, -1)
-    # psi, per parity: [r, c, psi] x [r, psi, (a theta z)], so that every slot pair (a, c) is a view [r, c, a]
-    stage = np.matmul(epsi, stage.reshape(2, -1, q).transpose(0, 2, 1)).reshape(2, h, h, t, count).view(float)
-    coeffs, weights = np.empty((2, h, h, t, 2 * count)), grid.gl_weights / (2.0 * p * q)
-    for j0, sides in enumerate(grid.shells().shells[: top + 1]):
-        r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
-        for a, c, d in sides:  # [a, c, spin, theta] x [a, c, theta, z]
-            weighted = (d[:n] * weights).transpose(1, 2, 0, 3)
-            np.matmul(weighted, stage[r, c, a].transpose(1, 0, 2, 3), out=coeffs[r, a, c, j0 // 2 : j0 // 2 + n])
-    coeffs, batch = coeffs.view(complex), f.values.shape[:-1]
-    # a copy per spin, even where the transposed view is contiguous (j2 = 0): no bucket keeps the grid alive
-    return [_spin(coeffs, j2).T.copy().reshape(1, *batch, j2 + 1, j2 + 1) for j2 in duals.labels]
-
-
-def _spin(coeffs: np.ndarray, j2: int) -> np.ndarray:
-    """The entries [a, c, z] of spin j2 in the coefficient grid [r, a, c, j2 // 2, z]."""
-    slots = slice((coeffs.shape[1] - 1 - j2) // 2, (coeffs.shape[1] + 1 + j2) // 2)  # 2m = -j2 .. j2
-    return coeffs[j2 % 2, slots, slots, j2 // 2]
-
-
-# ---------------------------------------------------------------------------
-# inverse
+    return FourierCoefficients(grid.group, band, duals, grid.analysis(f.values, duals))
 
 
 def inverse(a: FourierCoefficients, grid) -> GridFunction:
-    """Pointwise evaluation of the finite Peter-Weyl sum on the grid nodes, per batch entry."""
-    return GridFunction(grid, _backend(grid)[1](a, grid).reshape(*a.batch, grid.node_count))
-
-
-def _inverse_torus(a: FourierCoefficients, grid: TorusGrid) -> np.ndarray:
-    labels = a.duals.labels
-    outside = np.flatnonzero(np.any(np.abs(labels) > (np.array(grid.shape) - 1) // 2, axis=1))
-    if outside.size:
-        raise PrecisionError(
-            f"coefficient k={a.duals[outside[0]].label} cannot be represented on grid shape {grid.shape}"
-        )
-    values = a.buckets[0].reshape(len(labels), -1).T  # all 1x1 on the torus: (B, count)
-    cubes = np.zeros((len(values), *grid.shape), dtype=complex)
-    cubes[(slice(None), *(labels % grid.shape).T)] += values
-    return np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * grid.node_count
-
-
-def _inverse_su2(a: FourierCoefficients, grid: SU2Grid) -> np.ndarray:
-    return _su2_synthesis(grid, a.duals.labels.tolist(), a.buckets, math.prod(a.batch))
-
-
-def _su2_synthesis(grid: SU2Grid, spins: list[int], blocks, count: int) -> np.ndarray:
-    """sum over j2 in `spins` of (j2 + 1) Tr(D^j2(y) b) at every node y, for each of the `count`
-    blocks b (j2 + 1, j2 + 1) in the array of each spin from `blocks`: (count, nodes).
-    The blocks fill the coefficient grid [r, a, c, j2 // 2, z] over the parity slots of `SpinShells`, the
-    accumulator's size (there are as many theta nodes as spins of a parity).  Per side of each shell one
-    GEMM over its spins maps a view of it to a view of the accumulator [r, a, c, theta, z]; then one phi
-    GEMM per parity and one psi GEMM over both parities."""
-    top = max(spins)
-    if top > grid.j2max_exact:
-        raise PrecisionError(f"coefficient j2={top} cannot be represented on grid with j2max {grid.j2max_exact}")
-    p, t, q = grid.shape
-    ephi, epsi = grid.phase_rows()
-    h = ephi.shape[1]
-    # a shell reads only entries inside the squares of its spins, so with every spin 0..top given none is unset
-    coeffs = (np.empty if len(spins) > top else np.zeros)((2, h, h, t, count), dtype=complex)
-    for j2, block in zip(spins, blocks):
-        _spin(coeffs, j2)[:] = (j2 + 1) * block.reshape(count, j2 + 1, j2 + 1).transpose(2, 1, 0)
-    coeffs, acc = coeffs.view(float), np.zeros((2, h, h, t, 2 * count))  # acc: [r, a, c, theta, (z re/im)]
-    for j0, sides in enumerate(grid.shells().shells[: top + 1]):
-        r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
-        for a, c, d in sides:  # [a, c, theta, spin] x [a, c, spin, z]
-            np.matmul(d[:n].transpose(1, 2, 3, 0), coeffs[r, a, c, j0 // 2 : j0 // 2 + n], out=acc[r, a, c])
-    del coeffs
-    # phi, one GEMM per parity: [r, phi, a] x [r, a, (c theta z)]
-    stage = np.matmul(ephi.transpose(0, 2, 1), acc.view(complex).reshape(2, h, -1))
-    del acc  # not held through the psi GEMM
-    # psi, one GEMM over both parities: [(z phi theta), (r c)] x [(r c), psi]
-    stage = stage.reshape(2, p, h, t, count).transpose(4, 1, 3, 0, 2).reshape(-1, 2 * h)
-    return (stage @ epsi.reshape(2 * h, q)).reshape(count, -1)
-
-
-def _backend(grid):
-    if isinstance(grid, TorusGrid):
-        return _forward_torus, _inverse_torus
-    if isinstance(grid, SU2Grid):
-        return _forward_su2, _inverse_su2
-    raise TypeError(f"unsupported grid {type(grid)!r}")
+    """Pointwise evaluation of the finite Peter-Weyl sum on the grid nodes, per batch entry: its `synthesis`."""
+    values = grid.synthesis(a.duals, a.buckets, math.prod(a.batch))
+    return GridFunction(grid, values.reshape(*a.batch, grid.node_count))
 
 
 # ---------------------------------------------------------------------------

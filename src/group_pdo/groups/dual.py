@@ -1,4 +1,4 @@
-"""The unitary dual as an array record, one point of it on demand, and what a grid reads off it."""
+"""The unitary dual as an array record, one point of it on demand, what a grid reads off it, and batch chunks."""
 
 from __future__ import annotations
 
@@ -6,6 +6,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+_BATCH_BYTES = 4 * 2**20  # complex grid values held by one chunk of a batched transform chain
+
+
+def batch_slices(count: int, nodes: int) -> list[slice]:
+    """Consecutive slices of a batch of `count` functions on `nodes` nodes, each within _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // (16 * nodes))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,9 @@ class Duals:
 
 
 class GridMeta:
-    """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`."""
+    """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`.
+    Each grid owns the group-specific rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`,
+    `synthesis(duals, buckets, count) -> (count, N) values` and `kernel_rows(sigma)`."""
 
     @property
     def node_count(self) -> int:

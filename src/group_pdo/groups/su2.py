@@ -16,16 +16,21 @@ in the ascending weight basis ``m = -l..l``.  The basis vector fields
 distance is the 3-sphere one for this normalisation,
 ``d(x, y) = 2*arccos(<x, y>)``, so ``d(e, -e) = 2*pi`` (antipodes are not
 identified).
+
+On the product grid the Fourier pair is Kostelec and Rockmore's separated
+SO(3) transform, as GEMMs over the parity slots of `wigner.SpinShells`; its
+synthesis, conjugated, also gives the rows of a Schwartz kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex, Duals, GridMeta
+from .dual import DualIndex, Duals, GridMeta, batch_slices
 from .wigner import SpinShells, angular_momentum_matrices, wigner_d_matrix
 
 _TOL = 1e-9
@@ -259,17 +264,17 @@ class SU2Grid(GridMeta):
 
     # Cached tables for the separated (phi, theta, psi) transforms.
 
-    def phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
+    def _phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(E_phi, E_psi) [r, s, j] = exp(-i m2 angle_j / 2), the phase factors of D, at the parity slots of
         `SpinShells`, 0 if empty."""
         if "phase" not in self._cache:
-            m2 = self.shells().weights2[..., None]
+            m2 = self._shells().weights2[..., None]
             kept = np.abs(m2) <= self.j2max_exact
             # the conjugate of exp(+i m2 angle / 2), not exp(-i ...): the bits the pinned result files hold
             self._cache["phase"] = tuple(np.where(kept, np.exp(0.5j * m2 * a), 0).conj() for a in (self.phi, self.psi))
         return self._cache["phase"]
 
-    def shells(self) -> SpinShells:
+    def _shells(self) -> SpinShells:
         """The Wigner-d values at the theta nodes for j2 = 0..j2max_exact, in spin shells."""
         if "dtab" not in self._cache:
             self._cache["dtab"] = SpinShells(self.j2max_exact, np.arccos(self.cos_theta))
@@ -283,8 +288,85 @@ class SU2Grid(GridMeta):
             raise PrecisionError(
                 f"representation j2={j2} exceeds grid tables (j2max {self.j2max_exact})"
             )
-        ephi, epsi = (e[j2 % 2] for e in self.phase_rows())
+        ephi, epsi = (e[j2 % 2] for e in self._phase_rows())
         slots = (self.j2max_exact - j2) // 2 + np.arange(j2 + 1)
         j, t, k = np.unravel_index(np.arange(self.node_count)[rows] if isinstance(rows, slice) else rows, self.shape)
-        d = self.shells().spin(j2, np.arange(self.shape[1]))[t]  # at every theta node, then at each row's
+        d = self._shells().spin(j2, np.arange(self.shape[1]))[t]  # at every theta node, then at each row's
         return np.einsum("na,nab,nb->nab", ephi[slots, j[:, None]], d, epsi[slots, k[:, None]])
+
+    def analysis(self, values: np.ndarray, duals: Duals) -> list[np.ndarray]:
+        """The forward transform of grid values (N,) or (B, N) on `duals`, one bucket (1, [B,] d, d) per
+        spin: the phi GEMM over both parities, the psi GEMM per parity, then per side of each spin shell
+        one GEMM over theta against its d values, the quadrature weights folded in, into the coefficient
+        grid [r, a, c, j2 // 2, z] of `synthesis`."""
+        p, t, q = self.shape
+        (ephi, epsi), top = (e.conj() for e in self._phase_rows()), int(duals.labels.max())
+        h, count = ephi.shape[1], math.prod(values.shape[:-1])
+        # phi: [(r a), phi] x [phi, (theta z psi)]
+        stage = ephi.reshape(2 * h, p) @ values.reshape(count, p, t, q).transpose(1, 2, 0, 3).reshape(p, -1)
+        # psi, per parity: [r, c, psi] x [r, psi, (a theta z)], so that every slot pair (a, c) is a view [r, c, a]
+        stage = np.matmul(epsi, stage.reshape(2, -1, q).transpose(0, 2, 1)).reshape(2, h, h, t, count).view(float)
+        coeffs, weights = np.empty((2, h, h, t, 2 * count)), self.gl_weights / (2.0 * p * q)
+        for j0, sides in enumerate(self._shells().shells[: top + 1]):
+            r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
+            for a, c, d in sides:  # [a, c, spin, theta] x [a, c, theta, z]
+                weighted = (d[:n] * weights).transpose(1, 2, 0, 3)
+                np.matmul(weighted, stage[r, c, a].transpose(1, 0, 2, 3), out=coeffs[r, a, c, j0 // 2 : j0 // 2 + n])
+        coeffs, batch = coeffs.view(complex), values.shape[:-1]
+        # a copy per spin, even where the transposed view is contiguous (j2 = 0): no bucket keeps the grid alive
+        return [_spin(coeffs, j2).T.copy().reshape(1, *batch, j2 + 1, j2 + 1) for j2 in duals.labels]
+
+    def synthesis(self, duals: Duals, buckets, count: int) -> np.ndarray:
+        """sum over the spins j2 of `duals` of (j2 + 1) Tr(D^j2(y) b) at every node y, for each of the
+        `count` blocks b (j2 + 1, j2 + 1) in the array of each spin from `buckets`: (count, nodes).
+        The blocks fill the coefficient grid [r, a, c, j2 // 2, z] over the parity slots of `SpinShells`, the
+        accumulator's size (there are as many theta nodes as spins of a parity).  Per side of each shell one
+        GEMM over its spins maps a view of it to a view of the accumulator [r, a, c, theta, z]; then one phi
+        GEMM per parity and one psi GEMM over both parities."""
+        spins = duals.labels.tolist()
+        top = max(spins)
+        if top > self.j2max_exact:
+            raise PrecisionError(f"coefficient j2={top} cannot be represented on grid with j2max {self.j2max_exact}")
+        p, t, q = self.shape
+        ephi, epsi = self._phase_rows()
+        h = ephi.shape[1]
+        # a shell reads only entries inside the squares of its spins, so with every spin 0..top given none is unset
+        coeffs = (np.empty if len(spins) > top else np.zeros)((2, h, h, t, count), dtype=complex)
+        for j2, block in zip(spins, buckets):
+            _spin(coeffs, j2)[:] = (j2 + 1) * block.reshape(count, j2 + 1, j2 + 1).transpose(2, 1, 0)
+        coeffs, acc = coeffs.view(float), np.zeros((2, h, h, t, 2 * count))  # acc: [r, a, c, theta, (z re/im)]
+        for j0, sides in enumerate(self._shells().shells[: top + 1]):
+            r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
+            for a, c, d in sides:  # [a, c, theta, spin] x [a, c, spin, z]
+                np.matmul(d[:n].transpose(1, 2, 3, 0), coeffs[r, a, c, j0 // 2 : j0 // 2 + n], out=acc[r, a, c])
+        del coeffs
+        # phi, one GEMM per parity: [r, phi, a] x [r, a, (c theta z)]
+        stage = np.matmul(ephi.transpose(0, 2, 1), acc.view(complex).reshape(2, h, -1))
+        del acc  # not held through the psi GEMM
+        # psi, one GEMM over both parities: [(z phi theta), (r c)] x [(r c), psi]
+        stage = stage.reshape(2, p, h, t, count).transpose(4, 1, 3, 0, 2).reshape(-1, 2 * h)
+        return (stage @ epsi.reshape(2 * h, q)).reshape(count, self.node_count)
+
+    def kernel_rows(self, sigma):
+        """Yield (rows, K[rows]) over `batch_slices` of the nodes, by `_rows`."""
+        n = self.node_count
+        for rows in batch_slices(n, n):
+            yield rows, self._rows(sigma, rows)
+
+    def _rows(self, sigma, rows) -> np.ndarray:
+        """K[rows] (a slice or an index array), the conjugate of the synthesis of P^H, P = xi(x) sigma(x, xi) at
+        the nodes x of the rows: K(x, y) = sum_xi d_xi Tr(xi(y)^H P) = conj(sum_xi d_xi Tr(xi(y) P^H))."""
+        x = np.arange(self.node_count)[rows]
+        # each product P is conjugated in place and read transposed: no buffer beside it
+        blocks = (
+            np.conj(p, out=p).transpose(0, 2, 1)
+            for p in (self.rep_table(xi, x) @ b[0] for xi, b in zip(sigma.duals, sigma.rows(x).buckets))
+        )
+        values = self.synthesis(sigma.duals, blocks, len(x))
+        return np.conj(values, out=values)
+
+
+def _spin(coeffs: np.ndarray, j2: int) -> np.ndarray:
+    """The entries [a, c, z] of spin j2 in the coefficient grid [r, a, c, j2 // 2, z]."""
+    slots = slice((coeffs.shape[1] - 1 - j2) // 2, (coeffs.shape[1] + 1 + j2) // 2)  # 2m = -j2 .. j2
+    return coeffs[j2 % 2, slots, slots, j2 // 2]

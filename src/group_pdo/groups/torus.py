@@ -3,7 +3,8 @@
 Points are angle vectors ``x`` in ``[0, 2*pi)^n``; the characters are
 ``xi_k(x) = exp(i k . x)`` for ``k`` in ``Z^n``, and the normalised Haar
 measure is ``dx / (2*pi)^n``.  Every representation is one-dimensional, so
-rep matrices are 1x1.
+rep matrices are 1x1.  On the uniform grid the Fourier pair is an FFT, and
+the rows of a Schwartz kernel are translates of the kernels of sigma(x, .).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex, Duals, GridMeta
+from .dual import DualIndex, Duals, GridMeta, batch_slices
 
 _TOL = 1e-9
 
@@ -168,3 +169,57 @@ class TorusGrid(GridMeta):
         """xi at every node, shape (N, 1, 1)."""
         self.group._check_dual(xi)
         return np.exp(1j * (self.nodes @ np.asarray(xi.label, dtype=float)))[:, None, None]
+
+    def analysis(self, values: np.ndarray, duals: Duals) -> list[np.ndarray]:
+        """The forward transform of grid values (N,) or (B, N) on `duals`: the one bucket (count, [B,] 1, 1)."""
+        cubes = np.fft.fftn(values.reshape(-1, *self.shape), axes=range(1, len(self.shape) + 1)) / self.node_count
+        coeffs = cubes[(slice(None), *(duals.labels % self.shape).T)]  # (B, count)
+        return [coeffs.T.reshape(len(duals), *values.shape[:-1], 1, 1)]
+
+    def synthesis(self, duals: Duals, buckets: list[np.ndarray], count: int) -> np.ndarray:
+        """sum_k a_k(z) xi_k at every node, for the `count` tables z of the one bucket: (count, nodes)."""
+        labels = duals.labels
+        outside = np.flatnonzero(np.any(np.abs(labels) > (np.array(self.shape) - 1) // 2, axis=1))
+        if outside.size:
+            raise PrecisionError(
+                f"coefficient k={duals[outside[0]].label} cannot be represented on grid shape {self.shape}"
+            )
+        coeffs = buckets[0].reshape(len(labels), count).T  # all 1x1 on the torus
+        cubes = np.zeros((count, *self.shape), dtype=complex)
+        cubes[(slice(None), *(labels % self.shape).T)] += coeffs
+        return (np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * self.node_count).reshape(count, self.node_count)
+
+    def kernel_rows(self, sigma):
+        """Yield (rows, K[rows]) over `batch_slices` of the nodes: K(x_i, y_j) = k_i[(i - j) mod shape],
+        k_i the kernel of sigma(x_i, .), from one batched synthesis per chunk, or one in all for an
+        invariant sigma."""
+        n = self.node_count
+        single = self.synthesis(sigma.duals, sigma.buckets, 1) if sigma.invariant else None
+        for rows in batch_slices(n, n):
+            nodes = np.arange(n)[rows]
+            kernels = single if sigma.invariant else self.synthesis(sigma.duals, sigma.rows(rows).buckets, len(nodes))
+            yield rows, self._translates(kernels, nodes)
+            del kernels  # not held while the next chunk is made
+
+    def _translates(self, kernels: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Rows k_i[(i - j) mod shape] over j for the nodes i, from one kernel for all or one each.
+
+        One kernel is read through windows of its doubled cube, backwards: a strided copy.  A kernel
+        per row is gathered through per-axis indices (i_a - j_a) mod m_a broadcast against each other,
+        as the doubled cubes of a chunk of kernels would hold 2^dim times its size.  Neither forms an
+        index per entry.
+        """
+        shape = self.shape
+        kernels = kernels.reshape(-1, *shape)
+        count, dims = len(nodes), len(shape)
+        axes = np.unravel_index(nodes, shape)
+        if len(kernels) == 1:
+            doubled = np.tile(kernels[0], [2] * dims)
+            windows = np.lib.stride_tricks.sliding_window_view(doubled, shape)[(..., *[slice(None, None, -1)] * dims)]
+            rows = windows[tuple((i + 1) % m for i, m in zip(axes, shape))]
+        else:
+            index = [np.arange(count).reshape(count, *[1] * dims)]
+            for axis, (i, m) in enumerate(zip(axes, shape)):
+                index.append(((i[:, None] - np.arange(m)) % m).reshape(count, *[m if a == axis else 1 for a in range(dims)]))
+            rows = kernels[tuple(index)]
+        return rows.reshape(count, -1)

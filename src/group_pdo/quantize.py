@@ -6,13 +6,9 @@ values is the matrix M[i, j] = K(x_i, y_j) w_j.  The norm estimators take a
 `GridOperator` record holding M: dense from `realize`, the oracle, or as a
 matrix-free `SymbolMatrix` from `operator`, which applies M and its
 transpose by Fourier transforms (invariant symbols only).  `kernel_rows`
-yields K a chunk of rows at a time, so the kernel bounds never hold it
-whole, and `realize` fills M from those chunks.  On the torus the rows are
-translates of the kernels of sigma(x_i, .), from one batched inverse per
-chunk (one in all for an invariant sigma); on SU(2) they are the conjugate
-of the SU(2) inverse transform of the conjugate-transposed blocks
-xi(x) sigma(x, xi) at the nodes x of a chunk, so they keep no layout of
-their own.
+yields K a chunk of rows at a time from the grid's own `kernel_rows`, so
+the kernel bounds never hold it whole, and `realize` fills M from those
+chunks.
 """
 
 from __future__ import annotations
@@ -23,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PrecisionError
-from .fourier import GridFunction, _su2_synthesis, batch_slices, forward, inverse, sup_norm
-from .groups import SU2Grid, TorusGrid
+from .fourier import GridFunction, forward, inverse, sup_norm
 from .symbols import Symbol
 
 BAND_CHECK_TOL = 1e-8
@@ -58,35 +53,24 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
                 f"input is not band-limited within band {sigma.band:.6g} "
                 f"(round-trip residual {err:.3g}); refuse to quantize an aliased input"
             )
-    prod = sigma @ coeffs
     if sigma.invariant:
-        return inverse(prod, grid)
+        return inverse(sigma @ coeffs, grid)
+    # a gridded product one bucket at a time: never the whole table sigma(x, xi) fhat(xi) at once
     vals = np.zeros(grid.node_count, dtype=complex)
-    for xi, block in zip(prod.duals, prod.blocks):
-        vals += xi.dim * np.einsum("nab,nba->n", grid.rep_table(xi), block, optimize=True)
+    for (start, stop), s, c in zip(sigma.duals.runs, sigma.buckets, coeffs.buckets):
+        for xi, block in zip(sigma.duals[start:stop], s @ c[:, None]):
+            vals += xi.dim * np.einsum("nab,nba->n", grid.rep_table(xi), block, optimize=True)
     return GridFunction(grid, vals)
 
 
 def kernel_rows(sigma: Symbol, grid=None) -> Iterator[tuple[slice, GridFunction]]:
-    """Yield (rows, K[rows]) for consecutive slices of the nodes x, K[rows] the batch of functions
-    y -> K(x, y) on the grid sigma is tabulated on (its own when gridded, else `grid` or the smallest
-    for its band), each chunk within the `batch_slices` budget, so that a reduction over the kernel
-    never holds it whole."""
+    """Yield (rows, K[rows]) for consecutive slices of the nodes x, K[rows] the functions y -> K(x, y) on
+    the grid sigma is tabulated on (its own when gridded, else `grid` or the smallest for its band), from
+    that grid's `kernel_rows`: each chunk within the `batch_slices` budget, so no reduction holds K whole."""
     grid = _resolve_grid(sigma, grid)
-    n = grid.node_count
-    if isinstance(grid, TorusGrid):
-        # Translation-closed grid: K(x_i, y_j) = k_i[(i - j) mod shape], k_i the kernel of sigma(x_i, .),
-        # one kernel for every row when sigma is invariant
-        single = inverse(sigma, grid).values if sigma.invariant else None
-        for rows in batch_slices(n, n):
-            kernels = single if sigma.invariant else inverse(sigma.rows(rows), grid).values
-            yield rows, GridFunction(grid, _translates(kernels, grid.shape, np.arange(n)[rows]))
-            del kernels  # not held while the next chunk is made
-    elif isinstance(grid, SU2Grid):
-        for rows in batch_slices(n, n):
-            yield rows, GridFunction(grid, _su2_rows(sigma, grid, rows))
-    else:
-        raise TypeError(f"unsupported grid {type(grid)!r}")
+    for rows, values in grid.kernel_rows(sigma):
+        yield rows, GridFunction(grid, values)
+        del values  # not held while the next chunk is made
 
 
 def _resolve_grid(sigma: Symbol, grid):
@@ -97,42 +81,6 @@ def _resolve_grid(sigma: Symbol, grid):
         raise ValueError("a gridded symbol lives on its own grid, not on a different one")
     grid.require_band(sigma.band, what="symbol band")
     return grid
-
-
-def _translates(kernels: np.ndarray, shape, nodes: np.ndarray) -> np.ndarray:
-    """Rows k_i[(i - j) mod shape] over j for the nodes i, from one kernel for all or one each.
-
-    One kernel is read through windows of its doubled cube, backwards: a strided copy.  A kernel
-    per row is gathered through per-axis indices (i_a - j_a) mod m_a broadcast against each other,
-    as the doubled cubes of a chunk of kernels would hold 2^dim times its size.  Neither forms an
-    index per entry.
-    """
-    kernels = kernels.reshape(-1, *shape)
-    count, dims = len(nodes), len(shape)
-    axes = np.unravel_index(nodes, shape)
-    if len(kernels) == 1:
-        doubled = np.tile(kernels[0], [2] * dims)
-        windows = np.lib.stride_tricks.sliding_window_view(doubled, shape)[(..., *[slice(None, None, -1)] * dims)]
-        rows = windows[tuple((i + 1) % m for i, m in zip(axes, shape))]
-    else:
-        index = [np.arange(count).reshape(count, *[1] * dims)]
-        for axis, (i, m) in enumerate(zip(axes, shape)):
-            index.append(((i[:, None] - np.arange(m)) % m).reshape(count, *[m if a == axis else 1 for a in range(dims)]))
-        rows = kernels[tuple(index)]
-    return rows.reshape(count, -1)
-
-
-def _su2_rows(sigma: Symbol, grid: SU2Grid, rows) -> np.ndarray:
-    """K[rows], the conjugate of the SU(2) inverse transform of P^H at the nodes x of the rows:
-    K(x, y) = sum_xi d_xi Tr(xi(y)^H P) = conj(sum_xi d_xi Tr(xi(y) P^H)) with P = xi(x) sigma(x, xi)."""
-    x = np.arange(grid.node_count)[rows]
-    # each product P is conjugated in place and read transposed: no buffer beside it
-    blocks = (
-        np.conj(p, out=p).transpose(0, 2, 1)
-        for p in (grid.rep_table(xi, x) @ b[0] for xi, b in zip(sigma.duals, sigma.rows(x).buckets))
-    )
-    values = _su2_synthesis(grid, sigma.duals.labels.tolist(), blocks, len(x))
-    return np.conj(values, out=values)
 
 
 def realize(sigma: Symbol, grid=None) -> GridOperator:

@@ -20,7 +20,7 @@ collection, which every report records.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class MembershipVerdict:
     slopes: list  # (alpha, beta, slope)
     worst_entry: tuple
     worst_slope: float
-    report: SeminormReport = field(repr=False, default=None)
 
     def one_line(self) -> str:
         if self.consistent:
@@ -217,5 +216,4 @@ def class_membership(
         slopes=slopes,
         worst_entry=worst,
         worst_slope=worst_slope,
-        report=report,
     )

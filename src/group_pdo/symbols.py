@@ -214,24 +214,27 @@ def build_symbol(name: str, group, band: float, grid=None, params: dict = None, 
     from .named_functions import named_function
 
     params = dict(params or {})
+
+    def real(key: str, default: float) -> float:
+        value = params.get(key, default)
+        if isinstance(value, complex):
+            raise ValueError(f"symbol parameter {key}={value} must be real")
+        return float(value)
+
     name = name.strip().lower()
     if name == "identity":
         return identity_symbol(group, band, grid=grid)
     if name == "multiplier_power":
-        return multiplier_power(group, float(params.get("s", 0.0)), band)
+        return multiplier_power(group, real("s", 0.0), band)
     if name in ("hirschman_wainger", "hlhw"):
-        return hirschman_wainger(
-            float(params.get("rho", 0.5)), float(params.get("nu", 0.25)), band, group=group
-        )
+        return hirschman_wainger(real("rho", 0.5), real("nu", 0.25), band, group=group)
     if name == "schrodinger":
         if grid is None:
             grid = group.grid_for_band(band)
         fname = str(params.get("f", "cos"))
         f = named_function(fname, grid, band=band, seed=seed)
         f = GridFunction(grid, f.values.real)
-        return schrodinger_phase(
-            group, float(params.get("t", 1.0)), f, float(params.get("delta", 0.0)), band
-        )
+        return schrodinger_phase(group, real("t", 1.0), f, real("delta", 0.0), band)
     if name == "z_plus_c_inverse":
         if not isinstance(group, SU2):
             raise ValueError("z_plus_c_inverse is an su2 builder")

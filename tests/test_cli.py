@@ -171,6 +171,7 @@ def test_non_finite_band_is_usage_error(argv, tmp_path):
 
 SEMINORM = "seminorm --group t1 --band 8 --symbol identity --rho 1 --delta 0 --l 1"
 POWER = "--group t1 --band 8 --symbol multiplier_power --symbol-params s"
+LADDER = "band must be finite and >= 1 at every lambda of a non-empty ladder, got "
 
 
 @pytest.mark.parametrize(
@@ -206,13 +207,22 @@ POWER = "--group t1 --band 8 --symbol multiplier_power --symbol-params s"
         (f"linf {POWER}=400", "a power with exponent 400.0 overflows the float range"),
         (f"audit {POWER}=400 --samples 2", "a power with exponent 400.0 overflows the float range"),
         (f"quantize {POWER}=1e308", "a power with exponent 1e+308 overflows the float range"),
+        ("weyl --group t1 --alpha 0 --lambdas=", LADDER + "[]"),
+        ("weyl --group t1 --s 3.1 --lambdas=", LADDER + "[]"),
+        ("weyl --group t1 --alpha 0 --lambdas 0,1", LADDER + "[0.0, 1.0]"),
+        ("weyl --group t1 --alpha 0 --lambdas 0.5,1", LADDER + "[0.5, 1.0]"),
+        (f"hsnorm {POWER}=1j", "symbol parameter s=1j must be real"),
+        ("hsnorm --group su2 --band 3 --symbol schrodinger --symbol-params t=1j", "symbol parameter t=1j must be real"),
+        ("hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params =3", "--symbol-params =3 has no key"),
+        ("transform --group t1 --band 8 --margin -5", "--margin must be >= 0, got -5"),
     ],
 )
 def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     # no sample loop may pass vacuously, and no NaN may pass for a violated invariant (exit 1) or a result
     import group_pdo.symbols
 
-    if not message.startswith(("band windows", "a power with exponent")):  # those refuse the symbol once built
+    # those refuse the symbol in its builder or once built
+    if not message.startswith(("band windows", "a power with exponent", "symbol parameter")):
         monkeypatch.setattr(group_pdo.symbols, "build_symbol", lambda *a, **k: pytest.fail("a symbol was built"))
     code, _, files = run(argv.split(), tmp_path)
     assert code == 2

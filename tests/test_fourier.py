@@ -247,7 +247,7 @@ class TestBatch:
     def test_chunked_chains_match_one_chunk(self, t1, t2, su2, monkeypatch):
         # the transform chains give the same tables when their batches are cut
         # into many small chunks (7 functions of the su2 grid, 9 of the t2 grid) as in one
-        from group_pdo import fourier
+        from group_pdo.groups import dual
         from group_pdo.diffops import admissible_collection, difference, invariant_derivative
         from conftest import dense_kernel
         from group_pdo.symbols import multiplier_power, schrodinger_phase
@@ -272,8 +272,8 @@ class TestBatch:
             return out
 
         whole = chains()
-        monkeypatch.setattr(fourier, "_BATCH_BYTES", 16 * 7 * su2_grid.node_count)
-        assert len(fourier.batch_slices(su2_grid.node_count, su2_grid.node_count)) == 116
+        monkeypatch.setattr(dual, "_BATCH_BYTES", 16 * 7 * su2_grid.node_count)
+        assert len(dual.batch_slices(su2_grid.node_count, su2_grid.node_count)) == 116
         for a, b in zip(whole, chains()):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
@@ -322,7 +322,7 @@ class TestSU2Engine:
             inverse(forward(random_bandlimited(grid, band, rng), band), grid)
         grid.rep_table(su2.dual_index(5))
         assert sorted(grid._cache) == ["dtab", "phase"]
-        shells = grid._cache["dtab"]
+        shells = grid._shells()
         assert shells.values.size == sum((j2 + 1) ** 2 for j2 in range(13)) * grid.shape[1]
         for sides in shells.shells:
             for _, _, view in sides:

@@ -5,8 +5,9 @@ from conftest import dense_kernel, weighted_smax
 from group_pdo.errors import PrecisionError
 from group_pdo.fourier import GridFunction, forward, random_bandlimited
 from group_pdo.groups import TorusGrid
-from group_pdo.quantize import SymbolMatrix, _su2_rows, apply, kernel_rows, operator, realize
+from group_pdo.quantize import SymbolMatrix, apply, kernel_rows, operator, realize
 from group_pdo.symbols import (
+    Symbol,
     identity_symbol,
     multiplier,
     multiplier_power,
@@ -118,6 +119,26 @@ class TestKernel:
                     )
                     assert ktab[i, j] == pytest.approx(expected, abs=1e-12)
 
+    def test_torus_invariant_and_gridded_rows_agree(self, t2, monkeypatch):
+        # the two torus branches, translates of one kernel and a batched synthesis per chunk, on the same
+        # blocks tabulated at every node of a grid with unequal axes, cut into chunks of 7 rows
+        from group_pdo.groups import dual
+
+        grid = TorusGrid(t2, (9, 11))
+        rng = np.random.default_rng(3)
+        sig = multiplier_power(t2, -1.0, t2.band_of_native(3)).map_blocks(
+            lambda xi, b: rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+        )
+        gridded = Symbol(
+            t2, sig.band, sig.duals, [np.repeat(b[:, None], grid.node_count, axis=1) for b in sig.buckets], grid=grid
+        )
+        monkeypatch.setattr(dual, "_BATCH_BYTES", 16 * 7 * grid.node_count)
+        chunks = list(zip(kernel_rows(sig, grid), kernel_rows(gridded, grid)))
+        assert len(chunks) == 15
+        for (rows, k), (rows_g, k_g) in chunks:
+            assert rows == rows_g
+            assert np.abs(k.values - k_g.values).max() <= 1e-14 * np.abs(k.values).max()
+
     @pytest.mark.parametrize("cut, gridded", [(3, True), (12, True), (3, False), (22, False)])
     def test_su2_rows_match_trace_sum(self, su2, cut, gridded):
         # the separated rows against sum_xi d_xi Tr(xi(y)^H xi(x) sigma(x, xi)) from rep_matrix, for a
@@ -129,7 +150,7 @@ class TestKernel:
             lambda xi, b: rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
         )
         xs, ys = rng.choice(grid.node_count, 10, replace=False), rng.choice(grid.node_count, 5, replace=False)
-        rows = _su2_rows(sig, grid, xs)
+        rows = grid._rows(sig, xs)
         reps = {i: [su2.rep_matrix(xi, grid.nodes[i]) for xi in sig.duals] for i in {*xs, *ys}}
         scale = np.abs(rows).max()
         for i, row in zip(xs, rows):

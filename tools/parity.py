@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 32 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 40 more that cover
 the other subcommands, groups and refusals.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
 are masked in stdout and stderr.
@@ -71,6 +71,14 @@ EXTRA = (
     "threshold --n 3 --p 4 --rho 0 --delta 0",
     "lp-sharpness --p 4 --rho 0.5 --nu0 0.1 --lambdas 64,128,256",
     "selftest",
+    "weyl --group t1 --alpha 0 --lambdas=",
+    "weyl --group t1 --s 3.1 --lambdas=",
+    "weyl --group t1 --alpha 0 --lambdas 0,1",
+    "weyl --group t1 --alpha 0 --lambdas 0.5,1",
+    "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params s=1j",
+    "hsnorm --group su2 --band 3 --symbol schrodinger --symbol-params t=1j",
+    "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params =3",
+    "transform --group t1 --band 8 --margin -5",
 )
 
 
