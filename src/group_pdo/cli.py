@@ -67,6 +67,8 @@ def _parse_params(text: str) -> dict:
         val = val.strip()
         if not key:
             raise ValueError(f"--symbol-params {item.strip()} has no key")
+        if key in out:
+            raise ValueError(f"--symbol-params {key} is given twice")
         try:
             out[key] = complex(val) if "j" in val else float(val)
         except ValueError:
@@ -422,7 +424,7 @@ def _seminorm(args) -> Outcome:
     params = ClassParams(m=args.m, rho=args.rho, delta=args.delta, l=args.l)  # refused before a symbol is built
     _, grid, sigma = _build(args, need_margin=args.l)
     windows = _parse_list(args.windows) if args.windows else None
-    rep = seminorm(sigma, params, windows, grid=grid if sigma.invariant else None)
+    rep = seminorm(sigma, params, windows, grid=grid)
     rows = [["alpha", "beta", "window", "partial_sup"]]
     for e in rep.entries:
         for lam, s in e.sweep:
@@ -449,7 +451,7 @@ def _classcheck(args) -> Outcome:
         delta=args.delta,
         l=args.l,
         windows=windows,
-        grid=grid if sigma.invariant else None,
+        grid=grid,
     )
     rows = [["alpha", "beta", "slope"]] + [
         ["|".join(map(str, a)), "|".join(map(str, b)), s] for a, b, s in verdict.slopes

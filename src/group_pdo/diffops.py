@@ -1,12 +1,15 @@
 """Difference operators on the dual and invariant x-derivatives.
 
 A difference operator Delta_q acts on Fourier coefficients by
-Delta_q fhat = (q f)^ for a function q vanishing at the identity.  Symbols
-are differenced kernel-side: a batched inverse gives the kernel of sigma(x, .)
-for every node x on a grid whose exactness covers the band, and a batched
-forward of q times the kernels gives the shrunken trusted band, a chunk of
-nodes at a time.  On the torus the shifts q = exp(+-i x_j) - 1 admit an
-exact index rule which is used as a fast path.
+Delta_q fhat = (q f)^ for a function q vanishing at the identity.  Each
+group hands over its strongly admissible collection as (name, q, shift)
+triples (`difference_functions`); the calculus here is the same for every
+group.  Symbols are differenced kernel-side: a batched inverse gives the
+kernel of sigma(x, .) for every node x on a grid whose exactness covers the
+band, and a batched forward of q times the kernels gives the shrunken
+trusted band, a chunk of nodes at a time.  A q with an exact index rule on
+the dual (the torus shifts q = exp(+-i x_j) - 1) takes that rule as a fast
+path.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import numpy as np
 
 from .errors import BandExhaustedError, PrecisionError
 from .fourier import GridFunction, concat, forward, inverse
-from .groups import SU2, Torus, batch_slices
-from .quantize import _resolve_grid
+from .groups import batch_slices
 from .symbols import Symbol, multiplier
 
 _TOL = 1e-9
@@ -34,8 +36,8 @@ class DifferenceOp:
     point_fn evaluates q at arbitrary group points; native_band is the dual
     band q occupies (|k| units on the torus, doubled spin on SU(2)), which is
     what one application consumes from a symbol's trusted band.  shift, when
-    set, is the exact torus rule (axis, step): Delta sigma(k) =
-    sigma(k - step e_axis) - sigma(k).
+    set, is an exact index rule (axis, step) on the dual, which the torus
+    shifts have: Delta sigma(k) = sigma(k - step e_axis) - sigma(k).
     """
 
     name: str
@@ -51,80 +53,20 @@ class DifferenceOp:
 
 
 def admissible_collection(group) -> list[DifferenceOp]:
-    """The strongly admissible first-order collection used everywhere.
-
-    Torus: q(x) = exp(+-i x_j) - 1 per coordinate.  SU(2): the four
-    spin-1/2 coefficients q_ab = D^{1/2}_ab - delta_ab, whose common zero
-    set is exactly {e} (the defining representation is faithful, so the
-    centre is covered).
-    """
-    if isinstance(group, Torus):
-        ops = []
-        for j in range(group.n):
-            for step in (+1, -1):
-                ops.append(
-                    DifferenceOp(
-                        name=f"q[{'+' if step > 0 else '-'}{j + 1}]",
-                        native_band=1,
-                        point_fn=_torus_shift_fn(j, step),
-                        shift=(j, step),
-                    )
-                )
-        return ops
-    if isinstance(group, SU2):
-        ops = []
-        for a in range(2):
-            for b in range(2):
-                ops.append(
-                    DifferenceOp(
-                        name=f"q[{a}{b}]",
-                        native_band=1,
-                        point_fn=_su2_coeff_fn(a, b),
-                    )
-                )
-        return ops
-    raise TypeError(f"unsupported group {group!r}")
+    """The strongly admissible first-order collection used everywhere, one `DifferenceOp` per
+    (name, q, shift) of `group.difference_functions()`."""
+    return [DifferenceOp(name, 1, q, shift) for name, q, shift in group.difference_functions()]
 
 
 def laplace_op(group) -> DifferenceOp:
-    """Second-order difference from rho^2(x) = sum over the basic collection
-    of (d_xi - trace xi(x)); nonnegative, vanishing only at e."""
-    if isinstance(group, Torus):
+    """Second-order difference from rho^2(x) = 1/2 sum over the admissible collection of |q(x)|^2;
+    nonnegative, vanishing only at e: sum_j (2 - 2 cos x_j) on the torus, 2 - 2 q0 on SU(2)."""
+    ops = admissible_collection(group)
 
-        def fn(points):
-            return np.sum(2.0 - 2.0 * np.cos(points), axis=1).astype(complex)
+    def fn(points):
+        return (0.5 * sum(np.abs(q.point_fn(points)) ** 2 for q in ops)).astype(complex)
 
-    elif isinstance(group, SU2):
-
-        def fn(points):
-            return (2.0 - 2.0 * points[:, 0]).astype(complex)
-
-    else:
-        raise TypeError(f"unsupported group {group!r}")
     return DifferenceOp(name="laplace", native_band=1, point_fn=fn)
-
-
-def _torus_shift_fn(axis: int, step: int):
-    def fn(points):
-        return np.exp(1j * step * points[:, axis]) - 1.0
-
-    return fn
-
-
-def _su2_coeff_fn(a: int, b: int):
-    # spin-1/2 in the ascending weight basis, straight from the quaternion: only the entry (a, b)
-    entry = {
-        (0, 0): lambda q0, q1, q2, q3: q0 + 1j * q3,
-        (0, 1): lambda q0, q1, q2, q3: q2 - 1j * q1,
-        (1, 0): lambda q0, q1, q2, q3: -q2 - 1j * q1,
-        (1, 1): lambda q0, q1, q2, q3: q0 - 1j * q3,
-    }[(a, b)]
-
-    def fn(points):
-        val = entry(*points.T).astype(complex)
-        return val - 1.0 if a == b else val
-
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +81,11 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
             f"difference {q.name} would shrink the trusted band below the trivial "
             f"representation (native band {sigma.native_band})"
         )
-    new_native = max(new_native, 0.0)
-    if isinstance(sigma.group, SU2):
-        new_native = int(round(new_native))
+    new_native = max(new_native, 0)
     new_band = sigma.group.band_of_native(new_native)
-    duals = sigma.duals
-    native_index = np.sqrt(duals.casimir) if isinstance(sigma.group, Torus) else duals.labels
-    keep = native_index <= new_native + _TOL
-    target = duals[keep]
-    if isinstance(sigma.group, Torus) and q.shift is not None:
+    keep = sigma.duals.weights <= new_band + _TOL
+    target = sigma.duals[keep]
+    if q.shift is not None:
         buckets = [_shifted_blocks(q, sigma, keep)]
     else:
         buckets = _kernel_side_blocks(q, sigma, target, new_band, grid)
@@ -164,7 +102,7 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
 def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndarray:
     """sigma(k - step e_axis) - sigma(k) on the kept duals; sigma is zero outside its band."""
     axis, step = q.shift
-    blocks = sigma.buckets[0]  # all 1x1 on the torus: one bucket
+    blocks = sigma.buckets[0]  # a group with shift rules has 1x1 blocks only (the torus): one bucket
     labels = sigma.duals.labels
     pad = int(np.abs(labels).max()) + 1
     # sigma scattered into a zero cube that has room for every shifted label
@@ -177,7 +115,7 @@ def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndar
 
 def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> list[np.ndarray]:
     """forward(q k) on the target duals, k the kernel of sigma(x, .) at each node x, a chunk of nodes at a time."""
-    grid = _resolve_grid(sigma, grid)
+    grid = sigma.resolve_grid(grid)
     qvals = q.values(grid)
     parts = [
         forward(GridFunction(grid, inverse(sigma.rows(rows), grid).values * qvals), new_band, duals=target)

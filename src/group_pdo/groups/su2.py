@@ -19,7 +19,9 @@ identified).
 
 On the product grid the Fourier pair is Kostelec and Rockmore's separated
 SO(3) transform, as GEMMs over the parity slots of `wigner.SpinShells`; its
-synthesis, conjugated, also gives the rows of a Schwartz kernel.
+synthesis, conjugated, also gives the rows of a Schwartz kernel.  The
+admissible difference collection is the four spin-1/2 coefficients
+``D^{1/2}_ab - delta_ab``, which have no index rule on the dual.
 """
 
 from __future__ import annotations
@@ -187,6 +189,29 @@ class SU2:
         q = np.array([np.cos(t / 2.0), 0.0, 0.0, 0.0])
         q[1 + j] = -np.sin(t / 2.0)
         return q
+
+    def difference_functions(self) -> list[tuple]:
+        """The strongly admissible first-order collection as (name, q, shift): the four spin-1/2 coefficients
+        q_ab = D^{1/2}_ab - delta_ab, whose common zero set is exactly {e} (the defining representation is
+        faithful, so the centre is covered), with no shift rule."""
+        # spin-1/2 in the ascending weight basis, straight from the quaternion: only the entry (a, b)
+        entries = {
+            (0, 0): lambda q0, q1, q2, q3: q0 + 1j * q3,
+            (0, 1): lambda q0, q1, q2, q3: q2 - 1j * q1,
+            (1, 0): lambda q0, q1, q2, q3: -q2 - 1j * q1,
+            (1, 1): lambda q0, q1, q2, q3: q0 - 1j * q3,
+        }
+
+        def coeff_fn(a: int, b: int):
+            entry = entries[(a, b)]
+
+            def fn(points):
+                val = entry(*points.T).astype(complex)
+                return val - 1.0 if a == b else val
+
+            return fn
+
+        return [(f"q[{a}{b}]", coeff_fn(a, b), None) for a in range(2) for b in range(2)]
 
     def _check_dual(self, xi: DualIndex):
         if not isinstance(xi.label, int):

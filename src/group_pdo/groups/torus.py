@@ -5,6 +5,8 @@ Points are angle vectors ``x`` in ``[0, 2*pi)^n``; the characters are
 measure is ``dx / (2*pi)^n``.  Every representation is one-dimensional, so
 rep matrices are 1x1.  On the uniform grid the Fourier pair is an FFT, and
 the rows of a Schwartz kernel are translates of the kernels of sigma(x, .).
+The admissible difference collection is the shifts ``exp(+-i x_j) - 1``,
+each with its exact index rule on the dual.
 """
 
 from __future__ import annotations
@@ -113,6 +115,22 @@ class Torus:
         x = np.zeros(self.n)
         x[j] = t
         return np.mod(x, 2 * np.pi)
+
+    def difference_functions(self) -> list[tuple]:
+        """The strongly admissible first-order collection as (name, q, shift): q(x) = exp(+-i x_j) - 1
+        per axis j, with its exact rule shift = (j, +-1) on the dual, Delta_q sigma(k) = sigma(k -+ e_j) - sigma(k)."""
+
+        def shift_fn(axis: int, step: int):
+            def fn(points):
+                return np.exp(1j * step * points[:, axis]) - 1.0
+
+            return fn
+
+        return [
+            (f"q[{'+' if step > 0 else '-'}{j + 1}]", shift_fn(j, step), (j, step))
+            for j in range(self.n)
+            for step in (+1, -1)
+        ]
 
     def _check_dual(self, xi: DualIndex):
         if not (isinstance(xi.label, tuple) and len(xi.label) == self.n):

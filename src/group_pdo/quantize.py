@@ -42,7 +42,7 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
     f must be band-limited within sigma's band; with check_band the input is
     round-tripped through the band and rejected if it does not come back.
     """
-    grid = _resolve_grid(sigma, f.grid)
+    grid = sigma.resolve_grid(f.grid)
     coeffs = forward(f, sigma.band, duals=sigma.duals)
     if check_band:
         back = inverse(coeffs, grid)
@@ -67,25 +67,15 @@ def kernel_rows(sigma: Symbol, grid=None) -> Iterator[tuple[slice, GridFunction]
     """Yield (rows, K[rows]) for consecutive slices of the nodes x, K[rows] the functions y -> K(x, y) on
     the grid sigma is tabulated on (its own when gridded, else `grid` or the smallest for its band), from
     that grid's `kernel_rows`: each chunk within the `batch_slices` budget, so no reduction holds K whole."""
-    grid = _resolve_grid(sigma, grid)
+    grid = sigma.resolve_grid(grid)
     for rows, values in grid.kernel_rows(sigma):
         yield rows, GridFunction(grid, values)
         del values  # not held while the next chunk is made
 
 
-def _resolve_grid(sigma: Symbol, grid):
-    if grid is None:
-        grid = sigma.grid if sigma.grid is not None else sigma.group.grid_for_band(sigma.band)
-    same = sigma.grid is grid or (type(sigma.grid) is type(grid) and sigma.grid.meta() == grid.meta())
-    if not (sigma.invariant or same):
-        raise ValueError("a gridded symbol lives on its own grid, not on a different one")
-    grid.require_band(sigma.band, what="symbol band")
-    return grid
-
-
 def realize(sigma: Symbol, grid=None) -> GridOperator:
     """Dense matrix M[i, j] = K(x_i, y_j) w_j acting on grid values, filled a chunk of `kernel_rows` at a time."""
-    grid = _resolve_grid(sigma, grid)
+    grid = sigma.resolve_grid(grid)
     m = np.empty((grid.node_count,) * 2, dtype=complex)
     for rows, k in kernel_rows(sigma, grid):
         np.multiply(k.values, grid.weights, out=m[rows])
@@ -94,7 +84,7 @@ def realize(sigma: Symbol, grid=None) -> GridOperator:
 
 def operator(sigma: Symbol, grid=None) -> GridOperator:
     """The matrix of `realize` without forming it: a `SymbolMatrix` for an invariant sigma."""
-    grid = _resolve_grid(sigma, grid)
+    grid = sigma.resolve_grid(grid)
     return GridOperator(grid, SymbolMatrix(sigma, grid), sigma.band)
 
 

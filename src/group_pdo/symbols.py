@@ -35,6 +35,20 @@ class Symbol(FourierCoefficients):
     def invariant(self) -> bool:
         return self.grid is None
 
+    def resolve_grid(self, grid=None):
+        """The grid to evaluate on: its own when gridded, else `grid` or the smallest for its band.
+
+        A gridded symbol is refused on a different grid, and every symbol on a grid whose exactness
+        does not cover its band.
+        """
+        if grid is None:
+            grid = self.grid if self.grid is not None else self.group.grid_for_band(self.band)
+        same = self.grid is grid or (type(self.grid) is type(grid) and self.grid.meta() == grid.meta())
+        if not (self.invariant or same):
+            raise ValueError("a gridded symbol lives on its own grid, not on a different one")
+        grid.require_band(self.band, what="symbol band")
+        return grid
+
     def adjoint(self) -> "Symbol":
         out = self.map_buckets(lambda b: np.conj(np.swapaxes(b, -1, -2), order="C"))
         out.provenance = f"adjoint({self.provenance})"
@@ -192,18 +206,19 @@ def extract_symbol(op: Callable[[GridFunction], GridFunction], grid, band: float
 # ---------------------------------------------------------------------------
 # builder registry (the CLI surface)
 
-BUILDER_NAMES = (
-    "identity",
-    "multiplier_power",
-    "hirschman_wainger",
-    "hlhw",
-    "schrodinger",
-    "z_plus_c_inverse",
-)
+BUILDER_KEYS = {
+    "identity": (),
+    "multiplier_power": ("s",),
+    "hirschman_wainger": ("rho", "nu"),
+    "hlhw": ("rho", "nu"),
+    "schrodinger": ("t", "delta", "f"),
+    "z_plus_c_inverse": ("c",),
+}
+BUILDER_NAMES = tuple(BUILDER_KEYS)
 
 
 def build_symbol(name: str, group, band: float, grid=None, params: dict = None, seed: int = 0) -> Symbol:
-    """Construct a builder symbol by name with keyword parameters.
+    """Construct a builder symbol by name with keyword parameters; a key the builder does not read is refused.
 
     identity                 ()
     multiplier_power         (s)
@@ -222,6 +237,12 @@ def build_symbol(name: str, group, band: float, grid=None, params: dict = None, 
         return float(value)
 
     name = name.strip().lower()
+    if name not in BUILDER_KEYS:
+        raise ValueError(f"unknown symbol builder {name!r}; known: {', '.join(BUILDER_NAMES)}")
+    unknown = [key for key in params if key not in BUILDER_KEYS[name]]
+    if unknown:
+        keys = ", ".join(BUILDER_KEYS[name]) or "none"
+        raise ValueError(f"symbol parameter {unknown[0]} is not a key of {name} (its keys: {keys})")
     if name == "identity":
         return identity_symbol(group, band, grid=grid)
     if name == "multiplier_power":
@@ -235,8 +256,6 @@ def build_symbol(name: str, group, band: float, grid=None, params: dict = None, 
         f = named_function(fname, grid, band=band, seed=seed)
         f = GridFunction(grid, f.values.real)
         return schrodinger_phase(group, real("t", 1.0), f, real("delta", 0.0), band)
-    if name == "z_plus_c_inverse":
-        if not isinstance(group, SU2):
-            raise ValueError("z_plus_c_inverse is an su2 builder")
-        return z_plus_c_inverse(complex(params.get("c", 1.0)), band)
-    raise ValueError(f"unknown symbol builder {name!r}; known: {', '.join(BUILDER_NAMES)}")
+    if not isinstance(group, SU2):  # z_plus_c_inverse
+        raise ValueError("z_plus_c_inverse is an su2 builder")
+    return z_plus_c_inverse(complex(params.get("c", 1.0)), band)

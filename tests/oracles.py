@@ -72,3 +72,27 @@ def inverse_su2_per_spin(a: FourierCoefficients, grid) -> GridFunction:
             acc[:, slots, :, slots] += contrib.transpose(0, 2, 1, 3)
     values = np.einsum("aj,zatb,bk->zjtk", ephi.conj(), acc, epsi.conj(), optimize=True)
     return GridFunction(grid, values.reshape(*a.batch, grid.node_count))
+
+
+# the admissible collections and rho^2 in closed form, as the difference calculus first wrote them per group
+
+
+def torus_shift(points: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """q(x) = exp(i step x_axis) - 1."""
+    return np.exp(1j * step * points[:, axis]) - 1.0
+
+
+def su2_coeff(points: np.ndarray, a: int, b: int) -> np.ndarray:
+    """q_ab = D^{1/2}_ab - delta_ab from the quaternion, in the ascending weight basis."""
+    q0, q1, q2, q3 = points.T
+    entry = {(0, 0): q0 + 1j * q3, (0, 1): q2 - 1j * q1, (1, 0): -q2 - 1j * q1, (1, 1): q0 - 1j * q3}[(a, b)]
+    entry = entry.astype(complex)
+    return entry - 1.0 if a == b else entry
+
+
+def torus_rho2(points: np.ndarray) -> np.ndarray:
+    return np.sum(2.0 - 2.0 * np.cos(points), axis=1)
+
+
+def su2_rho2(points: np.ndarray) -> np.ndarray:
+    return 2.0 - 2.0 * points[:, 0]

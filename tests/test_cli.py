@@ -214,6 +214,11 @@ LADDER = "band must be finite and >= 1 at every lambda of a non-empty ladder, go
         (f"hsnorm {POWER}=1j", "symbol parameter s=1j must be real"),
         ("hsnorm --group su2 --band 3 --symbol schrodinger --symbol-params t=1j", "symbol parameter t=1j must be real"),
         ("hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params =3", "--symbol-params =3 has no key"),
+        (
+            "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params S=-1",
+            "symbol parameter S is not a key of multiplier_power (its keys: s)",
+        ),
+        (f"hsnorm {POWER}=-1,s=2", "--symbol-params s is given twice"),
         ("transform --group t1 --band 8 --margin -5", "--margin must be >= 0, got -5"),
     ],
 )

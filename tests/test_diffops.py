@@ -12,6 +12,7 @@ from group_pdo.diffops import (
 from group_pdo.errors import BandExhaustedError, PrecisionError
 from group_pdo.fourier import FourierCoefficients, GridFunction, forward, inverse
 from group_pdo.symbols import identity_symbol, multiplier_power, schrodinger_phase
+from oracles import su2_coeff, su2_rho2, torus_rho2, torus_shift
 
 
 class TestAdmissibleCollection:
@@ -24,6 +25,23 @@ class TestAdmissibleCollection:
         for q, sign in zip(ops1, (1, -1)):
             grad = (q.point_fn(np.array([[h]])) - q.point_fn(np.array([[-h]])))[0] / (2 * h)
             assert grad == pytest.approx(sign * 1j, abs=1e-6)
+
+    def test_values_keep_the_closed_forms(self, t1, t2, su2):
+        # every q bit for bit as the closed form, with its name and shift rule
+        for group, grid in ((t1, t1.haar_grid(9)), (t2, t2.haar_grid(7)), (su2, su2.haar_grid(6))):
+            if group is su2:
+                want = [(f"q[{a}{b}]", su2_coeff(grid.nodes, a, b), None) for a in range(2) for b in range(2)]
+            else:
+                steps = ((+1, "+"), (-1, "-"))
+                want = [
+                    (f"q[{sign}{j + 1}]", torus_shift(grid.nodes, j, step), (j, step))
+                    for j in range(group.n)
+                    for step, sign in steps
+                ]
+            ops = admissible_collection(group)
+            assert [(q.name, q.native_band, q.shift) for q in ops] == [(name, 1, shift) for name, _, shift in want]
+            for q, (_, values, _) in zip(ops, want):
+                assert np.array_equal(q.values(grid), values)
 
     def test_vanish_at_identity(self, t1, su2):
         for group in (t1, su2):
@@ -127,12 +145,21 @@ class TestSU2Difference:
         vals = laplace_op(su2).point_fn(pts)
         np.testing.assert_allclose(vals, [0.0, 4.0, 2.0], atol=1e-14)
 
-    def test_laplace_nonnegative_on_grid(self, su2, t2):
-        for group, res in ((su2, 8), (t2, 7)):
-            grid = group.haar_grid(res)
-            vals = laplace_op(group).values(grid)
-            assert np.abs(vals.imag).max() < 1e-12
-            assert vals.real.min() >= -1e-12
+    def test_laplace_nonnegative_on_grid(self, su2, t1, t2, rng):
+        # rho^2 = 1/2 sum_q |q|^2 is real, >= 0 and the closed form on each group, at grid nodes and random points
+        for group, res, closed in ((su2, 8, su2_rho2), (t1, 9, torus_rho2), (t2, 7, torus_rho2)):
+            points = np.concatenate([group.haar_grid(res).nodes, group.random_points(50, rng), [group.identity()]])
+            vals = laplace_op(group).point_fn(points)
+            assert np.all(vals.imag == 0)
+            assert vals.real.min() >= 0
+            np.testing.assert_allclose(vals.real, closed(points), rtol=0, atol=1e-14)
+
+    def test_su2_native_band_stays_int(self, su2):
+        sig = multiplier_power(su2, -1.0, su2.band_of_native(5))
+        for q in (*admissible_collection(su2), laplace_op(su2)):
+            sig = difference(q, sig)
+            assert type(sig.native_band) is int
+        assert sig.native_band == 0 and sig.duals.labels.tolist() == [0]
 
     def test_laplace_difference_identity(self, su2):
         sig = identity_symbol(su2, su2.band_of_native(5))

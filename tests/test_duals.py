@@ -129,7 +129,8 @@ def test_no_dual_index_on_hot_paths(monkeypatch, t1, t2, su2, rng):
             if name in t1_only and group is not t1 or name in su2_only and group is not su2:
                 continue
             gridded = grid if name in ("identity", "schrodinger") else None
-            sigma = build_symbol(name, group, band, grid=gridded, params={"t": 0.3, "delta": 0.5})
+            params = {"t": 0.3, "delta": 0.5} if name == "schrodinger" else {}  # each builder only its own keys
+            sigma = build_symbol(name, group, band, grid=gridded, params=params)
             hs_norm_symbol(sigma)
             for q in (*admissible_collection(group), laplace_op(group)):
                 difference(q, sigma)

@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 40 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 42 more that cover
 the other subcommands, groups and refusals.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
 are masked in stdout and stderr.
@@ -79,6 +79,8 @@ EXTRA = (
     "hsnorm --group su2 --band 3 --symbol schrodinger --symbol-params t=1j",
     "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params =3",
     "transform --group t1 --band 8 --margin -5",
+    "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params S=-1",
+    "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params s=-1,s=2",
 )
 
 
