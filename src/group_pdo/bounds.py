@@ -12,13 +12,14 @@ sharpness as growth.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import GridFunction, sup_norm
-from .groups import Torus
+from .fourier import GridFunction
+from .groups import Torus, batch_size, batch_slices
 from .named_functions import dirichlet_kernel
 from .quantize import GridOperator, apply, kernel_rows, matvec_rows, operator
 from .symbols import Symbol, float_powers, hirschman_wainger
@@ -60,14 +61,24 @@ def linf_bound_constant(sigma: Symbol, grid=None) -> float:
 
 
 def _kernel_bounds(sigma: Symbol, grid) -> tuple[float, float]:
-    """(max_i sum_j |K_ij| w_j, (sum_ij w_i |K_ij|^2 w_j)^(1/2)), reduced a chunk of kernel rows at a time."""
+    """(max_i sum_j |K_ij| w_j, (sum_ij w_i |K_ij|^2 w_j)^(1/2)), reduced a chunk of kernel rows at a time.
+
+    The motions that map the grid onto itself keep its weights and the kernel of an invariant sigma, so
+    every row of an orbit has the two sums of its representative: for an invariant sigma only the rows of
+    the grid's `orbits()` representatives are synthesised, and each square sum counts once per member.
+    A gridded sigma reduces every row.
+    """
+    grid = sigma.resolve_grid(grid)
+    reps, size = grid.orbits() if sigma.invariant else (None, 1)
+    w = grid.weights
     row_l1, row_sq = [], []
-    for _, k in kernel_rows(sigma, grid):  # consecutive rows, in order
-        w, block = k.grid.weights, np.abs(k.values)
+    for _, k in kernel_rows(sigma, grid, reps):  # every row, or each orbit's representative, in order
+        block = np.abs(k.values)
         del k  # the complex rows are not held while the next chunk is made
         row_l1.append(block @ w)
         row_sq.append(np.square(block, out=block) @ w)
-    return float(np.max(np.concatenate(row_l1))), float(np.sqrt(w @ np.concatenate(row_sq)))
+    w_rows = w if reps is None else w[reps]
+    return float(np.max(np.concatenate(row_l1))), float(np.sqrt(size * (w_rows @ np.concatenate(row_sq))))
 
 
 def l2_multiplier_norm(sigma: Symbol) -> float:
@@ -114,6 +125,10 @@ def lp_lower_bound(
     alone wherever M maps a block row as one vector (dense M, torus FFT);
     SU(2)'s batched BLAS contractions may move the last bits.  Zero iterates
     restart from draws taken in step order, then start order.
+
+    A p whose norms or quotients overflow, come out NaN, or underflow to 0
+    on a nonzero vector is refused with a ValueError, so that no value rests
+    on them; an exactly zero M x still restarts.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("p must be finite and > 1")
@@ -124,13 +139,26 @@ def lp_lower_bound(
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
 
-    def norms(v, r):
-        return float_powers(np.sum(w * np.abs(v) ** r, axis=-1), 1.0 / r)
+    def norms(v, r, source=None):
+        """The norm of each row of v, refused where it is not finite, or 0 where the row of `source`, the
+        vector that v was mapped from (v itself by default), is not: that 0 is an underflow."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            out = float_powers(np.sum(w * np.abs(v) ** r, axis=-1), 1.0 / r)
+        if np.isfinite(out).all() and out.all():  # the common case: every norm finite and positive
+            return out
+        zero = out == 0.0
+        if not np.isfinite(out).all() or np.any((v if source is None else source)[zero] != 0.0):
+            raise ValueError(
+                f"the weighted norms at p={p!r} cannot be formed in floating point "
+                "(one overflowed, underflowed to 0 or is NaN); take p nearer 2"
+            )
+        return out
 
     def dual(v, r):
         a = np.abs(v)
         phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
-        return a ** (r - 1.0) * phase
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # what overflows, norms refuses
+            return a ** (r - 1.0) * phase
 
     def draw():
         return rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
@@ -161,7 +189,7 @@ def lp_lower_bound(
         # m^H v without materialising the conjugate transpose
         z = np.conj(matvec_rows(m.T, np.conj(w * dual(y[live], p)))) / w
         step = dual(z, q)
-        nx = norms(step, p)
+        nx = norms(step, p, z)
         x[live] = step / np.where(nx == 0.0, 1.0, nx)[:, None]
         settled = np.zeros(len(active), dtype=bool)
         settled[live] = (nx == 0.0) | (np.abs(quot[live] - prev[active[live]]) <= 1e-9 * np.maximum(quot[live], 1.0))
@@ -185,6 +213,10 @@ class BmoReport:
     skipped: int
     best_center: int
     best_radius: float
+    oscillation: np.ndarray = field(repr=False)  # the mean oscillation at (center, radius), NaN where skipped
+
+
+BMO_TIE = 1e-9  # a representative distance this close to a radius is decided again for each member
 
 
 def bmo_seminorm(g: GridFunction, ball_radii) -> BmoReport:
@@ -193,6 +225,16 @@ def bmo_seminorm(g: GridFunction, ball_radii) -> BmoReport:
     A lower bound for the BMO seminorm by construction; balls are taken in
     the geodesic distance, empty balls are skipped with a warning (cannot
     happen when centers are grid nodes).
+
+    The motions that map the grid onto itself keep distances and weights, so
+    the ball of the member move(k, c) of an orbit is the ball of its
+    representative c moved by k: one distance vector per representative of
+    the grid's `orbits()` serves its whole orbit.  A node within BMO_TIE of a
+    radius, where rounding may fall either way, is decided for each member
+    by its own distance.  The balls of one size are gathered in node order
+    into the rows of a C-contiguous array, whose row sums have the bits of a
+    sum over each ball alone.  The result is the first strict maximum over
+    (center, radius) in loop order, center-major.
     """
     grid = g.grid
     group = grid.group
@@ -202,29 +244,48 @@ def bmo_seminorm(g: GridFunction, ball_radii) -> BmoReport:
             raise ValueError(f"radius {r} outside (0, diameter/2]")
     vals = g.values
     w = grid.weights
-    best = 0.0
-    best_center = 0
-    best_radius = radii[0]
-    skipped = 0
-    for c in range(grid.node_count):
+    osc, mu = np.full((grid.node_count, len(radii)), np.nan), np.zeros((grid.node_count, len(radii)))
+    reps, size = grid.orbits()
+    for c in reps.tolist():
         dist = group.distances(grid.nodes, grid.nodes[c])
-        for r in radii:
-            mask = dist <= r
-            mu = float(np.sum(w[mask]))
-            if mu <= 0.0:
-                skipped += 1
-                warnings.warn(f"ball (center {c}, radius {r}) captured no nodes; skipped")
-                continue
-            mean = complex(np.sum(w[mask] * vals[mask]) / mu)
-            osc = float(np.sum(w[mask] * np.abs(vals[mask] - mean)) / mu)
-            if osc > best:
-                best, best_center, best_radius = osc, c, r
+        near = np.flatnonzero(dist <= max(radii) + BMO_TIE)
+        for members in batch_slices(size, len(near)):
+            k = np.arange(size)[members]
+            centers, balls = grid.move(k, c), grid.move(k[:, None], near)
+            order = np.argsort(balls, axis=1)
+            balls, own = np.take_along_axis(balls, order, axis=1), dist[near][order]  # each row in node order
+            ties = np.any([np.abs(own - r) <= BMO_TIE for r in radii], axis=0)
+            for row in np.flatnonzero(ties.any(axis=1)).tolist():
+                at = balls[row, ties[row]]
+                own[row, ties[row]] = group.distances(grid.nodes[at], grid.nodes[centers[row]])
+            for i, r in enumerate(radii):
+                inside = own <= r
+                counts = inside.sum(axis=1)
+                for n in sorted(set(counts[counts > 0].tolist())):  # not np.unique, which imports numpy.ma
+                    same = counts == n
+                    ball = balls[same][inside[same]].reshape(-1, n)
+                    osc[centers[same], i], mu[centers[same], i] = _mean_oscillations(w[ball], vals[ball])
+    skipped = mu <= 0.0
+    for c, i in np.argwhere(skipped).tolist():
+        warnings.warn(f"ball (center {c}, radius {radii[i]}) captured no nodes; skipped")
+    osc[skipped] = np.nan
+    score = np.where(osc > 0.0, osc, 0.0)  # NaN never wins, and with no positive oscillation (0, radii[0]) does
+    center, i = divmod(int(np.argmax(score)), len(radii))  # the first strict maximum in loop order
     return BmoReport(
-        value=best,
-        skipped=skipped,
-        best_center=best_center,
-        best_radius=best_radius,
+        value=float(score[center, i]),
+        skipped=int(skipped.sum()),
+        best_center=center,
+        best_radius=radii[i],
+        oscillation=osc,
     )
+
+
+def _mean_oscillations(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean oscillation, measure) of each ball row of the weights w and values v (balls, n)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a ball of measure 0 is skipped by the caller
+        mu = np.sum(w, axis=1)
+        mean = np.sum(w * v, axis=1) / mu
+        return np.sum(w * np.abs(v - mean[:, None]), axis=1) / mu, mu
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +405,8 @@ def _lambda_ladder(lambdas) -> list[float]:
 def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylReport:
     """Exact dual sums sum d_xi^2 <xi>^(alpha n) over <xi> <= lambda.
 
-    alpha > -1: cumulative variant, expected to scale like lambda^((alpha+1) n).
+    alpha > -1: cumulative variant, expected to scale like lambda^((alpha+1) n);
+    a band_limit, which it would not read, is refused.
     alpha < -1: tail variant from lambda up to band_limit, with the fraction
     of the sum sitting in the last dyadic band reported as a truncation
     diagnostic.
@@ -355,6 +417,10 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylRe
     n = group.dim
     if alpha > -1.0:
         variant = "cumulative"
+        if band_limit is not None:
+            raise ValueError(
+                f"band_limit {band_limit} is read only by the tail variant (alpha < -1), not at alpha {alpha}"
+            )
         top = lambdas[-1]
     elif alpha < -1.0:
         variant = "tail"
@@ -510,16 +576,23 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
     Verifies on each sample the L-infinity inequality against the kernel-L1
     constant, the Hilbert-Schmidt two-path identity, and (when the measured
     operator-norm decay exceeds dim/2) the dyadic Cauchy behaviour of the HS
-    sum.
+    sum.  `f_samples` may be any iterable, a generator too: it is read a
+    `batch_slices` batch at a time, each batch applied in one `apply` call.
     """
+    sups = []  # (sup |Op(sigma) f|, sup |f|) per sample
+    samples = iter(f_samples)
+    step = batch_size(sigma.resolve_grid(grid).node_count)
+    while batch := list(itertools.islice(samples, step)):
+        f = GridFunction(batch[0].grid, np.array([s.values for s in batch]))
+        del batch
+        lhs = np.max(np.abs(apply(sigma, f).values), axis=1)  # one apply for the batch
+        sups += zip(lhs.tolist(), np.max(np.abs(f.values), axis=1).tolist())
+    # one pass over the kernel rows for both bounds, after the samples: its chunks are the audit's peak
+    const, hs_k = _kernel_bounds(sigma, grid)
     checks = []
-    const, hs_k = _kernel_bounds(sigma, grid)  # one pass over the kernel rows for both
-    for i, f in enumerate(f_samples):
-        lhs = sup_norm(apply(sigma, f))
-        rhs = (1.0 + 1e-8) * const * sup_norm(f) + 1e-300
-        checks.append(
-            AuditCheck(name=f"linf_bound[{i}]", value=lhs, bound=rhs, ok=bool(lhs <= rhs))
-        )
+    for i, (lhs, sup) in enumerate(sups):
+        rhs = (1.0 + 1e-8) * const * sup + 1e-300
+        checks.append(AuditCheck(name=f"linf_bound[{i}]", value=lhs, bound=rhs, ok=bool(lhs <= rhs)))
     squares = sigma.hs_squares()  # one pass for the HS norm and the dyadic increments
     rel = hs_relative_difference(hs_k, _hs_norm(sigma, squares))
     checks.append(AuditCheck(name="hs_identity", value=rel, bound=1e-8, ok=bool(rel <= 1e-8)))

@@ -551,6 +551,8 @@ def _weyl(args) -> Outcome:
     group = group_by_name(args.group)
     lambdas = _parse_list(args.lambdas)
     if args.s is not None:
+        if args.band_limit is not None:
+            raise ValueError(f"--band-limit {args.band_limit} is not read by the series mode (--s)")
         rep = casimir_series(group, args.s, lambdas)
         fraction = f"last-band fraction {rep.last_band_fraction:.4f}"
         rows = [["lambda", "partial_sum"], *rep.rows]
@@ -590,7 +592,7 @@ def _audit(args) -> Outcome:
 
     band, grid, sigma = _build(args)
     rng = np.random.default_rng(args.seed)
-    samples = [random_bandlimited(grid, band, rng) for _ in range(args.samples)]
+    samples = (random_bandlimited(grid, band, rng) for _ in range(args.samples))  # drawn as the audit reads them
     rep = bound_audit(sigma, samples, grid)
     rows = [["check", "value", "bound", "ok", "note"]] + [
         [c.name, c.value, c.bound, int(c.ok), c.note] for c in rep.checks

@@ -10,9 +10,14 @@ import numpy as np
 _BATCH_BYTES = 4 * 2**20  # complex grid values held by one chunk of a batched transform chain
 
 
+def batch_size(nodes: int) -> int:
+    """The number of complex functions on `nodes` nodes that one chunk holds within _BATCH_BYTES, at least 1."""
+    return max(1, _BATCH_BYTES // (16 * nodes))
+
+
 def batch_slices(count: int, nodes: int) -> list[slice]:
     """Consecutive slices of a batch of `count` functions on `nodes` nodes, each within _BATCH_BYTES."""
-    step = max(1, _BATCH_BYTES // (16 * nodes))
+    step = batch_size(nodes)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -86,7 +91,8 @@ class Duals:
 class GridMeta:
     """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`.
     Each grid owns the group-specific rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`,
-    `synthesis(duals, buckets, count) -> (count, N) values` and `kernel_rows(sigma)`."""
+    `synthesis(duals, buckets, count) -> (count, N) values`, `kernel_rows(sigma, nodes)`, and the motions
+    that map it onto itself: `orbits() -> (representatives, size)` and `move(k, nodes)`."""
 
     @property
     def node_count(self) -> int:
@@ -96,6 +102,12 @@ class GridMeta:
     def exactness_band(self) -> float:
         """Largest weight band whose dual ball is pairwise-exactly integrable."""
         return self.group.band_of_native(self.native_exact)
+
+    def row_chunks(self, nodes=None):
+        """`batch_slices` of the rows `nodes` (an index array), or consecutive slices of every node by default."""
+        count = self.node_count if nodes is None else len(nodes)
+        for rows in batch_slices(count, self.node_count):
+            yield rows if nodes is None else nodes[rows]
 
     def meta(self) -> dict:
         return {

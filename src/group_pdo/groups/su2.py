@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex, Duals, GridMeta, batch_slices
+from .dual import DualIndex, Duals, GridMeta
 from .wigner import SpinShells, angular_momentum_matrices, wigner_d_matrix
 
 _TOL = 1e-9
@@ -246,6 +246,11 @@ class SU2Grid(GridMeta):
     the one copy of its Wigner-d values that every SU(2) path reads.
     ``rep_table`` is assembled from them on each call: a kept copy
     (N (j2+1)^2 complex numbers per spin) saved no time.
+
+    The left z-rotations z(2 pi k / p) map the grid onto itself (`move`),
+    so its nodes fall into t q orbits of p nodes (`orbits`): a kernel bound
+    of an invariant symbol reads one kernel row per orbit, and the BMO
+    seminorm one distance vector.
     """
 
     group: SU2
@@ -372,11 +377,25 @@ class SU2Grid(GridMeta):
         stage = stage.reshape(2, p, h, t, count).transpose(4, 1, 3, 0, 2).reshape(-1, 2 * h)
         return (stage @ epsi.reshape(2 * h, q)).reshape(count, self.node_count)
 
-    def kernel_rows(self, sigma):
-        """Yield (rows, K[rows]) over `batch_slices` of the nodes, by `_rows`."""
-        n = self.node_count
-        for rows in batch_slices(n, n):
+    def kernel_rows(self, sigma, nodes=None):
+        """Yield (rows, K[rows]) over `batch_slices` of the rows `nodes` (every node by default), by `_rows`."""
+        for rows in self.row_chunks(nodes):
             yield rows, self._rows(sigma, rows)
+
+    def orbits(self) -> tuple[np.ndarray, int]:
+        """(representatives, size) of the node orbits under the left z-rotations z(2 pi k / p), k = 0 .. p - 1:
+        the t q nodes at phi index 0, each with an orbit of p nodes.  These rotations map the grid onto itself
+        and keep distances, Haar weights (a function of theta) and the kernel of an invariant symbol."""
+        p, t, q = self.shape
+        return np.arange(t * q), p
+
+    def move(self, k, nodes) -> np.ndarray:
+        """The node z(2 pi k / p) x for each node x of `nodes`, k and nodes broadcast: phi index j goes to
+        (j + k) mod p, and psi by 2 pi (q / 2 nodes) at each wrap of phi, as z(2 pi) = -e."""
+        p, _, q = self.shape
+        j, theta, psi = np.unravel_index(nodes, self.shape)
+        turns, j = np.divmod(j + np.asarray(k), p)
+        return np.ravel_multi_index((j, theta, (psi + turns * (q // 2)) % q), self.shape)
 
     def _rows(self, sigma, rows) -> np.ndarray:
         """K[rows] (a slice or an index array), the conjugate of the synthesis of P^H, P = xi(x) sigma(x, xi) at

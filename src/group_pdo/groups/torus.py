@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PrecisionError
-from .dual import DualIndex, Duals, GridMeta, batch_slices
+from .dual import DualIndex, Duals, GridMeta
 
 _TOL = 1e-9
 
@@ -159,6 +159,14 @@ class Torus:
 
 @dataclass
 class TorusGrid(GridMeta):
+    """Uniform product grid, nodes raveled in C order over the axes.
+
+    The translations by its nodes map it onto itself (`move`), so all its
+    nodes form one orbit (`orbits`): a kernel bound of an invariant symbol
+    reads the kernel row of node 0 alone, and the BMO seminorm one distance
+    vector.
+    """
+
     group: Torus
     shape: tuple[int, ...]
     nodes: np.ndarray = field(init=False, repr=False)
@@ -207,17 +215,27 @@ class TorusGrid(GridMeta):
         cubes[(slice(None), *(labels % self.shape).T)] += coeffs
         return (np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * self.node_count).reshape(count, self.node_count)
 
-    def kernel_rows(self, sigma):
-        """Yield (rows, K[rows]) over `batch_slices` of the nodes: K(x_i, y_j) = k_i[(i - j) mod shape],
-        k_i the kernel of sigma(x_i, .), from one batched synthesis per chunk, or one in all for an
-        invariant sigma."""
-        n = self.node_count
+    def kernel_rows(self, sigma, nodes=None):
+        """Yield (rows, K[rows]) over `batch_slices` of the rows `nodes` (every node by default):
+        K(x_i, y_j) = k_i[(i - j) mod shape], k_i the kernel of sigma(x_i, .), from one batched synthesis
+        per chunk, or one in all for an invariant sigma."""
         single = self.synthesis(sigma.duals, sigma.buckets, 1) if sigma.invariant else None
-        for rows in batch_slices(n, n):
-            nodes = np.arange(n)[rows]
-            kernels = single if sigma.invariant else self.synthesis(sigma.duals, sigma.rows(rows).buckets, len(nodes))
-            yield rows, self._translates(kernels, nodes)
+        for rows in self.row_chunks(nodes):
+            at = np.arange(self.node_count)[rows]
+            kernels = single if sigma.invariant else self.synthesis(sigma.duals, sigma.rows(rows).buckets, len(at))
+            yield rows, self._translates(kernels, at)
             del kernels  # not held while the next chunk is made
+
+    def orbits(self) -> tuple[np.ndarray, int]:
+        """(representatives, size) of the node orbits under the translations by the nodes: node 0, with an
+        orbit of N.  They map the grid onto itself and keep distances, weights and invariant kernels."""
+        return np.array([0]), self.node_count
+
+    def move(self, k, nodes) -> np.ndarray:
+        """The node x_k + x for each node x of `nodes`, k and nodes broadcast: their multi-indices added
+        modulo the shape."""
+        shift, at = np.unravel_index(k, self.shape), np.unravel_index(nodes, self.shape)
+        return np.ravel_multi_index(tuple((a + s) % m for a, s, m in zip(at, shift, self.shape)), self.shape)
 
     def _translates(self, kernels: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Rows k_i[(i - j) mod shape] over j for the nodes i, from one kernel for all or one each.

@@ -13,13 +13,14 @@ chunks.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PrecisionError
-from .fourier import GridFunction, forward, inverse, sup_norm
+from .fourier import GridFunction, forward, inverse
 from .symbols import Symbol
 
 BAND_CHECK_TOL = 1e-8
@@ -37,38 +38,43 @@ class GridOperator:
 
 
 def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFunction:
-    """Evaluate Op(sigma) f by the finite trace sum at every node.
+    """Evaluate Op(sigma) f by the finite trace sum at every node, for one function f or a batch of them.
 
-    f must be band-limited within sigma's band; with check_band the input is
+    f must be band-limited within sigma's band; with check_band each input is
     round-tripped through the band and rejected if it does not come back.
     """
     grid = sigma.resolve_grid(f.grid)
     coeffs = forward(f, sigma.band, duals=sigma.duals)
     if check_band:
         back = inverse(coeffs, grid)
-        scale = max(sup_norm(f), 1.0)
-        err = float(np.max(np.abs(back.values - f.values)))
-        if err > BAND_CHECK_TOL * scale:
+        scale = np.maximum(np.max(np.abs(f.values), axis=-1), 1.0)
+        err = np.max(np.abs(back.values - f.values), axis=-1)
+        aliased = np.flatnonzero(err > BAND_CHECK_TOL * scale)
+        if aliased.size:
             raise PrecisionError(
                 f"input is not band-limited within band {sigma.band:.6g} "
-                f"(round-trip residual {err:.3g}); refuse to quantize an aliased input"
+                f"(round-trip residual {float(err.flat[aliased[0]]):.3g}); refuse to quantize an aliased input"
             )
     if sigma.invariant:
         return inverse(sigma @ coeffs, grid)
-    # a gridded product one bucket at a time: never the whole table sigma(x, xi) fhat(xi) at once
-    vals = np.zeros(grid.node_count, dtype=complex)
+    # one dual at a time, never the whole table sigma(x, xi) fhat(xi): P = xi(x) sigma(x, xi) once for the
+    # batch, then Tr(P fhat) = sum_ab P_ab fhat_ba for every function as one product (N, d^2) x (d^2, B)
+    vals = np.zeros((grid.node_count, math.prod(coeffs.batch)), dtype=complex)
     for (start, stop), s, c in zip(sigma.duals.runs, sigma.buckets, coeffs.buckets):
-        for xi, block in zip(sigma.duals[start:stop], s @ c[:, None]):
-            vals += xi.dim * np.einsum("nab,nba->n", grid.rep_table(xi), block, optimize=True)
-    return GridFunction(grid, vals)
+        d = int(sigma.duals.dims[start])
+        columns = np.swapaxes(c, -1, -2).reshape(stop - start, -1, d * d)
+        for xi, block, col in zip(sigma.duals[start:stop], s, columns):
+            vals += d * ((grid.rep_table(xi) @ block).reshape(-1, d * d) @ col.T)
+    return GridFunction(grid, vals.T.reshape(*coeffs.batch, grid.node_count))
 
 
-def kernel_rows(sigma: Symbol, grid=None) -> Iterator[tuple[slice, GridFunction]]:
-    """Yield (rows, K[rows]) for consecutive slices of the nodes x, K[rows] the functions y -> K(x, y) on
-    the grid sigma is tabulated on (its own when gridded, else `grid` or the smallest for its band), from
-    that grid's `kernel_rows`: each chunk within the `batch_slices` budget, so no reduction holds K whole."""
+def kernel_rows(sigma: Symbol, grid=None, nodes=None) -> Iterator[tuple[slice | np.ndarray, GridFunction]]:
+    """Yield (rows, K[rows]) for consecutive slices of the nodes x, or chunks of the index array `nodes`,
+    K[rows] the functions y -> K(x, y) on the grid sigma is tabulated on (its own when gridded, else `grid`
+    or the smallest for its band), from that grid's `kernel_rows`: each chunk within the `batch_slices`
+    budget, so no reduction holds K whole."""
     grid = sigma.resolve_grid(grid)
-    for rows, values in grid.kernel_rows(sigma):
+    for rows, values in grid.kernel_rows(sigma, nodes):
         yield rows, GridFunction(grid, values)
         del values  # not held while the next chunk is made
 

@@ -1,10 +1,12 @@
-"""Reference transforms that the fast paths in `group_pdo.fourier` are checked against.
+"""Reference paths that the fast ones in `group_pdo` are checked against.
 
 `forward_direct` is the plain quadrature sum per coefficient.  The SU(2)
 pair `forward_su2_per_spin` / `inverse_su2_per_spin` contracts each spin on
 its own, by einsum against Wigner-d tables built here with
 `wigner_d_tables` and phase tables of the full weight range, so it shares
-no layout with the spin-shell engine.
+no layout with the spin-shell engine.  `kernel_bounds_sweep` and
+`bmo_per_center` reduce every kernel row and every ball center, where
+`group_pdo.bounds` reads one per grid orbit.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from group_pdo.fourier import FourierCoefficients, GridFunction
 from group_pdo.groups import wigner_d_tables
+from group_pdo.quantize import kernel_rows
 
 
 def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
@@ -96,3 +99,37 @@ def torus_rho2(points: np.ndarray) -> np.ndarray:
 
 def su2_rho2(points: np.ndarray) -> np.ndarray:
     return 2.0 - 2.0 * points[:, 0]
+
+
+# the kernel bounds and the BMO seminorm as they were first written: every kernel row, every ball center
+
+
+def kernel_bounds_sweep(sigma, grid=None) -> tuple[float, float]:
+    """(max_i sum_j |K_ij| w_j, (sum_ij w_i |K_ij|^2 w_j)^(1/2)) over every kernel row, a chunk at a time."""
+    row_l1, row_sq = [], []
+    for _, k in kernel_rows(sigma, grid):
+        w, block = k.grid.weights, np.abs(k.values)
+        row_l1.append(block @ w)
+        row_sq.append(np.square(block) @ w)
+    return float(np.max(np.concatenate(row_l1))), float(np.sqrt(w @ np.concatenate(row_sq)))
+
+
+def bmo_per_center(g: GridFunction, radii) -> tuple[np.ndarray, tuple[float, int, float]]:
+    """The mean oscillation of every (center, radius) ball, NaN where it is empty, from one distance vector
+    per center, and (value, center, radius) of the first strict maximum in loop order."""
+    grid, vals = g.grid, g.values
+    w = grid.weights
+    osc = np.full((grid.node_count, len(radii)), np.nan)
+    best = (0.0, 0, radii[0])
+    for c in range(grid.node_count):
+        dist = grid.group.distances(grid.nodes, grid.nodes[c])
+        for i, r in enumerate(radii):
+            mask = dist <= r
+            mu = float(np.sum(w[mask]))
+            if mu <= 0.0:
+                continue
+            mean = complex(np.sum(w[mask] * vals[mask]) / mu)
+            osc[c, i] = float(np.sum(w[mask] * np.abs(vals[mask] - mean)) / mu)
+            if osc[c, i] > best[0]:
+                best = (osc[c, i], c, r)
+    return osc, best

@@ -21,7 +21,7 @@ from group_pdo.bounds import (
 )
 from group_pdo.fourier import GridFunction, random_bandlimited
 from group_pdo.named_functions import named_function
-from group_pdo.quantize import operator, realize
+from group_pdo.quantize import apply, operator, realize
 from group_pdo.symbols import (
     hirschman_wainger,
     identity_symbol,
@@ -206,6 +206,14 @@ class TestLpLowerBound:
             assert len(b.history) == len(a.history)
             assert b.restarts == a.restarts
 
+    def test_refuses_norms_that_underflow(self, t1):
+        # at p near 1 the dual map |z|^(q - 1), q ~ 1e7, of a small nonzero z underflows to exactly 0
+        op = realize(identity_symbol(t1, t1.band_of_native(8)), t1.haar_grid(17))
+        op.matrix *= 0.1
+        with pytest.raises(ValueError, match="cannot be formed in floating point"):
+            lp_lower_bound(op, 1.0000001, iterations=3, seed=0)
+        assert lp_lower_bound(op, 1.5, iterations=40, seed=0).value == pytest.approx(0.1, abs=1e-9)
+
     def test_rejects_bad_p(self, t1):
         op = realize(identity_symbol(t1, 2.0), t1.haar_grid(8))
         with pytest.raises(ValueError):
@@ -388,6 +396,26 @@ class TestAudit:
         cauchy = next(c for c in rep.checks if c.name == "hs_dyadic_cauchy")
         # HS dyadic increments of <k>^-2 on T^1 decay like Lambda^{-3}
         assert cauchy.value == pytest.approx(-3.0, abs=0.3)
+
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_samples_from_a_generator_in_batches(self, su2, gridded, monkeypatch):
+        # any iterable, read a batch at a time: each check as from its sample alone, whatever the batch size
+        import group_pdo.bounds
+
+        band = su2.band_of_native(4)
+        grid = su2.grid_for_band(band)
+        f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, 1]))
+        sig = schrodinger_phase(su2, 0.3, f, 0.5, band) if gridded else multiplier_power(su2, -1.0, band)
+        rng = np.random.default_rng(5)
+        samples = [random_bandlimited(grid, band, rng) for _ in range(5)]
+        whole = bound_audit(sig, samples, grid)
+        monkeypatch.setattr(group_pdo.bounds, "batch_size", lambda nodes: 2)
+        drawn = bound_audit(sig, (s for s in samples), grid)
+        assert [c.name for c in drawn.checks] == [c.name for c in whole.checks]
+        for a, b, s in zip(drawn.checks, whole.checks, samples):
+            alone = np.max(np.abs(apply(sig, s).values))
+            assert a.value == pytest.approx(alone, rel=1e-13) and b.value == pytest.approx(alone, rel=1e-13)
+            assert a.bound == pytest.approx(b.bound, rel=1e-15) and a.ok and b.ok
 
     def test_zero_symbol_trivial(self, t1):
         band = t1.band_of_native(4)

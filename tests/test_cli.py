@@ -172,6 +172,8 @@ def test_non_finite_band_is_usage_error(argv, tmp_path):
 SEMINORM = "seminorm --group t1 --band 8 --symbol identity --rho 1 --delta 0 --l 1"
 POWER = "--group t1 --band 8 --symbol multiplier_power --symbol-params s"
 LADDER = "band must be finite and >= 1 at every lambda of a non-empty ladder, got "
+SHARPNESS = "lp-sharpness --lambdas 8,16,32 --iterations 3"
+NORMS = "the weighted norms at p={p} cannot be formed in floating point"
 
 
 @pytest.mark.parametrize(
@@ -220,6 +222,17 @@ LADDER = "band must be finite and >= 1 at every lambda of a non-empty ladder, go
         ),
         (f"hsnorm {POWER}=-1,s=2", "--symbol-params s is given twice"),
         ("transform --group t1 --band 8 --margin -5", "--margin must be >= 0, got -5"),
+        (f"{SHARPNESS} --p 1e308", NORMS.format(p="1e+308")),
+        (f"{SHARPNESS} --p 400", NORMS.format(p="400.0")),
+        (f"{SHARPNESS} --p 1.0000000001", NORMS.format(p="1.0000000001")),
+        (
+            "weyl --group t1 --lambdas 8,16 --alpha 0 --band-limit nan",
+            "band_limit nan is read only by the tail variant (alpha < -1), not at alpha 0.0",
+        ),
+        (
+            "weyl --group t1 --lambdas 8,16 --s 3.1 --band-limit 64",
+            "--band-limit 64.0 is not read by the series mode (--s)",
+        ),
     ],
 )
 def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):

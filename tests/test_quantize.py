@@ -49,6 +49,39 @@ class TestApply:
         with pytest.raises(PrecisionError):
             apply(sig, rough)
 
+    @pytest.mark.parametrize("group_name", ["t1", "t2", "su2"])
+    def test_batch_is_each_function_alone(self, group_name, t1, t2, su2, rng):
+        # a gridded symbol applied to a batch: one product per dual for all rows, each row as if alone
+        group = {"t1": t1, "t2": t2, "su2": su2}[group_name]
+        band = group.band_of_native(2 if group_name == "su2" else 4)
+        grid = group.grid_for_band(band)
+        f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, -1]))
+        sig = schrodinger_phase(group, 0.3, f, 0.5, band)
+        batch = GridFunction(grid, np.array([random_bandlimited(grid, band, rng).values for _ in range(3)]))
+        out = apply(sig, batch)
+        assert out.values.shape == batch.values.shape
+        # the trace sum sum_xi d Tr(xi(x) sigma(x, xi) fhat(xi)), per dual and node
+        coeffs = forward(batch, band, duals=sig.duals)
+        direct = sum(
+            xi.dim * np.einsum("nab,nbc,zca->zn", grid.rep_table(xi), s, c)
+            for xi, s, c in zip(sig.duals, sig.blocks, coeffs.blocks)
+        )
+        np.testing.assert_allclose(out.values, direct, rtol=0, atol=1e-13 * np.abs(direct).max())
+        for row, values in zip(batch.values, out.values):
+            alone = apply(sig, GridFunction(grid, row)).values
+            np.testing.assert_allclose(values, alone, rtol=0, atol=1e-13 * np.abs(alone).max())
+
+    def test_batch_band_check_is_per_row(self, t1, rng):
+        grid = t1.haar_grid(32)
+        band = t1.band_of_native(3)
+        sig = identity_symbol(t1, band, grid=grid)
+        small = random_bandlimited(grid, band, rng).values
+        rough = np.sign(np.cos(grid.nodes[:, 0])) + 0.1
+        twice = apply(sig, GridFunction(grid, np.array([small, 2 * small]))).values[1]
+        np.testing.assert_allclose(twice, 2 * small, atol=1e-12)
+        with pytest.raises(PrecisionError, match="round-trip residual"):
+            apply(sig, GridFunction(grid, np.array([small, rough])))
+
     def test_multiplier_diagonalization(self, su2, rng):
         band = su2.band_of_native(5)
         grid = su2.haar_grid(5)

@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 42 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 48 more that cover
 the other subcommands, groups and refusals.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
 are masked in stdout and stderr.
@@ -67,6 +67,8 @@ EXTRA = (
     "weyl --group su2 --s 3.1 --lambdas 2,4,8,16,32,64",
     "bmo --group t1 --resolution 1024 --function logsin",
     "bmo --group su2 --band 4 --function cos",
+    "bmo --group su2 --band 2.5 --function step",
+    "bmo --group t2 --resolution 24 --function step",
     "interval --n 1 --rho 0.5 --nu 0.125",
     "threshold --n 3 --p 4 --rho 0 --delta 0",
     "lp-sharpness --p 4 --rho 0.5 --nu0 0.1 --lambdas 64,128,256",
@@ -81,6 +83,10 @@ EXTRA = (
     "transform --group t1 --band 8 --margin -5",
     "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params S=-1",
     "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params s=-1,s=2",
+    "lp-sharpness --p 1e308 --lambdas 8,16,32 --iterations 3",
+    "lp-sharpness --p 400 --lambdas 8,16,32 --iterations 3",
+    "lp-sharpness --p 1.0000000001 --lambdas 8,16,32 --iterations 3",
+    "weyl --group t1 --lambdas 8,16 --alpha 0 --band-limit nan",
 )
 
 
