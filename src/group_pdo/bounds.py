@@ -21,7 +21,7 @@ import numpy as np
 from .fourier import GridFunction
 from .groups import Torus, batch_size, batch_slices
 from .named_functions import dirichlet_kernel
-from .quantize import GridOperator, apply, kernel_rows, matvec_rows, operator
+from .quantize import GridOperator, apply, matvec_rows, operator
 from .symbols import Symbol, float_powers, hirschman_wainger
 
 GROWTH_SLOPE_TOL = 0.05
@@ -72,8 +72,8 @@ def _kernel_bounds(sigma: Symbol, grid) -> tuple[float, float]:
     reps, size = grid.orbits() if sigma.invariant else (None, 1)
     w = grid.weights
     row_l1, row_sq = [], []
-    for _, k in kernel_rows(sigma, grid, reps):  # every row, or each orbit's representative, in order
-        block = np.abs(k.values)
+    for _, k in grid.kernel_rows(sigma, reps):  # every row, or each orbit's representative, in order
+        block = np.abs(k)
         del k  # the complex rows are not held while the next chunk is made
         row_l1.append(block @ w)
         row_sq.append(np.square(block, out=block) @ w)

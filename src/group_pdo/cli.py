@@ -534,6 +534,10 @@ def _linf(args) -> Outcome:
 def _lp_sharpness(args) -> Outcome:
     from .bounds import sharpness_experiment
 
+    if args.group.strip().lower() != "t1":
+        raise ValueError(f"lp-sharpness runs the Hirschman-Wainger multiplier on t1, not on {args.group}")
+    if args.resolution is not None:
+        raise ValueError(f"--resolution {args.resolution} is not read by lp-sharpness (its grids have 2 lambda + 2 nodes)")
     series = sharpness_experiment(args.rho, args.nu0, [args.p], _parse_list(args.lambdas), args.iterations, args.seed)[0]
     rows = [["lambda", "lp_lower_bound"], *zip(series.lambdas, series.bounds)]
     results = {"slope": series.slope, "expected_rate": series.expected_rate, "bounds": series.bounds}
@@ -553,6 +557,8 @@ def _weyl(args) -> Outcome:
     if args.s is not None:
         if args.band_limit is not None:
             raise ValueError(f"--band-limit {args.band_limit} is not read by the series mode (--s)")
+        if args.alpha != 0:
+            raise ValueError(f"--alpha {args.alpha} is not read by the series mode (--s)")
         rep = casimir_series(group, args.s, lambdas)
         fraction = f"last-band fraction {rep.last_band_fraction:.4f}"
         rows = [["lambda", "partial_sum"], *rep.rows]

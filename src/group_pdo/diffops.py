@@ -58,17 +58,6 @@ def admissible_collection(group) -> list[DifferenceOp]:
     return [DifferenceOp(name, 1, q, shift) for name, q, shift in group.difference_functions()]
 
 
-def laplace_op(group) -> DifferenceOp:
-    """Second-order difference from rho^2(x) = 1/2 sum over the admissible collection of |q(x)|^2;
-    nonnegative, vanishing only at e: sum_j (2 - 2 cos x_j) on the torus, 2 - 2 q0 on SU(2)."""
-    ops = admissible_collection(group)
-
-    def fn(points):
-        return (0.5 * sum(np.abs(q.point_fn(points)) ** 2 for q in ops)).astype(complex)
-
-    return DifferenceOp(name="laplace", native_band=1, point_fn=fn)
-
-
 # ---------------------------------------------------------------------------
 # difference application
 

@@ -17,7 +17,8 @@ container) is one, so `inverse` of a symbol gives the kernel of sigma(x, .)
 at every node.  Its format is one packed bucket per run of duals of equal
 dimension, taken and stored as given; `blocks` is a per-dual view of it,
 `from_blocks` the one constructor from per-dual blocks, and the per-dual
-reductions (`hs_squares`, `sup_op_norms`) live here too.
+reductions (`hs_squares`, `sup_op_norms`) live here too.  A table has no
+file layout of its own: the CLI writes every result file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import Duals, group_by_name
+from .groups import Duals
 
 
 @dataclass
@@ -105,11 +106,6 @@ class FourierCoefficients:
             self._index = {label: i for i, label in enumerate(keys)}
         return self.blocks[self._index[label]]
 
-    def map_blocks(self, fn) -> "FourierCoefficients":
-        """fn(xi, block) applied per dual; every other field is kept."""
-        blocks = [fn(xi, b) for xi, b in zip(self.duals, self.blocks)]
-        return replace(self, buckets=FourierCoefficients.from_blocks(self.group, self.band, self.duals, blocks).buckets)
-
     def map_buckets(self, fn) -> "FourierCoefficients":
         """fn(bucket) applied per packed bucket ``(count, [B,] d, d)``; every other field is kept."""
         return replace(self, buckets=[fn(b) for b in self.buckets])
@@ -138,22 +134,6 @@ class FourierCoefficients:
     def sup_op_norms(self) -> np.ndarray:
         """max over nodes of ||sigma(x, xi)||_op, for every dual in order."""
         return np.concatenate([_op_norms(b).reshape(len(b), -1).max(axis=1) for b in self.buckets])
-
-    def to_json_dict(self) -> dict:
-        """Documented layout: {group, band, entries: [{label, re, im}]}."""
-        entries = [
-            {"label": label, "re": b.real.tolist(), "im": b.imag.tolist()}
-            for label, b in zip(self.duals.labels.tolist(), self.blocks)
-        ]
-        return {"group": self.group.name, "band": self.band, "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict, grid=None) -> "FourierCoefficients":
-        """Inverse of `to_json_dict`; entries with a node axis need their `grid`."""
-        group, entries = group_by_name(payload["group"]), payload["entries"]
-        duals = group.duals_of([entry["label"] for entry in entries])
-        blocks = [np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"]) for entry in entries]
-        return cls.from_blocks(group, float(payload["band"]), duals, blocks, grid=grid)
 
 
 def concat(parts: list[FourierCoefficients]) -> FourierCoefficients:

@@ -104,9 +104,6 @@ class SU2:
 
     # -- dual ------------------------------------------------------------
 
-    def dual_index(self, label) -> DualIndex:
-        return self.duals_of([int(label)])[0]
-
     def duals_of(self, labels) -> Duals:
         """The duals with these doubled spins, in their order."""
         j2 = np.asarray(labels, dtype=int)

@@ -43,9 +43,6 @@ class Torus:
 
     # -- dual ------------------------------------------------------------
 
-    def dual_index(self, label) -> DualIndex:
-        return self.duals_of([np.atleast_1d(label)])[0]
-
     def duals_of(self, labels) -> Duals:
         """The duals with these labels, shape (count, n), in their order."""
         k = np.asarray(labels, dtype=int)

@@ -5,16 +5,14 @@ K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) and Op(sigma) on grid
 values is the matrix M[i, j] = K(x_i, y_j) w_j.  The norm estimators take a
 `GridOperator` record holding M: dense from `realize`, the oracle, or as a
 matrix-free `SymbolMatrix` from `operator`, which applies M and its
-transpose by Fourier transforms (invariant symbols only).  `kernel_rows`
-yields K a chunk of rows at a time from the grid's own `kernel_rows`, so
-the kernel bounds never hold it whole, and `realize` fills M from those
-chunks.
+transpose by Fourier transforms (invariant symbols only).  The grid's own
+`kernel_rows` yields K a chunk of rows at a time, so the kernel bounds in
+`bounds` never hold it whole, and `realize` fills M from those chunks.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,23 +66,13 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
     return GridFunction(grid, vals.T.reshape(*coeffs.batch, grid.node_count))
 
 
-def kernel_rows(sigma: Symbol, grid=None, nodes=None) -> Iterator[tuple[slice | np.ndarray, GridFunction]]:
-    """Yield (rows, K[rows]) for consecutive slices of the nodes x, or chunks of the index array `nodes`,
-    K[rows] the functions y -> K(x, y) on the grid sigma is tabulated on (its own when gridded, else `grid`
-    or the smallest for its band), from that grid's `kernel_rows`: each chunk within the `batch_slices`
-    budget, so no reduction holds K whole."""
-    grid = sigma.resolve_grid(grid)
-    for rows, values in grid.kernel_rows(sigma, nodes):
-        yield rows, GridFunction(grid, values)
-        del values  # not held while the next chunk is made
-
-
 def realize(sigma: Symbol, grid=None) -> GridOperator:
-    """Dense matrix M[i, j] = K(x_i, y_j) w_j acting on grid values, filled a chunk of `kernel_rows` at a time."""
+    """Dense matrix M[i, j] = K(x_i, y_j) w_j acting on grid values, filled a chunk of the grid's
+    `kernel_rows` at a time."""
     grid = sigma.resolve_grid(grid)
     m = np.empty((grid.node_count,) * 2, dtype=complex)
-    for rows, k in kernel_rows(sigma, grid):
-        np.multiply(k.values, grid.weights, out=m[rows])
+    for rows, k in grid.kernel_rows(sigma):
+        np.multiply(k, grid.weights, out=m[rows])
     return GridOperator(grid, m, sigma.band)
 
 

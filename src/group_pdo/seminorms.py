@@ -66,12 +66,6 @@ class SeminormReport:
     def overall(self) -> float:
         return max((e.sup for e in self.entries), default=0.0)
 
-    def entry(self, alpha, beta) -> SeminormEntry:
-        for e in self.entries:
-            if e.alpha == tuple(alpha) and e.beta == tuple(beta):
-                return e
-        raise KeyError((alpha, beta))
-
 
 def _multi_indices(slots: int, max_total: int):
     for total in range(max_total + 1):

@@ -6,7 +6,8 @@ per grid node with one.  It adds the native truncation index (ball radius
 |k| on the torus, doubled spin on SU(2)) alongside the weight band, so that
 difference operations can account for the band they consume, and a
 provenance string.  An invariant symbol is its own coefficient table and
-goes straight into `fourier.inverse`.
+goes straight into `fourier.inverse`.  Each builder here serves a `--symbol`
+name of the CLI (`BUILDER_KEYS`).
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ class Symbol(FourierCoefficients):
     def adjoint(self) -> "Symbol":
         out = self.map_buckets(lambda b: np.conj(np.swapaxes(b, -1, -2), order="C"))
         out.provenance = f"adjoint({self.provenance})"
-        return out
-
-    def to_json_dict(self) -> dict:
-        """Coefficient JSON layout extended with an x-node axis when gridded."""
-        out = super().to_json_dict()
-        out.update(invariant=self.invariant, provenance=self.provenance)
-        if not self.invariant:
-            out["x_nodes"] = self.grid.node_count
         return out
 
 
@@ -167,16 +160,6 @@ def z_plus_c_inverse(c: complex, band: float) -> Symbol:
         return np.tile(np.diag(1.0 / (1j * m + c)), (len(duals), 1, 1))
 
     return multiplier(group, band, fn, name=f"z_plus_c_inverse(c={c})")
-
-
-def vector_field_plus_c(group, j: int, c: complex, band: float) -> Symbol:
-    """Invariant symbol of the first-order operator X_j + c."""
-    return multiplier(
-        group,
-        band,
-        lambda duals: [group.vector_field_symbol(j, xi) + complex(c) * np.eye(xi.dim) for xi in duals],
-        name=f"field({j})+{c}",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from group_pdo.groups import SU2, Torus
-from group_pdo.quantize import kernel_rows
 
 
 @pytest.fixture
@@ -26,8 +25,8 @@ def su2():
 
 
 def dense_kernel(sigma, grid) -> np.ndarray:
-    """K(x_i, y_j) on every node pair: the chunks of `kernel_rows` stacked."""
-    return np.concatenate([k.values for _, k in kernel_rows(sigma, grid)])
+    """K(x_i, y_j) on every node pair: the chunks of the grid's `kernel_rows` stacked."""
+    return np.concatenate([k for _, k in sigma.resolve_grid(grid).kernel_rows(sigma)])
 
 
 def weighted_smax(op) -> float:

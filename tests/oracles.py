@@ -7,17 +7,66 @@ its own, by einsum against Wigner-d tables built here with
 no layout with the spin-shell engine.  `kernel_bounds_sweep` and
 `bmo_per_center` reduce every kernel row and every ball center, where
 `group_pdo.bounds` reads one per grid orbit.
+
+The builders and lookups that only tests use live here too: `map_blocks`
+(a table rebuilt one block per dual), `dual_index` (one dual by its
+label), `laplace_op` (the second-order difference rho^2),
+`vector_field_plus_c` (the symbol of X_j + c, the forward operator of
+criterion 10) and `entry` (one entry of a seminorm report).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from group_pdo.diffops import DifferenceOp, admissible_collection
 from group_pdo.fourier import FourierCoefficients, GridFunction
-from group_pdo.groups import wigner_d_tables
-from group_pdo.quantize import kernel_rows
+from group_pdo.groups import DualIndex, Torus, wigner_d_tables
+from group_pdo.seminorms import SeminormEntry, SeminormReport
+from group_pdo.symbols import Symbol, multiplier
+
+
+def map_blocks(table: FourierCoefficients, fn) -> FourierCoefficients:
+    """fn(xi, block) applied per dual; every other field of `table` is kept."""
+    blocks = [fn(xi, b) for xi, b in zip(table.duals, table.blocks)]
+    return replace(table, buckets=FourierCoefficients.from_blocks(table.group, table.band, table.duals, blocks).buckets)
+
+
+def dual_index(group, label) -> DualIndex:
+    """The dual of `group` with this label: a frequency vector on the torus, a doubled spin on SU(2)."""
+    return group.duals_of([np.atleast_1d(label) if isinstance(group, Torus) else int(label)])[0]
+
+
+def laplace_op(group) -> DifferenceOp:
+    """Second-order difference from rho^2(x) = 1/2 sum over the admissible collection of |q(x)|^2;
+    nonnegative, vanishing only at e: sum_j (2 - 2 cos x_j) on the torus, 2 - 2 q0 on SU(2)."""
+    ops = admissible_collection(group)
+
+    def fn(points):
+        return (0.5 * sum(np.abs(q.point_fn(points)) ** 2 for q in ops)).astype(complex)
+
+    return DifferenceOp(name="laplace", native_band=1, point_fn=fn)
+
+
+def vector_field_plus_c(group, j: int, c: complex, band: float) -> Symbol:
+    """Invariant symbol of the first-order operator X_j + c."""
+    return multiplier(
+        group,
+        band,
+        lambda duals: [group.vector_field_symbol(j, xi) + complex(c) * np.eye(xi.dim) for xi in duals],
+        name=f"field({j})+{c}",
+    )
+
+
+def entry(report: SeminormReport, alpha, beta) -> SeminormEntry:
+    """The entry of `report` for the multi-indices (alpha, beta)."""
+    for e in report.entries:
+        if e.alpha == tuple(alpha) and e.beta == tuple(beta):
+            return e
+    raise KeyError((alpha, beta))
 
 
 def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
@@ -106,9 +155,10 @@ def su2_rho2(points: np.ndarray) -> np.ndarray:
 
 def kernel_bounds_sweep(sigma, grid=None) -> tuple[float, float]:
     """(max_i sum_j |K_ij| w_j, (sum_ij w_i |K_ij|^2 w_j)^(1/2)) over every kernel row, a chunk at a time."""
-    row_l1, row_sq = [], []
-    for _, k in kernel_rows(sigma, grid):
-        w, block = k.grid.weights, np.abs(k.values)
+    grid = sigma.resolve_grid(grid)
+    w, row_l1, row_sq = grid.weights, [], []
+    for _, k in grid.kernel_rows(sigma):
+        block = np.abs(k)
         row_l1.append(block @ w)
         row_sq.append(np.square(block) @ w)
     return float(np.max(np.concatenate(row_l1))), float(np.sqrt(w @ np.concatenate(row_sq)))

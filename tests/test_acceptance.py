@@ -40,9 +40,9 @@ from group_pdo.symbols import (
     identity_symbol,
     multiplier_power,
     schrodinger_phase,
-    vector_field_plus_c,
     z_plus_c_inverse,
 )
+from oracles import map_blocks, vector_field_plus_c
 
 T1 = Torus(1)
 SU2_ = SU2()
@@ -73,7 +73,8 @@ def invariant_symbols(group, band):
         out += [z_plus_c_inverse(1.0, band), z_plus_c_inverse(0.3, band)]
     for seed_scale in (0.5, 1.5):
         out.append(
-            multiplier_power(group, -1.0, band).map_blocks(
+            map_blocks(
+                multiplier_power(group, -1.0, band),
                 lambda xi, b, s=seed_scale: b
                 * (1.0 + s * (rng.normal() + 1j * rng.normal()) / xi.weight)
             )
@@ -93,14 +94,16 @@ def gridded_symbols(group, band, grid):
     a = random_bandlimited(grid, base_band, rng).values
     for s in (-1.0, -0.5, 0.0):
         out.append(
-            identity_symbol(group, band, grid=grid).map_blocks(
+            map_blocks(
+                identity_symbol(group, band, grid=grid),
                 lambda xi, b, s=s: (1.0 + 0.3 * a[:, None, None]) * xi.weight**s * b
             )
         )
     out.append(identity_symbol(group, band, grid=grid))
     g2 = random_bandlimited(grid, base_band, rng).values
     out.append(
-        identity_symbol(group, band, grid=grid).map_blocks(
+        map_blocks(
+            identity_symbol(group, band, grid=grid),
             lambda xi, b: (g2[:, None, None] / xi.weight) * b
         )
     )

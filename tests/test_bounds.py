@@ -28,6 +28,7 @@ from group_pdo.symbols import (
     multiplier_power,
     schrodinger_phase,
 )
+from oracles import map_blocks
 
 
 class TestHSNorms:
@@ -44,7 +45,7 @@ class TestHSNorms:
             assert hs_norm_symbol(sig) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_symbol(self, t1):
-        sig = multiplier_power(t1, 0.0, 3.0).map_blocks(lambda xi, b: 0 * b)
+        sig = map_blocks(multiplier_power(t1, 0.0, 3.0), lambda xi, b: 0 * b)
         assert hs_norm_symbol(sig) == 0.0
 
     def test_kernel_identity_t1(self, t1):
@@ -57,7 +58,8 @@ class TestHSNorms:
         band = t1.band_of_native(4)
         grid = t1.haar_grid(24)
         a = random_bandlimited(grid, t1.band_of_native(5), rng)
-        sig = identity_symbol(t1, band, grid=grid).map_blocks(
+        sig = map_blocks(
+            identity_symbol(t1, band, grid=grid),
             lambda xi, b: a.values[:, None, None] * b
         )
         expected = np.sqrt(np.sum(grid.weights * np.abs(a.values) ** 2)) * np.sqrt(9)
@@ -69,7 +71,8 @@ class TestHSNorms:
         cut = 6 if group_name == "t1" else 3
         band = group.band_of_native(cut)
         grid = group.grid_for_band(band)
-        sig = identity_symbol(group, band, grid=grid).map_blocks(
+        sig = map_blocks(
+            identity_symbol(group, band, grid=grid),
             lambda xi, b: b * (rng.normal(size=(grid.node_count, xi.dim, xi.dim)) +
                                1j * rng.normal(size=(grid.node_count, xi.dim, xi.dim)))
         )
@@ -79,7 +82,7 @@ class TestHSNorms:
 
 class TestLinfConstant:
     def test_zero(self, t1):
-        sig = multiplier_power(t1, 0.0, 4.0).map_blocks(lambda xi, b: 0 * b)
+        sig = map_blocks(multiplier_power(t1, 0.0, 4.0), lambda xi, b: 0 * b)
         assert linf_bound_constant(sig, t1.haar_grid(16)) == 0.0
 
     def test_dirichlet_lebesgue_constant(self, t1):
@@ -166,7 +169,8 @@ class TestLpLowerBound:
 
     def test_indicator_multiplier_bracketed(self, t1):
         band = t1.band_of_native(16)
-        sig = multiplier_power(t1, 0.0, band).map_blocks(
+        sig = map_blocks(
+            multiplier_power(t1, 0.0, band),
             lambda xi, b: b * float(abs(xi.label[0]) <= 8)
         )
         grid = t1.haar_grid(40)
@@ -420,7 +424,7 @@ class TestAudit:
     def test_zero_symbol_trivial(self, t1):
         band = t1.band_of_native(4)
         grid = t1.haar_grid(12)
-        sig = multiplier_power(t1, 0.0, band).map_blocks(lambda xi, b: 0 * b)
+        sig = map_blocks(multiplier_power(t1, 0.0, band), lambda xi, b: 0 * b)
         rep = bound_audit(sig, [GridFunction(grid, np.ones(12))], grid)
         assert rep.violations == 0
 

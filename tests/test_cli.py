@@ -233,6 +233,15 @@ NORMS = "the weighted norms at p={p} cannot be formed in floating point"
             "weyl --group t1 --lambdas 8,16 --s 3.1 --band-limit 64",
             "--band-limit 64.0 is not read by the series mode (--s)",
         ),
+        ("weyl --group t1 --s 3.1 --alpha 5 --lambdas 2,4", "--alpha 5.0 is not read by the series mode (--s)"),
+        (
+            "lp-sharpness --group su2 --band 99 --resolution 7 --margin 3 --p 4 --lambdas 8,16,32 --iterations 3",
+            "lp-sharpness runs the Hirschman-Wainger multiplier on t1, not on su2",
+        ),
+        (
+            f"{SHARPNESS} --p 4 --resolution 7",
+            "--resolution 7 is not read by lp-sharpness (its grids have 2 lambda + 2 nodes)",
+        ),
     ],
 )
 def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):

@@ -3,16 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from group_pdo.diffops import (
-    admissible_collection,
-    difference,
-    invariant_derivative,
-    laplace_op,
-)
+from group_pdo.diffops import admissible_collection, difference, invariant_derivative
 from group_pdo.errors import BandExhaustedError, PrecisionError
 from group_pdo.fourier import FourierCoefficients, GridFunction, forward, inverse
 from group_pdo.symbols import identity_symbol, multiplier_power, schrodinger_phase
-from oracles import su2_coeff, su2_rho2, torus_rho2, torus_shift
+from oracles import laplace_op, map_blocks, su2_coeff, su2_rho2, torus_rho2, torus_shift
 
 
 class TestAdmissibleCollection:
@@ -253,7 +248,7 @@ class TestInvariantDerivative:
                     b[:, i, j] = rough
                 return b
 
-            sig = identity_symbol(su2, su2.band_of_native(2), grid=grid).map_blocks(roughen)
+            sig = map_blocks(identity_symbol(su2, su2.band_of_native(2), grid=grid), roughen)
             with pytest.raises(
                 PrecisionError, match=rf"at xi=2 entry {named} .* \(round-trip residual 0\.675\)"
             ):

@@ -25,6 +25,7 @@ from group_pdo.symbols import (
     multiplier_power,
     schrodinger_phase,
 )
+from oracles import map_blocks
 
 
 def per_start_oracle(op, p, iterations=30, seed=0, random_starts=5) -> LpLowerBound:
@@ -179,7 +180,7 @@ class TestBucketBuilders:
             schrodinger_phase(group, 0.3, f, 0.5, band),
         ):
             adj = sig.adjoint()
-            ref = sig.map_blocks(lambda xi, b: np.swapaxes(b, -1, -2).conj())
+            ref = map_blocks(sig, lambda xi, b: np.swapaxes(b, -1, -2).conj())
             ref.provenance = f"adjoint({sig.provenance})"
             assert_same_buckets(adj, ref)
             assert all(b.flags.c_contiguous for b in adj.buckets)

@@ -11,7 +11,6 @@ from group_pdo.bounds import bmo_seminorm, hs_norm_kernel, linf_bound_constant
 from group_pdo.fourier import GridFunction
 from group_pdo.groups import SU2, Torus, euler_to_quat
 from group_pdo.named_functions import named_function
-from group_pdo.quantize import kernel_rows
 from group_pdo.symbols import hirschman_wainger, identity_symbol, multiplier_power, z_plus_c_inverse
 from oracles import bmo_per_center, kernel_bounds_sweep
 
@@ -87,7 +86,7 @@ def test_invariant_kernel_rows_are_moved_representative_rows(name):
         # K(g x, g y) = K(x, y): the row of move(k, c) at move(k, j) is the representative's row at j
         moved = kernel[grid.move(k, reps)[:, None], grid.move(k, np.arange(grid.node_count))[None, :]]
         np.testing.assert_allclose(moved, kernel[reps], rtol=0, atol=tol)
-    rows = np.concatenate([k.values for _, k in kernel_rows(sigma, grid, reps)])
+    rows = np.concatenate([k for _, k in grid.kernel_rows(sigma, reps)])
     np.testing.assert_allclose(rows, kernel[reps], rtol=0, atol=tol)
 
 

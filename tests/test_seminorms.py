@@ -11,6 +11,7 @@ from group_pdo.symbols import (
     schrodinger_phase,
     z_plus_c_inverse,
 )
+from oracles import entry
 
 WINDOWS = [16.0, 32.0, 64.0, 128.0]
 
@@ -19,7 +20,7 @@ class TestSeminormReport:
     def test_identity_symbol_entries(self, t1):
         sig = identity_symbol(t1, t1.band_of_native(20))
         rep = seminorm(sig, ClassParams(m=0.0, rho=1.0, delta=0.0, l=2), windows=[8.0, 16.0])
-        assert rep.entry((0, 0), (0,)).sup == pytest.approx(1.0)
+        assert entry(rep, (0, 0), (0,)).sup == pytest.approx(1.0)
         for e in rep.entries:
             if sum(e.alpha) > 0:
                 assert e.sup <= 1e-13

@@ -187,12 +187,3 @@ class TestSymbolContainer:
         adj = sig.adjoint()
         for xi in sig.duals:
             np.testing.assert_allclose(adj.block(xi.label), sig.block(xi.label).conj().T)
-
-    def test_json_gridded_has_node_axis(self, t1):
-        grid = t1.haar_grid(8)
-        f = GridFunction(grid, np.cos(grid.nodes[:, 0]))
-        sig = schrodinger_phase(t1, 1.0, f, 0.0, 2.0)
-        payload = sig.to_json_dict()
-        assert payload["x_nodes"] == 8
-        assert not payload["invariant"]
-        assert len(payload["entries"][0]["re"]) == 8

@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 48 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 51 more that cover
 the other subcommands, groups and refusals.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
 are masked in stdout and stderr.
@@ -87,6 +87,9 @@ EXTRA = (
     "lp-sharpness --p 400 --lambdas 8,16,32 --iterations 3",
     "lp-sharpness --p 1.0000000001 --lambdas 8,16,32 --iterations 3",
     "weyl --group t1 --lambdas 8,16 --alpha 0 --band-limit nan",
+    "weyl --group t1 --s 3.1 --alpha 5 --lambdas 2,4",
+    "lp-sharpness --group su2 --band 99 --resolution 7 --margin 3 --p 4 --lambdas 8,16,32 --iterations 3",
+    "lp-sharpness --resolution 7 --p 4 --lambdas 8,16,32 --iterations 3",
 )
 
 
