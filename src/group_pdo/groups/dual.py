@@ -89,10 +89,11 @@ class Duals:
 
 
 class GridMeta:
-    """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`.
-    Each grid owns the group-specific rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`,
-    `synthesis(duals, buckets, count) -> (count, N) values`, `kernel_rows(sigma, nodes)`, and the motions
-    that map it onto itself: `orbits() -> (representatives, size)` and `move(k, nodes)`."""
+    """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`,
+    and the one kernel-row loop `kernel_rows`.  Each grid owns the group-specific rest: `require_band`,
+    `rep_table`, `analysis(values, duals) -> buckets`, `synthesis(duals, buckets, count) -> (count, N) values`,
+    the kernel rows of one chunk `_rows(sigma, rows) -> (len, N)`, and the motions that map it onto itself:
+    `orbits() -> (representatives, size)` and `move(k, nodes)`."""
 
     @property
     def node_count(self) -> int:
@@ -103,11 +104,13 @@ class GridMeta:
         """Largest weight band whose dual ball is pairwise-exactly integrable."""
         return self.group.band_of_native(self.native_exact)
 
-    def row_chunks(self, nodes=None):
-        """`batch_slices` of the rows `nodes` (an index array), or consecutive slices of every node by default."""
+    def kernel_rows(self, sigma, nodes=None):
+        """Yield (rows, K[rows]) over `batch_slices` of the rows `nodes` (an index array), or consecutive slices
+        of every node by default, each chunk from the grid's `_rows`."""
         count = self.node_count if nodes is None else len(nodes)
         for rows in batch_slices(count, self.node_count):
-            yield rows if nodes is None else nodes[rows]
+            rows = rows if nodes is None else nodes[rows]
+            yield rows, self._rows(sigma, rows)
 
     def meta(self) -> dict:
         return {

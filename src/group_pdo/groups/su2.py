@@ -317,7 +317,7 @@ class SU2Grid(GridMeta):
             )
         ephi, epsi = (e[j2 % 2] for e in self._phase_rows())
         slots = (self.j2max_exact - j2) // 2 + np.arange(j2 + 1)
-        j, t, k = np.unravel_index(np.arange(self.node_count)[rows] if isinstance(rows, slice) else rows, self.shape)
+        j, t, k = np.unravel_index(np.arange(self.node_count)[rows], self.shape)
         d = self._shells().spin(j2, np.arange(self.shape[1]))[t]  # at every theta node, then at each row's
         return np.einsum("na,nab,nb->nab", ephi[slots, j[:, None]], d, epsi[slots, k[:, None]])
 
@@ -373,11 +373,6 @@ class SU2Grid(GridMeta):
         # psi, one GEMM over both parities: [(z phi theta), (r c)] x [(r c), psi]
         stage = stage.reshape(2, p, h, t, count).transpose(4, 1, 3, 0, 2).reshape(-1, 2 * h)
         return (stage @ epsi.reshape(2 * h, q)).reshape(count, self.node_count)
-
-    def kernel_rows(self, sigma, nodes=None):
-        """Yield (rows, K[rows]) over `batch_slices` of the rows `nodes` (every node by default), by `_rows`."""
-        for rows in self.row_chunks(nodes):
-            yield rows, self._rows(sigma, rows)
 
     def orbits(self) -> tuple[np.ndarray, int]:
         """(representatives, size) of the node orbits under the left z-rotations z(2 pi k / p), k = 0 .. p - 1:

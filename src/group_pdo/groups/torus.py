@@ -4,7 +4,8 @@ Points are angle vectors ``x`` in ``[0, 2*pi)^n``; the characters are
 ``xi_k(x) = exp(i k . x)`` for ``k`` in ``Z^n``, and the normalised Haar
 measure is ``dx / (2*pi)^n``.  Every representation is one-dimensional, so
 rep matrices are 1x1.  On the uniform grid the Fourier pair is an FFT, and
-the rows of a Schwartz kernel are translates of the kernels of sigma(x, .).
+the rows of a Schwartz kernel are translates of the kernels of sigma(x, .):
+the grid's `_rows` gathers them for the shared `GridMeta.kernel_rows` loop.
 The admissible difference collection is the shifts ``exp(+-i x_j) - 1``,
 each with its exact index rule on the dual.
 """
@@ -156,7 +157,7 @@ class Torus:
 
 @dataclass
 class TorusGrid(GridMeta):
-    """Uniform product grid, nodes raveled in C order over the axes.
+    """Uniform product grid, nodes raveled in C order over the axes; its `_rows` feeds `GridMeta.kernel_rows`.
 
     The translations by its nodes map it onto itself (`move`), so all its
     nodes form one orbit (`orbits`): a kernel bound of an invariant symbol
@@ -212,17 +213,6 @@ class TorusGrid(GridMeta):
         cubes[(slice(None), *(labels % self.shape).T)] += coeffs
         return (np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * self.node_count).reshape(count, self.node_count)
 
-    def kernel_rows(self, sigma, nodes=None):
-        """Yield (rows, K[rows]) over `batch_slices` of the rows `nodes` (every node by default):
-        K(x_i, y_j) = k_i[(i - j) mod shape], k_i the kernel of sigma(x_i, .), from one batched synthesis
-        per chunk, or one in all for an invariant sigma."""
-        single = self.synthesis(sigma.duals, sigma.buckets, 1) if sigma.invariant else None
-        for rows in self.row_chunks(nodes):
-            at = np.arange(self.node_count)[rows]
-            kernels = single if sigma.invariant else self.synthesis(sigma.duals, sigma.rows(rows).buckets, len(at))
-            yield rows, self._translates(kernels, at)
-            del kernels  # not held while the next chunk is made
-
     def orbits(self) -> tuple[np.ndarray, int]:
         """(representatives, size) of the node orbits under the translations by the nodes: node 0, with an
         orbit of N.  They map the grid onto itself and keep distances, weights and invariant kernels."""
@@ -234,25 +224,15 @@ class TorusGrid(GridMeta):
         shift, at = np.unravel_index(k, self.shape), np.unravel_index(nodes, self.shape)
         return np.ravel_multi_index(tuple((a + s) % m for a, s, m in zip(at, shift, self.shape)), self.shape)
 
-    def _translates(self, kernels: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Rows k_i[(i - j) mod shape] over j for the nodes i, from one kernel for all or one each.
-
-        One kernel is read through windows of its doubled cube, backwards: a strided copy.  A kernel
-        per row is gathered through per-axis indices (i_a - j_a) mod m_a broadcast against each other,
-        as the doubled cubes of a chunk of kernels would hold 2^dim times its size.  Neither forms an
-        index per entry.
-        """
-        shape = self.shape
-        kernels = kernels.reshape(-1, *shape)
-        count, dims = len(nodes), len(shape)
-        axes = np.unravel_index(nodes, shape)
-        if len(kernels) == 1:
-            doubled = np.tile(kernels[0], [2] * dims)
-            windows = np.lib.stride_tricks.sliding_window_view(doubled, shape)[(..., *[slice(None, None, -1)] * dims)]
-            rows = windows[tuple((i + 1) % m for i, m in zip(axes, shape))]
-        else:
-            index = [np.arange(count).reshape(count, *[1] * dims)]
-            for axis, (i, m) in enumerate(zip(axes, shape)):
-                index.append(((i[:, None] - np.arange(m)) % m).reshape(count, *[m if a == axis else 1 for a in range(dims)]))
-            rows = kernels[tuple(index)]
-        return rows.reshape(count, -1)
+    def _rows(self, sigma, rows) -> np.ndarray:
+        """K[rows] (a slice or an index array): K(x_i, y_j) = k_i[(i - j) mod shape], k_i the kernel of
+        sigma(x_i, .) from one batched synthesis, one kernel for all rows of an invariant sigma.  Gathered
+        through per-axis indices (i_a - j_a) mod m_a broadcast against each other, the kernel index modulo
+        the kernel count: no index per entry."""
+        at, shape = np.arange(self.node_count)[rows], self.shape
+        count, dims = len(at), len(shape)
+        kernels = self.synthesis(sigma.duals, sigma.rows(rows).buckets, 1 if sigma.invariant else count)
+        index = [(np.arange(count) % len(kernels)).reshape(count, *[1] * dims)]
+        for axis, (i, m) in enumerate(zip(np.unravel_index(at, shape), shape)):
+            index.append(((i[:, None] - np.arange(m)) % m).reshape(count, *[m if a == axis else 1 for a in range(dims)]))
+        return kernels.reshape(-1, *shape)[tuple(index)].reshape(count, -1)

@@ -5,9 +5,10 @@ K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) and Op(sigma) on grid
 values is the matrix M[i, j] = K(x_i, y_j) w_j.  The norm estimators take a
 `GridOperator` record holding M: dense from `realize`, the oracle, or as a
 matrix-free `SymbolMatrix` from `operator`, which applies M and its
-transpose by Fourier transforms (invariant symbols only).  The grid's own
-`kernel_rows` yields K a chunk of rows at a time, so the kernel bounds in
-`bounds` never hold it whole, and `realize` fills M from those chunks.
+transpose by Fourier transforms (invariant symbols only).  The grid's
+`kernel_rows`, one loop shared by every grid over its own `_rows`, yields K
+a chunk of rows at a time, so the kernel bounds in `bounds` never hold it
+whole, and `realize` fills M from those chunks.
 """
 
 from __future__ import annotations

@@ -153,8 +153,9 @@ class TestKernel:
                     assert ktab[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_torus_invariant_and_gridded_rows_agree(self, t2, monkeypatch):
-        # the two torus branches, translates of one kernel and a batched synthesis per chunk, on the same
-        # blocks tabulated at every node of a grid with unequal axes, cut into chunks of 7 rows
+        # one kernel broadcast to every row against a kernel synthesised per row, from the same blocks
+        # tabulated at every node of a grid with unequal axes, cut into chunks of 7 rows; each also gives
+        # its stacked rows bit for bit when asked for a shuffled permutation of the nodes
         from group_pdo.groups import dual
 
         grid = TorusGrid(t2, (9, 11))
@@ -172,6 +173,10 @@ class TestKernel:
         for (rows, k), (rows_g, k_g) in chunks:
             assert rows == rows_g
             assert np.abs(k - k_g).max() <= 1e-14 * np.abs(k).max()
+        shuffled = np.random.default_rng(5).permutation(grid.node_count)
+        for s in (sig, gridded):
+            stacked = np.concatenate([k for _, k in grid.kernel_rows(s)])
+            assert np.array_equal(np.concatenate([k for _, k in grid.kernel_rows(s, shuffled)]), stacked[shuffled])
 
     @pytest.mark.parametrize("cut, gridded", [(3, True), (12, True), (3, False), (22, False)])
     def test_su2_rows_match_trace_sum(self, su2, cut, gridded):
@@ -213,7 +218,9 @@ class TestKernel:
         np.testing.assert_allclose(dense_kernel(sig, grid), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
 
     def test_kernel_is_the_stacked_rows(self, t1, t2, su2):
-        # the grid's kernel_rows covers the nodes in order, in more than one chunk, and realize fills M = K w from them
+        # the grid's kernel_rows covers the nodes in order, in more than one chunk, and realize fills M = K w from
+        # them; asked for a shuffled permutation of the nodes, it gives the same rows bit for bit
+        rng = np.random.default_rng(11)
         for group, grid in ((t1, t1.haar_grid(700)), (t2, t2.grid_for_band(12.0)), (su2, su2.grid_for_band(6.0))):
             band = grid.exactness_band
             f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, -1]))
@@ -225,6 +232,8 @@ class TestKernel:
                 assert all(k.shape[-1] == grid.node_count for _, k in chunks)
                 stacked = np.concatenate([k for _, k in chunks])
                 assert np.array_equal(stacked * grid.weights, realize(sig, grid).matrix)
+                shuffled = rng.permutation(grid.node_count)
+                assert np.array_equal(np.concatenate([k for _, k in grid.kernel_rows(sig, shuffled)]), stacked[shuffled])
 
     def test_x_dependent_factor(self, t1, rng):
         band = t1.band_of_native(4)

@@ -9,8 +9,9 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 51 more that cover
-the other subcommands, groups and refusals.  Exit codes, stdout, stderr,
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 55 more that cover
+the other subcommands, groups and refusals, and the ``--config`` loader on
+the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
 are masked in stdout and stderr.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -37,6 +39,7 @@ from workloads import WORKLOADS  # noqa: E402
 SEEDS = (1, 7)
 TIMEOUT_S = 900
 SCHRODINGER = "--symbol schrodinger --symbol-params t=0.1,delta=0.5"
+CONFIG = os.path.join(ROOT, "tools", "parity.cfg")
 EXTRA = (
     "transform --group t2 --band 20 --samples 3",
     "transform --group t3 --band 6 --samples 2",
@@ -90,6 +93,10 @@ EXTRA = (
     "weyl --group t1 --s 3.1 --alpha 5 --lambdas 2,4",
     "lp-sharpness --group su2 --band 99 --resolution 7 --margin 3 --p 4 --lambdas 8,16,32 --iterations 3",
     "lp-sharpness --resolution 7 --p 4 --lambdas 8,16,32 --iterations 3",
+    f"audit --group t2 --band 12 {SCHRODINGER} --samples 3",
+    f"seminorm --group su2 --band 2.5 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1 --margin 5",
+    f"--config {shlex.quote(CONFIG)} transform",
+    f"--config {shlex.quote(CONFIG)} interval --nu 0.75",
 )
 
 
@@ -97,7 +104,7 @@ def invocations() -> list[tuple[str, ...]]:
     bench = [
         (*cmd.argv, "--seed", str(seed)) for seed in SEEDS for make in WORKLOADS.values() for cmd in make(False)
     ]
-    return bench + [tuple(text.split()) for text in EXTRA]
+    return bench + [tuple(shlex.split(text)) for text in EXTRA]
 
 
 def run(tree: str, argv, workdir: str):
