@@ -25,6 +25,8 @@ from .quantize import GridOperator, apply, matvec_rows, operator
 from .symbols import Symbol, float_powers, hirschman_wainger
 
 GROWTH_SLOPE_TOL = 0.05
+HS_REL_TOL = 1e-8  # kernel-side against symbol-side HS norm, relative
+LINF_FACTOR_TOL = 1e-8  # slack factor 1 + tol on the L-infinity kernel bound
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +593,11 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
     const, hs_k = _kernel_bounds(sigma, grid)
     checks = []
     for i, (lhs, sup) in enumerate(sups):
-        rhs = (1.0 + 1e-8) * const * sup + 1e-300
+        rhs = (1.0 + LINF_FACTOR_TOL) * const * sup + 1e-300
         checks.append(AuditCheck(name=f"linf_bound[{i}]", value=lhs, bound=rhs, ok=bool(lhs <= rhs)))
     squares = sigma.hs_squares()  # one pass for the HS norm and the dyadic increments
     rel = hs_relative_difference(hs_k, _hs_norm(sigma, squares))
-    checks.append(AuditCheck(name="hs_identity", value=rel, bound=1e-8, ok=bool(rel <= 1e-8)))
+    checks.append(AuditCheck(name="hs_identity", value=rel, bound=HS_REL_TOL, ok=bool(rel <= HS_REL_TOL)))
 
     weights = sigma.duals.weights
     sups = sigma.sup_op_norms()

@@ -5,6 +5,8 @@ Every subcommand writes one CSV block and one JSON report (named
 prints a one-line verdict.  Identical config and seed produce byte-identical
 files.  Exit codes: 0 clean, 1 invariant violated, 2 usage error,
 3 precision/band refusal, 4 internal error (an uncaught exception).
+Each subcommand accepts only the flags it reads, spelled in full; a config
+key no subcommand has is a usage error.
 
 Each subcommand is a function ``_<command>(args)`` returning an `Outcome`;
 `_dispatch` is the one place that resolves the config, writes the result
@@ -31,6 +33,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
+TRANSFORM_TOL = 1e-10  # round-trip and Parseval error a transform may show
 
 
 def _float_cell(v) -> str:
@@ -95,45 +98,56 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_config(parser: argparse.ArgumentParser, config: dict):
-    """Install config values as defaults everywhere; explicit flags still win."""
-
-    def visit(p):
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    visit(sub)
-            elif action.dest in config:
-                val = config[action.dest]
-                if action.type is not None:
-                    try:
-                        val = action.type(val)
-                    except (TypeError, ValueError):
-                        pass
-                action.default = val
-                action.required = False
-
-    visit(parser)
+    """Install config values as defaults of every subcommand's flags; explicit flags still win.
+    A key that no subcommand has is a usage error, so a misspelled key is never dropped in silence."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    actions = [action for sub in commands.values() for action in sub._actions]
+    unknown = sorted(set(config) - {action.dest for action in actions})
+    if unknown:
+        parser.error(f"no subcommand has a flag for config key {', '.join(unknown)}")
+    for action in actions:
+        if action.dest in config:
+            val = config[action.dest]
+            if action.type is not None:
+                try:
+                    val = action.type(val)
+                except (TypeError, ValueError):
+                    pass
+            action.default = val
+            action.required = False
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="group-pdo",
         description="Matrix-symbol pseudo-differential experiments on t<n> and su2",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="flat key=value config file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, symbol=False):
+    def group(p):
         p.add_argument("--group", default="t1", help="t1, t2, ..., su2")
+
+    def grid(p):
+        """The flags `_setup` reads."""
+        group(p)
         p.add_argument("--band", type=float, default=12.0, help="dual band (weight units)")
         p.add_argument("--resolution", type=int, default=None, help="grid resolution override")
         p.add_argument("--margin", type=int, default=0, help="native band headroom for differences")
-        p.add_argument("--seed", type=int, default=0)
+
+    def symbol(p):
+        """The flags `_build` reads on top of `_setup`'s."""
+        p.add_argument("--symbol", default="identity", help="builder name")
+        p.add_argument("--symbol-params", default="", help="k=v,k=v builder parameters")
+
+    def output(p):
         p.add_argument("--out", default=None, help="output dir (default $GROUP_PDO_OUT or ./out)")
         p.add_argument("--threads", type=int, default=1, help="cap BLAS worker threads")
-        if symbol:
-            p.add_argument("--symbol", default="identity", help="builder name")
-            p.add_argument("--symbol-params", default="", help="k=v,k=v builder parameters")
+
+    def run(p):
+        p.add_argument("--seed", type=int, default=0)
+        output(p)
 
     def class_params(p):
         p.add_argument("--m", type=float, required=True)
@@ -141,87 +155,63 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, required=True)
         p.add_argument("--l", type=int, default=2)
 
-    def out_and_threads(p):
-        p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
+    def add(name, about, *blocks):
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
+        for block in blocks:
+            block(p)
+        return p
 
-    p = sub.add_parser("transform", help="forward/inverse round-trip and Parseval report")
-    common(p)
+    p = add("transform", "forward/inverse round-trip and Parseval report", grid, run)
     p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("seminorm", help="symbol class seminorm report")
-    common(p, symbol=True)
-    class_params(p)
+    p = add("seminorm", "symbol class seminorm report", grid, symbol, run, class_params)
     p.add_argument("--windows", default="", help="comma list of band windows")
 
-    p = sub.add_parser("classcheck", help="numerical class-membership verdict")
-    common(p, symbol=True)
-    class_params(p)
+    p = add("classcheck", "numerical class-membership verdict", grid, symbol, run, class_params)
     p.add_argument("--windows", required=True, help="comma list of band windows (>= 2)")
 
-    p = sub.add_parser("quantize", help="apply Op(symbol) to a named function")
-    common(p, symbol=True)
+    p = add("quantize", "apply Op(symbol) to a named function", grid, symbol, run)
     p.add_argument("--function", default="dirichlet")
 
-    p = sub.add_parser("hsnorm", help="Hilbert-Schmidt norm, symbol side vs kernel side")
-    common(p, symbol=True)
+    add("hsnorm", "Hilbert-Schmidt norm, symbol side vs kernel side", grid, symbol, run)
 
-    p = sub.add_parser("linf", help="L-infinity bound constant of the kernel")
-    common(p, symbol=True)
+    p = add("linf", "L-infinity bound constant of the kernel", grid, symbol, run)
     p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("lp-sharpness", help="truncated Hirschman-Wainger growth series")
-    common(p)
+    p = add("lp-sharpness", "truncated Hirschman-Wainger growth series on t1", run)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--nu0", type=float, default=0.1)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--lambdas", default="64,128,256,512,1024", help="native cutoffs")
     p.add_argument("--iterations", type=int, default=25)
 
-    p = sub.add_parser("interval", help="Lp interval arithmetic around p=2")
+    p = add("interval", "Lp interval arithmetic around p=2", output)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
-    out_and_threads(p)
 
-    p = sub.add_parser("threshold", help="finite-regularity order threshold")
+    p = add("threshold", "finite-regularity order threshold", output)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    out_and_threads(p)
 
-    p = sub.add_parser("weyl", help="Weyl counts / dual series partial sums")
-    common(p)
+    p = add("weyl", "Weyl counts / dual series partial sums", group, output)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--lambdas", default="2,4,8,16,32")
     p.add_argument("--band-limit", type=float, default=None)
     p.add_argument("--s", type=float, default=None, help="series mode: sum d^2 <xi>^-s")
 
-    p = sub.add_parser("bmo", help="ball-oscillation BMO seminorm of a named function")
-    common(p)
+    p = add("bmo", "ball-oscillation BMO seminorm of a named function", grid, run)
     p.add_argument("--function", default="logsin")
     p.add_argument("--radii", default="", help="comma list; default pi/16..pi/2")
 
-    p = sub.add_parser("audit", help="kernel bound audit of a symbol")
-    common(p, symbol=True)
+    p = add("audit", "kernel bound audit of a symbol", grid, symbol, run)
     p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("selftest", help="run the full invariant suite")
-    common(p)
+    add("selftest", "run the full invariant suite", run)
 
     return parser
-
-
-def _flag_value(argv: list, flag: str):
-    """Value of the last ``flag V`` or ``flag=V`` in argv, read before parsing."""
-    value = None
-    for i, a in enumerate(argv):
-        if a == flag and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif a.startswith(flag + "="):
-            value = a.split("=", 1)[1]
-    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,7 +241,9 @@ def set_blas_threads(threads: int) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    config_path = _flag_value(argv, "--config")
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     if config_path:
         try:
             _apply_config(parser, _load_config(config_path))
@@ -405,14 +397,14 @@ def _transform(args) -> Outcome:
         rows.append([i, rt, pv])
         worst_rt = max(worst_rt, rt)
         worst_pv = max(worst_pv, pv)
-    ok = worst_rt <= 1e-10 and worst_pv <= 1e-10
+    ok = worst_rt <= TRANSFORM_TOL and worst_pv <= TRANSFORM_TOL
     verdict = "PASS" if ok else "FAIL"
     return Outcome(
         rows,
         {"worst_roundtrip": worst_rt, "worst_parseval": worst_pv},
         verdict,
         f"transform: {verdict} (roundtrip {worst_rt:.3g}, parseval {worst_pv:.3g})",
-        tolerances={"roundtrip": 1e-10, "parseval": 1e-10},
+        tolerances={"roundtrip": TRANSFORM_TOL, "parseval": TRANSFORM_TOL},
         ok=ok,
         grid=grid,
     )
@@ -440,7 +432,7 @@ def _seminorm(args) -> Outcome:
 
 
 def _classcheck(args) -> Outcome:
-    from .seminorms import class_membership
+    from .seminorms import SLOPE_TOL, class_membership
 
     _, grid, sigma = _build(args, need_margin=args.l)
     windows = _parse_list(args.windows) if args.windows else None
@@ -462,14 +454,13 @@ def _classcheck(args) -> Outcome:
         "worst_entry": [list(verdict.worst_entry[0]), list(verdict.worst_entry[1])],
     }
     line = verdict.one_line()
-    tolerances = {"slope": 0.05}
-    return Outcome(rows, results, line, f"classcheck: {line}", tolerances=tolerances, grid=grid)
+    return Outcome(rows, results, line, f"classcheck: {line}", tolerances={"slope": SLOPE_TOL}, grid=grid)
 
 
 def _quantize(args) -> Outcome:
     from .fourier import sup_norm
     from .named_functions import named_function
-    from .quantize import apply
+    from .quantize import BAND_CHECK_TOL, apply
 
     band, grid, sigma = _build(args)
     f = named_function(args.function, grid, band=band, seed=args.seed)
@@ -479,24 +470,24 @@ def _quantize(args) -> Outcome:
     ]
     sup = sup_norm(out)
     message = f"quantize: applied {sigma.provenance} to {args.function}, sup={sup:.6g}"
-    return Outcome(rows, {"sup": sup}, "PASS", message, tolerances={"band_check": 1e-8}, grid=grid)
+    return Outcome(rows, {"sup": sup}, "PASS", message, tolerances={"band_check": BAND_CHECK_TOL}, grid=grid)
 
 
 def _hsnorm(args) -> Outcome:
-    from .bounds import hs_norm_kernel, hs_norm_symbol, hs_relative_difference
+    from .bounds import HS_REL_TOL, hs_norm_kernel, hs_norm_symbol, hs_relative_difference
 
     band, grid, sigma = _build(args)
     hs_s = hs_norm_symbol(sigma)
     hs_k = hs_norm_kernel(sigma, grid)
     rel = hs_relative_difference(hs_k, hs_s)
-    ok = rel <= 1e-8
+    ok = rel <= HS_REL_TOL
     verdict = "PASS" if ok else "FAIL"
     return Outcome(
         [["symbol_side", "kernel_side", "rel_diff"], [hs_s, hs_k, rel]],
         {"symbol_side": hs_s, "kernel_side": hs_k, "rel_diff": rel},
         verdict,
         f"hsnorm: {verdict} symbol={hs_s:.12g} kernel={hs_k:.12g} rel={rel:.3g}",
-        tolerances={"rel": 1e-8},
+        tolerances={"rel": HS_REL_TOL},
         ok=ok,
         grid=grid,
     )
@@ -505,7 +496,7 @@ def _hsnorm(args) -> Outcome:
 def _linf(args) -> Outcome:
     import numpy as np
 
-    from .bounds import linf_bound_constant
+    from .bounds import LINF_FACTOR_TOL, linf_bound_constant
     from .fourier import random_bandlimited, sup_norm
     from .quantize import apply
 
@@ -517,7 +508,7 @@ def _linf(args) -> Outcome:
     for i in range(args.samples):
         f = random_bandlimited(grid, band, rng)
         lhs = sup_norm(apply(sigma, f))
-        rhs = (1 + 1e-8) * const * sup_norm(f)
+        rhs = (1 + LINF_FACTOR_TOL) * const * sup_norm(f)
         rows.append([i, lhs, rhs])
         violations += int(lhs > rhs)
     return Outcome(
@@ -525,19 +516,15 @@ def _linf(args) -> Outcome:
         {"constant": const, "violations": violations},
         "PASS" if violations == 0 else "FAIL",
         f"linf: constant={const:.12g}, {violations} violations on {args.samples} samples",
-        tolerances={"factor": 1e-8},
+        tolerances={"factor": LINF_FACTOR_TOL},
         ok=violations == 0,
         grid=grid,
     )
 
 
 def _lp_sharpness(args) -> Outcome:
-    from .bounds import sharpness_experiment
+    from .bounds import GROWTH_SLOPE_TOL, sharpness_experiment
 
-    if args.group.strip().lower() != "t1":
-        raise ValueError(f"lp-sharpness runs the Hirschman-Wainger multiplier on t1, not on {args.group}")
-    if args.resolution is not None:
-        raise ValueError(f"--resolution {args.resolution} is not read by lp-sharpness (its grids have 2 lambda + 2 nodes)")
     series = sharpness_experiment(args.rho, args.nu0, [args.p], _parse_list(args.lambdas), args.iterations, args.seed)[0]
     rows = [["lambda", "lp_lower_bound"], *zip(series.lambdas, series.bounds)]
     results = {"slope": series.slope, "expected_rate": series.expected_rate, "bounds": series.bounds}
@@ -545,7 +532,7 @@ def _lp_sharpness(args) -> Outcome:
         f"lp-sharpness: {series.verdict} (slope {series.slope:+.4f}, "
         f"classical rate {series.expected_rate:+.4f})"
     )
-    return Outcome(rows, results, series.verdict, message, tolerances={"slope": 0.05})
+    return Outcome(rows, results, series.verdict, message, tolerances={"slope": GROWTH_SLOPE_TOL})
 
 
 def _weyl(args) -> Outcome:
@@ -593,7 +580,7 @@ def _bmo(args) -> Outcome:
 def _audit(args) -> Outcome:
     import numpy as np
 
-    from .bounds import bound_audit
+    from .bounds import HS_REL_TOL, LINF_FACTOR_TOL, bound_audit
     from .fourier import random_bandlimited
 
     band, grid, sigma = _build(args)
@@ -610,7 +597,7 @@ def _audit(args) -> Outcome:
         {"violations": rep.violations, "checks": len(rep.checks)},
         verdict,
         f"audit: {verdict} ({rep.violations} violations)",
-        tolerances={"linf_factor": 1e-8, "hs_rel": 1e-8},
+        tolerances={"linf_factor": LINF_FACTOR_TOL, "hs_rel": HS_REL_TOL},
         ok=ok,
         grid=grid,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    HS_REL_TOL,
     bound_audit,
     fefferman_interval,
     finite_regularity_threshold,
@@ -130,7 +131,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         ferr = max(np.abs(free @ g.values - via).max(), np.abs(free.T @ g.values - op.matrix.T @ g.values).max())
         _check(results, f"{tag}: matrix-free vs realize", float(ferr), 1e-12)
         rel = hs_relative_difference(hs_norm_kernel(sig, grid), hs_norm_symbol(sig))
-        _check(results, f"{tag}: hs identity", rel, 1e-8)
+        _check(results, f"{tag}: hs identity", rel, HS_REL_TOL)
 
         # p=2 anchor against the weighted dense singular value
         lb = lp_lower_bound(op, 2.0, iterations=120, seed=seed)

@@ -1,15 +1,22 @@
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import group_pdo.bounds
-from group_pdo.cli import EXIT_INTERNAL, main
+import group_pdo.selftest
+from group_pdo.bounds import GROWTH_SLOPE_TOL, HS_REL_TOL, LINF_FACTOR_TOL
+from group_pdo.cli import EXIT_INTERNAL, TRANSFORM_TOL, main
+from group_pdo.quantize import BAND_CHECK_TOL
+from group_pdo.seminorms import SLOPE_TOL
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PARITY_CFG = os.path.join(ROOT, "tools", "parity.cfg")  # group t2, band 6, samples 2, n 2, rho 0.5, nu 0.25
 
 
 def run(args, tmp_path, sub="out"):
@@ -234,14 +241,6 @@ NORMS = "the weighted norms at p={p} cannot be formed in floating point"
             "--band-limit 64.0 is not read by the series mode (--s)",
         ),
         ("weyl --group t1 --s 3.1 --alpha 5 --lambdas 2,4", "--alpha 5.0 is not read by the series mode (--s)"),
-        (
-            "lp-sharpness --group su2 --band 99 --resolution 7 --margin 3 --p 4 --lambdas 8,16,32 --iterations 3",
-            "lp-sharpness runs the Hirschman-Wainger multiplier on t1, not on su2",
-        ),
-        (
-            f"{SHARPNESS} --p 4 --resolution 7",
-            "--resolution 7 is not read by lp-sharpness (its grids have 2 lambda + 2 nodes)",
-        ),
     ],
 )
 def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
@@ -257,6 +256,32 @@ def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, mon
     err = capsys.readouterr().err
     assert f"usage error: {message}" in err
     assert len(err.splitlines()) == 1
+
+
+UNREAD = ("--group t1", "--band 12", "--resolution 16", "--margin 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(f"{SHARPNESS} --p 4 {flag}" for flag in UNREAD),
+        *(f"weyl --group t1 --alpha 0 --lambdas 2,4 {flag}" for flag in (*UNREAD[1:], "--seed 0")),
+        *(f"selftest {flag}" for flag in UNREAD),
+        "lp-sharpness --group su2 --band 99 --resolution 7 --margin 3 --p 4 --lambdas 8,16,32 --iterations 3",
+        f"{SHARPNESS} --p 4 --resolution 7",
+        "weyl --group t1 --alpha -2 --lambdas 2,4 --band 64",  # never read as --band-limit 64
+        f"{SHARPNESS} --p 2 --n 0.2",  # never read as --nu0 0.2
+        "transform --sam 3",  # never read as --samples 3
+        f"--conf={shlex.quote(PARITY_CFG)} transform --band 4",  # never read as --config
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_refused(argv, tmp_path, capsys):
+    # each subcommand has only the flags it reads, and argparse expands no abbreviation
+    with pytest.raises(SystemExit) as err:
+        run(shlex.split(argv), tmp_path)
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", ["transform --group su2 --band 1e100", "transform --group t1 --band 1e100"])
@@ -322,8 +347,35 @@ class TestDeterminismAndConfig:
     def test_json_embeds_resolved_config(self, tmp_path):
         _, out, files = run(["weyl", "--group", "su2", "--alpha", "0", "--lambdas", "4,8"], tmp_path)
         payload = json.load(open(os.path.join(out, [f for f in files if f.endswith(".json")][0])))
-        for key in ("group", "alpha", "lambdas", "seed", "threads"):
+        for key in ("group", "alpha", "lambdas", "threads"):
             assert key in payload["config"]
+        for key in ("band", "resolution", "margin", "seed"):
+            assert key not in payload["config"]
+
+    def test_config_file_sets_only_the_flags_a_subcommand_has(self, tmp_path, capsys):
+        # lp-sharpness has no --group, so the file's group = t2 (for transform) does not reach it
+        code, out, files = run(
+            ["--config", PARITY_CFG, "lp-sharpness", "--p", "2", "--lambdas", "8,16,32", "--iterations", "3"], tmp_path
+        )
+        assert code == 0
+        assert "plateau" in capsys.readouterr().out
+        payload = json.load(open(os.path.join(out, files[1])))
+        assert not {"group", "band", "samples", "n", "nu"} & set(payload["config"])
+
+    def test_selftest_config_holds_only_seed_and_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(group_pdo.selftest, "run_all", lambda seed: [])  # the config, not the checks
+        code, out, files = run(["--config", PARITY_CFG, "selftest"], tmp_path)
+        assert code == 0
+        assert json.load(open(os.path.join(out, files[1])))["config"] == {"seed": 0, "threads": 1}
+
+    def test_config_key_no_subcommand_has_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("band = 4\nsmaples = 2\ncommand = weyl\n")  # command is the top level's, not a flag
+        with pytest.raises(SystemExit) as err:
+            run(["--config", str(cfg), "transform"], tmp_path)
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+        assert "error: no subcommand has a flag for config key command, smaples" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GROUP_PDO_OUT", str(tmp_path / "envout"))
@@ -338,9 +390,9 @@ PINNED_RESULT_NAMES = [
     (["threshold", "--n", "3", "--p", "4", "--rho", "0", "--delta", "0"], "threshold-8044f6fd3cfe"),
     (["transform", "--group", "su2", "--band", "4", "--samples", "3"], "transform-ba7bcdea0f88"),
     (["lp-sharpness", "--p", "2", "--lambdas", "8,16,32", "--iterations", "8"],
-     "lp-sharpness-82b26fe4713e"),
-    (["weyl", "--group", "su2", "--alpha", "0", "--lambdas", "4,8"], "weyl-2230214f30ee"),
-    (["weyl", "--group", "su2", "--s", "3.1", "--lambdas", "2,4,8,16,32"], "weyl-11641e635cbd"),
+     "lp-sharpness-5bc1d0e920d3"),
+    (["weyl", "--group", "su2", "--alpha", "0", "--lambdas", "4,8"], "weyl-1eefe20bcbbe"),
+    (["weyl", "--group", "su2", "--s", "3.1", "--lambdas", "2,4,8,16,32"], "weyl-3bdd1193c946"),
     (["seminorm", "--group", "t1", "--band", "40", "--symbol", "multiplier_power",
       "--symbol-params", "s=-1", "--m", "-1", "--rho", "1", "--delta", "0", "--l", "2",
       "--windows", "8,16,32"], "seminorm-1574dae5661f"),
@@ -358,6 +410,24 @@ def test_result_names_and_json_layout_are_pinned(args, stem, tmp_path):
         keys.add("note")
     assert set(payload) == keys
     assert payload["name"] == args[0]
+
+
+@pytest.mark.parametrize(
+    "argv, tolerances",
+    [
+        ("transform --band 8 --samples 1", {"roundtrip": TRANSFORM_TOL, "parseval": TRANSFORM_TOL}),
+        ("classcheck --band 40 --m 0 --rho 1 --delta 0 --l 1 --windows 8,16,32", {"slope": SLOPE_TOL}),
+        ("quantize --band 8", {"band_check": BAND_CHECK_TOL}),
+        ("hsnorm --band 8", {"rel": HS_REL_TOL}),
+        ("linf --band 8 --samples 1", {"factor": LINF_FACTOR_TOL}),
+        ("lp-sharpness --p 2 --lambdas 8,16,32 --iterations 3", {"slope": GROWTH_SLOPE_TOL}),
+        ("audit --band 8 --samples 1", {"linf_factor": LINF_FACTOR_TOL, "hs_rel": HS_REL_TOL}),
+    ],
+)
+def test_json_tolerances_are_the_constants_the_gates_read(argv, tolerances, tmp_path):
+    code, out, files = run(argv.split(), tmp_path)
+    assert code == 0
+    assert json.load(open(os.path.join(out, files[1])))["tolerances"] == tolerances
 
 
 class TestSmallExperiments:

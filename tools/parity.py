@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 55 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 59 more that cover
 the other subcommands, groups and refusals, and the ``--config`` loader on
 the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
@@ -97,6 +97,10 @@ EXTRA = (
     f"seminorm --group su2 --band 2.5 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1 --margin 5",
     f"--config {shlex.quote(CONFIG)} transform",
     f"--config {shlex.quote(CONFIG)} interval --nu 0.75",
+    f"--config {shlex.quote(CONFIG)} lp-sharpness --p 2 --lambdas 8,16,32 --iterations 3",
+    f"--config {shlex.quote(CONFIG)} weyl --alpha 0 --lambdas 4,8",
+    f"--conf {shlex.quote(CONFIG)} transform",
+    "weyl --group t1 --alpha -2 --lambdas 2,4 --band 64",
 )
 
 
@@ -125,8 +129,10 @@ def run(tree: str, argv, workdir: str):
     for name in names:
         with open(os.path.join(outdir, name), "rb") as fh:
             files[name] = fh.read()
-    mask = tree.encode()
-    return proc.returncode, proc.stdout.replace(mask, b"<tree>"), proc.stderr.replace(mask, b"<tree>"), files
+    def masked(text: bytes) -> bytes:  # this checkout too: both trees read tools/parity.cfg from it
+        return text.replace(tree.encode(), b"<tree>").replace(ROOT.encode(), b"<tree>")
+
+    return proc.returncode, masked(proc.stdout), masked(proc.stderr), files
 
 
 def differences(base, here) -> list[str]:
