@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import GridFunction
-from .groups import Torus, batch_size, batch_slices
+from .groups import BAND_TOL, Torus, batch_size, batch_slices
 from .named_functions import dirichlet_kernel
 from .quantize import GridOperator, apply, matvec_rows, operator
 from .symbols import Symbol, float_powers, hirschman_wainger
@@ -439,13 +439,13 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylRe
     rows = []
     for lam in lambdas:
         if variant == "cumulative":
-            s = float(terms[weights <= lam + 1e-9].sum())
-        else:
-            s = float(terms[(weights >= lam - 1e-9)].sum())
+            s = float(terms[duals.within(lam)].sum())
+        else:  # the tail counts the shell at lambda, which `within` cannot express
+            s = float(terms[weights >= lam - BAND_TOL].sum())
         rows.append((lam, s, s / lam ** ((alpha + 1.0) * n)))
     last_fraction = None
     if variant == "tail":
-        total = float(terms[weights >= lambdas[0] - 1e-9].sum())
+        total = float(terms[weights >= lambdas[0] - BAND_TOL].sum())
         last = float(terms[weights >= top / 2.0].sum())
         last_fraction = last / total if total > 0 else 0.0
     return WeylReport(
@@ -467,11 +467,8 @@ def casimir_series(group, s: float, lambdas) -> SeriesReport:
         raise ValueError(f"s must be finite, got {s}")
     lambdas = _lambda_ladder(lambdas)
     duals = group.enumerate_dual(lambdas[-1])
-    weights = duals.weights
-    terms = duals.dims**2 * float_powers(weights, -s)
-    rows = []
-    for lam in lambdas:
-        rows.append((lam, float(terms[weights <= lam + 1e-9].sum())))
+    terms = duals.dims**2 * float_powers(duals.weights, -s)
+    rows = [(lam, float(terms[duals.within(lam)].sum())) for lam in lambdas]
     total = rows[-1][1]
     prev = rows[-2][1] if len(rows) > 1 else 0.0
     frac = (total - prev) / total if total > 0 else 0.0
@@ -620,7 +617,7 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
             incs = []
             lo = 0.0
             for hi in edges:
-                band_mask = (weights > lo) & (weights <= hi)
+                band_mask = sigma.duals.within(hi) & ~sigma.duals.within(lo)
                 if band_mask.any():
                     incs.append((hi, float(hs_terms[band_mask].sum())))
                 lo = hi

@@ -243,7 +243,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
-    config_path = pre.parse_known_args(argv)[0].config
+    known, rest = pre.parse_known_args(argv)
+    if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):  # a flag before the subcommand
+        parser.error(f"unrecognized arguments: {rest[0]}")
+    config_path = known.config
     if config_path:
         try:
             _apply_config(parser, _load_config(config_path))

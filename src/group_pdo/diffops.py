@@ -25,7 +25,6 @@ from .fourier import GridFunction, concat, forward, inverse
 from .groups import batch_slices
 from .symbols import Symbol, multiplier
 
-_TOL = 1e-9
 _ALIAS_TOL = 1e-8  # round-trip residual, relative to max(|entry|, 1), above which an x-dependence is aliased
 
 
@@ -65,14 +64,13 @@ def admissible_collection(group) -> list[DifferenceOp]:
 def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
     """Delta_q sigma on the trusted band shrunk by q's native band."""
     new_native = sigma.native_band - q.native_band
-    if new_native < -_TOL:
+    if new_native < 0:
         raise BandExhaustedError(
             f"difference {q.name} would shrink the trusted band below the trivial "
             f"representation (native band {sigma.native_band})"
         )
-    new_native = max(new_native, 0)
     new_band = sigma.group.band_of_native(new_native)
-    keep = sigma.duals.weights <= new_band + _TOL
+    keep = sigma.duals.within(new_band)
     target = sigma.duals[keep]
     if q.shift is not None:
         buckets = [_shifted_blocks(q, sigma, keep)]
@@ -83,7 +81,6 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
         band=new_band,
         duals=target,
         buckets=buckets,
-        native_band=new_native,
         provenance=f"D[{q.name}]{sigma.provenance}",
     )
 
@@ -118,11 +115,13 @@ def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float,
 
 
 def invariant_derivative(beta: tuple[int, ...], sigma: Symbol) -> Symbol:
-    """d^beta sigma: left-invariant derivatives of the x-dependence.
+    """d^beta sigma: left-invariant derivatives of the x-dependence, for a gridded sigma and |beta| >= 1.
 
-    The x-dependence of each matrix entry is expanded in the group Fourier
-    series on the symbol's grid, all entries as one batch; coefficient
-    blocks are multiplied on the left by the vector-field symbols
+    An invariant sigma has derivative zero and d^0 is the identity; the one
+    caller, `seminorms.seminorm`, writes those entries itself and passes
+    neither case here.  The x-dependence of each matrix entry is expanded in
+    the group Fourier series on the symbol's grid, all entries as one batch;
+    coefficient blocks are multiplied on the left by the vector-field symbols
     (composition left-to-right in beta, which matters on SU(2)), and the
     series is resummed.  Inputs whose x-spectrum is not resolved by the grid
     are rejected, naming the first such entry.
@@ -130,12 +129,6 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol) -> Symbol:
     group = sigma.group
     if len(beta) != group.dim:
         raise ValueError(f"beta must have {group.dim} entries")
-    if sigma.invariant or sum(beta) == 0:
-        if sum(beta) == 0:
-            return sigma
-        zero = sigma.map_buckets(np.zeros_like)
-        zero.provenance = f"d^{beta}{sigma.provenance}"
-        return zero
     grid = sigma.grid
     x_band = grid.exactness_band
 

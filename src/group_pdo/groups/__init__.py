@@ -1,6 +1,6 @@
 """Compact group backends: the n-torus and SU(2)."""
 
-from .dual import DualIndex, Duals, batch_size, batch_slices
+from .dual import BAND_TOL, DualIndex, Duals, batch_size, batch_slices
 from .su2 import SU2, SU2Grid, euler_to_quat, quat_to_euler
 from .torus import Torus, TorusGrid
 from .wigner import wigner_d_matrix, wigner_d_sum, wigner_d_tables
@@ -17,6 +17,7 @@ def group_by_name(name: str):
 
 
 __all__ = [
+    "BAND_TOL",
     "DualIndex",
     "Duals",
     "SU2",

@@ -8,6 +8,7 @@ from functools import cached_property
 import numpy as np
 
 _BATCH_BYTES = 4 * 2**20  # complex grid values held by one chunk of a batched transform chain
+BAND_TOL = 1e-9  # how far a weight may lie past a band and still be in its ball: the rounding of both
 
 
 def batch_size(nodes: int) -> int:
@@ -86,6 +87,11 @@ class Duals:
     def weights(self) -> np.ndarray:
         """`DualIndex.weight` of every dual, bit for bit."""
         return np.sqrt(1.0 + self.casimir)
+
+    def within(self, band: float) -> np.ndarray:
+        """The mask of the duals in the ball <xi> <= band, weights compared up to BAND_TOL: the one rule by
+        which enumeration, differences, seminorm windows and dual sums decide the ball."""
+        return self.weights <= band + BAND_TOL
 
 
 class GridMeta:

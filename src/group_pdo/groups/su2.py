@@ -35,8 +35,6 @@ from ..errors import PrecisionError
 from .dual import DualIndex, Duals, GridMeta
 from .wigner import SpinShells, angular_momentum_matrices, wigner_d_matrix
 
-_TOL = 1e-9
-
 
 def quat_multiply(q, p) -> np.ndarray:
     q0, q1, q2, q3 = q
@@ -117,17 +115,17 @@ class SU2:
         return self.duals_of(np.arange(self.native_cut(band) + 1))
 
     def native_cut(self, band: float) -> int:
-        """Largest doubled spin enumerated at the given weight band."""
-        top = float(band) + _TOL
-        if not (1 <= band and 4.0 * top * top < np.inf):  # a Python float overflows to inf without a warning
+        """Largest doubled spin within the given weight band (`Duals.within`)."""
+        square = 4.0 * float(band) * float(band)  # a Python float overflows to inf without a warning
+        if not (1 <= band and square < np.inf):
             raise ValueError(f"band must be finite, >= 1 and have a finite square, got {band}")
-        # <j2> <= top iff (j2 + 1)^2 <= 4 top^2 - 3; the rounding is settled by the weights themselves
-        j2 = int(np.sqrt(max(4.0 * top * top - 3.0, 1.0))) - 1
+        # <j2> <= band iff (j2 + 1)^2 <= 4 band^2 - 3; the rounding is settled by the weights themselves
+        j2 = int(np.sqrt(max(square - 3.0, 1.0))) - 1
         if j2 >= np.iinfo(np.int64).max:  # the labels j2 and j2 + 1 below must be int64
             raise ValueError(f"band {band} needs doubled spins up to {float(j2):.3g}, more than an int64 holds")
-        while self.duals_of([j2 + 1]).weights[0] <= top:
+        while self.duals_of([j2 + 1]).within(band)[0]:
             j2 += 1
-        while self.duals_of([j2]).weights[0] > top:
+        while not self.duals_of([j2]).within(band)[0]:
             j2 -= 1
         return j2
 

@@ -13,13 +13,12 @@ each with its exact index rule on the dual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import PrecisionError
 from .dual import DualIndex, Duals, GridMeta
-
-_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,21 +51,28 @@ class Torus:
         return Duals(k, np.ones(len(k), dtype=int), np.sum(k * k, axis=1).astype(float))
 
     def enumerate_dual(self, band: float) -> Duals:
-        """All k with <k> <= band, sorted by (weight, label)."""
-        if band < 1:
-            raise ValueError("band must be >= 1")
+        """All k with <k> <= band (`Duals.within`), sorted by (weight, label)."""
         kmax = int(self.native_cut(band))
         squares = np.arange(-kmax, kmax + 1) ** 2
         casimir = sum(np.ix_(*[squares] * self.n))  # |k|^2 over the cube [-kmax, kmax]^n
-        duals = self.duals_of(np.argwhere(casimir <= band * band - 1.0 + _TOL) - kmax)
-        return duals[np.lexsort((*duals.labels.T[::-1], duals.weights))]
+        # every k with |k| >= kmax + 1 lies past the band (`native_cut`): the candidates are inside that sphere
+        ball = self.duals_of(np.argwhere(casimir < (kmax + 1) ** 2) - kmax)
+        order = np.lexsort((*ball.labels.T[::-1], ball.weights))
+        return ball[order[ball.within(band)[order]]]
 
+    @lru_cache  # every transform asks `require_band`, and the settle makes two duals
     def native_cut(self, band: float) -> float:
-        """Radius of the |k| ball enumerated at the given weight band."""
+        """Radius of the |k| ball enumerated at the given weight band: the largest r whose shell |k| = r lies
+        within it."""
         square = float(band) * float(band)  # a Python float overflows to inf without a warning
-        if not np.isfinite(square):
-            raise ValueError(f"band must be finite and have a finite square, got {band}")
-        return float(np.floor(np.sqrt(max(square - 1.0 + _TOL, 0.0))))
+        if not (1 <= band and square < np.inf):
+            raise ValueError(f"band must be finite, >= 1 and have a finite square, got {band}")
+        r = int(np.sqrt(square - 1.0))
+        if (r + 1) ** 2 > np.iinfo(np.int64).max:  # the labels r + 1 below and their |k|^2 must be int64
+            raise ValueError(f"band {band} needs |k| up to {float(r):.3g}, whose square is more than an int64 holds")
+        # the closed form settled by one step each way against the weights of the shells |k| = r and r + 1
+        here, above = self.duals_of([[r] + [0] * (self.n - 1), [r + 1] + [0] * (self.n - 1)]).within(band)
+        return float(r + 1 if above else r if here else r - 1)
 
     def band_of_native(self, radius: float) -> float:
         return float(np.sqrt(1.0 + radius * radius))
@@ -151,7 +157,7 @@ class Torus:
 
         `margin` adds native frequency headroom for difference operators.
         """
-        radius = int(np.ceil(self.native_cut(band))) + int(margin)
+        radius = int(self.native_cut(band)) + int(margin)
         return self.haar_grid(2 * radius + 2)
 
 
@@ -183,7 +189,7 @@ class TorusGrid(GridMeta):
         return min((m - 1) // 2 for m in self.shape)
 
     def require_band(self, band: float, what: str = "band"):
-        if self.group.native_cut(band) > self.native_exact + _TOL:
+        if self.group.native_cut(band) > self.native_exact:
             raise PrecisionError(
                 f"{what} {band:.6g} (|k| <= {self.group.native_cut(band):g}) exceeds grid "
                 f"exactness |k| <= {self.native_exact} (shape {self.shape}); refuse to alias"

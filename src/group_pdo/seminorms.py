@@ -26,6 +26,7 @@ import numpy as np
 
 from .diffops import admissible_collection, difference, invariant_derivative
 from .errors import BandExhaustedError
+from .groups import BAND_TOL
 from .symbols import Symbol
 
 SLOPE_TOL = 0.05
@@ -102,7 +103,7 @@ def seminorm(
     windows = tuple(sorted(float(v) for v in windows))
     if not all(1.0 <= v < np.inf for v in windows) or len(set(windows)) < len(windows):
         raise ValueError(f"band windows {windows} must be distinct, finite and >= 1, the least weight")
-    if windows[-1] > deepest_band + 1e-9:
+    if windows[-1] > deepest_band + BAND_TOL:
         raise BandExhaustedError(
             f"window {windows[-1]:.6g} exceeds the band trusted after {params.l} "
             f"differences ({deepest_band:.6g})"
@@ -148,15 +149,8 @@ def seminorm(
 
 def _measure(tau: Symbol, alpha, beta, params: ClassParams, windows) -> SeminormEntry:
     expo = params.m - params.rho * sum(alpha) + params.delta * sum(beta)
-    weights = tau.duals.weights
-    ratios = tau.sup_op_norms() / weights**expo
-    order = np.argsort(weights, kind="stable")
-    cummax = np.maximum.accumulate(ratios[order])
-    sorted_w = weights[order]
-    sweep = []
-    for lam in windows:
-        idx = np.searchsorted(sorted_w, lam + 1e-9, side="right") - 1
-        sweep.append((lam, float(cummax[idx]) if idx >= 0 else 0.0))
+    ratios = tau.sup_op_norms() / tau.duals.weights**expo
+    sweep = [(lam, float(ratios[tau.duals.within(lam)].max(initial=0.0))) for lam in windows]
     return SeminormEntry(tuple(alpha), tuple(beta), sweep[-1][1], sweep)
 
 

@@ -2,10 +2,10 @@
 
 A `Symbol` is a `FourierCoefficients` table, the one packed container for
 dual-indexed blocks: x-independent (invariant) without a grid, tabulated
-per grid node with one.  It adds the native truncation index (ball radius
-|k| on the torus, doubled spin on SU(2)) alongside the weight band, so that
-difference operations can account for the band they consume, and a
-provenance string.  An invariant symbol is its own coefficient table and
+per grid node with one.  It derives the native truncation index (ball
+radius |k| on the torus, doubled spin on SU(2)) from its weight band, so
+that difference operations can account for the band they consume, and adds
+a provenance string.  An invariant symbol is its own coefficient table and
 goes straight into `fourier.inverse`.  Each builder here serves a `--symbol`
 name of the CLI (`BUILDER_KEYS`).
 """
@@ -24,13 +24,12 @@ from .groups import SU2, Duals, Torus
 
 @dataclass
 class Symbol(FourierCoefficients):
-    native_band: float = None
     provenance: str = ""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.native_band is None:
-            self.native_band = self.group.native_cut(self.band)
+    @property
+    def native_band(self) -> float:
+        """The native truncation index of its band, `group.native_cut(band)`: what a difference consumes."""
+        return self.group.native_cut(self.band)
 
     @property
     def invariant(self) -> bool:

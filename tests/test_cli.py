@@ -19,6 +19,12 @@ SRC = os.path.join(ROOT, "src")
 PARITY_CFG = os.path.join(ROOT, "tools", "parity.cfg")  # group t2, band 6, samples 2, n 2, rho 0.5, nu 0.25
 
 
+def read_json(path: str):
+    """The JSON at path, its file closed."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def run(args, tmp_path, sub="out"):
     out = str(tmp_path / sub)
     code = main(args + ["--out", out])
@@ -53,7 +59,7 @@ class TestVerdictCommands:
              "--symbol-params", "s=-1"], tmp_path
         )
         assert code == 0
-        payload = json.load(open(os.path.join(out, [f for f in files if f.endswith(".json")][0])))
+        payload = read_json(os.path.join(out, [f for f in files if f.endswith(".json")][0]))
         assert payload["results"]["rel_diff"] <= 1e-8
         assert payload["config"]["symbol"] == "multiplier_power"
 
@@ -63,7 +69,7 @@ class TestVerdictCommands:
         monkeypatch.setattr(group_pdo.bounds, "hs_norm_kernel", lambda sigma, grid=None: 1e-3)
         code, out, files = run(["hsnorm", "--group", "t1", "--band", "8"], tmp_path)
         assert code == 1
-        payload = json.load(open(os.path.join(out, [f for f in files if f.endswith(".json")][0])))
+        payload = read_json(os.path.join(out, [f for f in files if f.endswith(".json")][0]))
         assert payload["results"]["rel_diff"] == 1e-3
         assert payload["verdict"] == "FAIL"
 
@@ -83,7 +89,7 @@ class TestVerdictCommands:
         )
         assert code == 0
         assert "0 violations on 4 samples" in capsys.readouterr().out
-        payload = json.load(open(os.path.join(out, [f for f in files if f.endswith(".json")][0])))
+        payload = read_json(os.path.join(out, [f for f in files if f.endswith(".json")][0]))
         assert payload["verdict"] == "PASS"
         assert payload["results"]["violations"] == 0
         assert payload["results"]["constant"] > 0
@@ -273,6 +279,7 @@ UNREAD = ("--group t1", "--band 12", "--resolution 16", "--margin 0")
         f"{SHARPNESS} --p 2 --n 0.2",  # never read as --nu0 0.2
         "transform --sam 3",  # never read as --samples 3
         f"--conf={shlex.quote(PARITY_CFG)} transform --band 4",  # never read as --config
+        f"--conf {shlex.quote(PARITY_CFG)} transform --band 4",  # nor its value read as the subcommand
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_refused(argv, tmp_path, capsys):
@@ -341,12 +348,12 @@ class TestDeterminismAndConfig:
         code = main(["--config", str(cfg), "interval", "--nu", "0.75", "--out", out])
         assert code == 0
         assert "full range" in capsys.readouterr().out  # flag beat the config value
-        payload = json.load(open(os.path.join(out, sorted(os.listdir(out))[1])))
+        payload = read_json(os.path.join(out, sorted(os.listdir(out))[1]))
         assert payload["config"]["nu"] == 0.75
 
     def test_json_embeds_resolved_config(self, tmp_path):
         _, out, files = run(["weyl", "--group", "su2", "--alpha", "0", "--lambdas", "4,8"], tmp_path)
-        payload = json.load(open(os.path.join(out, [f for f in files if f.endswith(".json")][0])))
+        payload = read_json(os.path.join(out, [f for f in files if f.endswith(".json")][0]))
         for key in ("group", "alpha", "lambdas", "threads"):
             assert key in payload["config"]
         for key in ("band", "resolution", "margin", "seed"):
@@ -359,14 +366,14 @@ class TestDeterminismAndConfig:
         )
         assert code == 0
         assert "plateau" in capsys.readouterr().out
-        payload = json.load(open(os.path.join(out, files[1])))
+        payload = read_json(os.path.join(out, files[1]))
         assert not {"group", "band", "samples", "n", "nu"} & set(payload["config"])
 
     def test_selftest_config_holds_only_seed_and_threads(self, tmp_path, monkeypatch):
         monkeypatch.setattr(group_pdo.selftest, "run_all", lambda seed: [])  # the config, not the checks
         code, out, files = run(["--config", PARITY_CFG, "selftest"], tmp_path)
         assert code == 0
-        assert json.load(open(os.path.join(out, files[1])))["config"] == {"seed": 0, "threads": 1}
+        assert read_json(os.path.join(out, files[1]))["config"] == {"seed": 0, "threads": 1}
 
     def test_config_key_no_subcommand_has_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
@@ -404,7 +411,7 @@ def test_result_names_and_json_layout_are_pinned(args, stem, tmp_path):
     code, out, files = run(args, tmp_path)
     assert code == 0
     assert files == [stem + ".csv", stem + ".json"]
-    payload = json.load(open(os.path.join(out, stem + ".json")))
+    payload = read_json(os.path.join(out, stem + ".json"))
     keys = {"name", "config", "results", "verdict", "tolerances"}
     if args[0] == "seminorm":
         keys.add("note")
@@ -427,7 +434,7 @@ def test_result_names_and_json_layout_are_pinned(args, stem, tmp_path):
 def test_json_tolerances_are_the_constants_the_gates_read(argv, tolerances, tmp_path):
     code, out, files = run(argv.split(), tmp_path)
     assert code == 0
-    assert json.load(open(os.path.join(out, files[1])))["tolerances"] == tolerances
+    assert read_json(os.path.join(out, files[1]))["tolerances"] == tolerances
 
 
 class TestSmallExperiments:

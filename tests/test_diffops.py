@@ -184,12 +184,6 @@ class TestGriddedKernelSide:
 
 
 class TestInvariantDerivative:
-    def test_invariant_symbol_gives_zero(self, t1):
-        sig = multiplier_power(t1, -1.0, t1.band_of_native(5))
-        out = invariant_derivative((1,), sig)
-        for b in out.blocks:
-            np.testing.assert_allclose(b, 0)
-
     def test_matches_finite_differences_t1(self, t1):
         grid = t1.haar_grid(64)
         x = grid.nodes[:, 0]

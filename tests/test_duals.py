@@ -36,10 +36,9 @@ def brute_force(group, band) -> list:
         while dual_index(group, len(out)).weight <= band + _TOL:
             out.append(dual_index(group, len(out)))
         return out
-    r2 = band * band - 1.0 + _TOL
-    kmax = int(np.floor(np.sqrt(r2)))
+    kmax = int(band + _TOL)  # |k_j| <= |k| < <k>
     cube = (dual_index(group, k) for k in itertools.product(range(-kmax, kmax + 1), repeat=group.n))
-    return sorted((xi for xi in cube if xi.casimir <= r2), key=lambda xi: (xi.weight, xi.label))
+    return sorted((xi for xi in cube if xi.weight <= band + _TOL), key=lambda xi: (xi.weight, xi.label))
 
 
 OFFSETS = (0.0, 1e-10, -1e-10, _TOL, -_TOL)
@@ -74,6 +73,35 @@ def test_enumeration_at_every_native_boundary(name):
     for band in (group.band_of_native(k) + off for k in range(top + 1) for off in OFFSETS):
         if band >= 1.0:
             assert list(group.enumerate_dual(band)) == brute_force(group, band), band
+
+
+# every native radius r in 1 .. 6000 and around 10^5 (j2 up to 2 * 10^4 on SU(2)), the torus's first miss at
+# r = 5798 among them: the cut at band_of_native(r) is r, and the enumeration reaches the shell at r
+ROUND_TRIP = {
+    "t1": [*range(1, 6001), *range(99_990, 100_011)],
+    "t2": [*range(1, 6001), *range(99_990, 100_011)],
+    "su2": range(20_001),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP))
+def test_native_cut_inverts_band_of_native(name):
+    group = GROUPS[name][0]
+    assert [r for r in ROUND_TRIP[name] if group.native_cut(group.band_of_native(r)) != r] == []
+
+
+@pytest.mark.parametrize("name,radii", [("t1", [*range(5790, 5901), 100_000]), ("su2", [2, 6, 12, 5798, 20_000])])
+def test_enumeration_reaches_the_native_shell(name, radii):
+    group = GROUPS[name][0]
+    for r in radii:
+        casimir = group.enumerate_dual(group.band_of_native(r)).casimir
+        assert casimir.max() == group.duals_of([[r]] if name == "t1" else [r]).casimir[0], r
+
+
+def test_hirschman_wainger_keeps_the_band_edge(t1):
+    # |k| <= 5800 is 11,601 duals; the Casimir-form cut ended the multiplier at |k| = 5799
+    sigma = hirschman_wainger(0.5, 0.1, t1.band_of_native(5800))
+    assert len(sigma.duals) == 11_601 and sigma.native_band == 5800
 
 
 @pytest.mark.parametrize("name", list(GROUPS))

@@ -9,7 +9,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 59 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 60 more that cover
 the other subcommands, groups and refusals, and the ``--config`` loader on
 the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
@@ -101,6 +101,7 @@ EXTRA = (
     f"--config {shlex.quote(CONFIG)} weyl --alpha 0 --lambdas 4,8",
     f"--conf {shlex.quote(CONFIG)} transform",
     "weyl --group t1 --alpha -2 --lambdas 2,4 --band 64",
+    "lp-sharpness --p 2 --lambdas 580,5800 --iterations 2",
 )
 
 
