@@ -21,7 +21,7 @@ import numpy as np
 from .fourier import GridFunction
 from .groups import BAND_TOL, Torus, batch_size, batch_slices
 from .named_functions import dirichlet_kernel
-from .quantize import GridOperator, apply, matvec_rows, operator
+from .quantize import GridOperator, adjoint_rows, apply, matvec_rows, operator
 from .symbols import Symbol, float_powers, hirschman_wainger
 
 GROWTH_SLOPE_TOL = 0.05
@@ -120,12 +120,14 @@ def lp_lower_bound(
 
     The starts advance in lock step as the rows of one block (Higham and
     Tisseur's block norm estimator): one `matvec_rows` through M and one
-    through M.T per step, and a start leaves when its quotient settles or
-    its iterate vanishes.  The rest is per row, each 1/r root taken by
-    `float_powers`, so `history` (start-major), `value` and `witness` (first
-    strict maximum by start, then step) are bit for bit those of each start
-    alone wherever M maps a block row as one vector (dense M, torus FFT);
-    SU(2)'s batched BLAS contractions may move the last bits.  Zero iterates
+    `adjoint_rows` through M^H per step, and a start leaves when its
+    quotient settles or its iterate vanishes; while none restarts or
+    settles, the block is not copied.  The rest is per row, each 1/r root
+    taken by `float_powers`, so `history` (start-major), `value` and
+    `witness` (first strict maximum by start, then step) are bit for bit
+    those of each start alone wherever M maps a block row as one vector
+    (dense M, torus FFT); SU(2)'s batched BLAS contractions may move the
+    last bits.  Zero iterates
     restart from draws taken in step order, then start order.
 
     A p whose norms or quotients overflow, come out NaN, or underflow to 0
@@ -158,7 +160,7 @@ def lp_lower_bound(
 
     def dual(v, r):
         a = np.abs(v)
-        phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
+        phase = v / a if a.all() else np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # what overflows, norms refuses
             return a ** (r - 1.0) * phase
 
@@ -187,18 +189,23 @@ def lp_lower_bound(
             x[i] /= norms(x[i : i + 1], p)[0]
             restarts += 1
             warnings.warn("zero iterate in lp_lower_bound; restarted with a perturbed seed")
-        live = np.flatnonzero(~zero)
-        # m^H v without materialising the conjugate transpose
-        z = np.conj(matvec_rows(m.T, np.conj(w * dual(y[live], p)))) / w
+        restarted = zero.any()
+        live = np.flatnonzero(~zero) if restarted else slice(None)  # views, not copies, when no row restarts
+        z = adjoint_rows(m, w * dual(y[live], p)) / w
         step = dual(z, q)
         nx = norms(step, p, z)
-        x[live] = step / np.where(nx == 0.0, 1.0, nx)[:, None]
+        step = step / np.where(nx == 0.0, 1.0, nx)[:, None]
+        if restarted:
+            x[live] = step
+        else:
+            x = step
         settled = np.zeros(len(active), dtype=bool)
         settled[live] = (nx == 0.0) | (np.abs(quot[live] - prev[active[live]]) <= 1e-9 * np.maximum(quot[live], 1.0))
         prev[active[live]] = quot[live]
-        active, x = active[~settled], x[~settled]
-        if not active.size:
-            break
+        if settled.any():
+            active, x = active[~settled], x[~settled]
+            if not active.size:
+                break
 
     i = int(np.argmax(top))  # the first start to reach the largest quotient
     best, witness = (float(top[i]), top_x[i].copy()) if top[i] > 0.0 else (0.0, dirichlet)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,10 +97,11 @@ class Duals:
 
 class GridMeta:
     """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`,
-    and the one kernel-row loop `kernel_rows`.  Each grid owns the group-specific rest: `require_band`,
-    `rep_table`, `analysis(values, duals) -> buckets`, `synthesis(duals, buckets, count) -> (count, N) values`,
-    the kernel rows of one chunk `_rows(sigma, rows) -> (len, N)`, and the motions that map it onto itself:
-    `orbits() -> (representatives, size)` and `move(k, nodes)`."""
+    the one kernel-row loop `kernel_rows`, and `invariant_operator`, Op(sigma) set up once for the grid (by
+    default its `analysis`, the blockwise product and its `synthesis`).  Each grid owns the group-specific
+    rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`, `synthesis(duals, buckets, count)
+    -> (count, N) values`, the kernel rows of one chunk `_rows(sigma, rows) -> (len, N)`, and the motions that
+    map it onto itself: `orbits() -> (representatives, size)` and `move(k, nodes)`."""
 
     @property
     def node_count(self) -> int:
@@ -109,6 +111,28 @@ class GridMeta:
     def exactness_band(self) -> float:
         """Largest weight band whose dual ball is pairwise-exactly integrable."""
         return self.group.band_of_native(self.native_exact)
+
+    def invariant_operator(self, sigma):
+        """Op(sigma) of an invariant sigma set up for this grid: a map from grid values (N,) or (k, N) to grid
+        values, bit for bit `quantize.apply(sigma, ., check_band=False)`.  The band is checked once, here; each
+        call is the grid's `analysis`, the product sigma(xi) a(xi) per bucket and its `synthesis`."""
+        self.require_band(sigma.band, what="symbol band")
+
+        def op(values):
+            values = self._node_values(values)
+            batch = values.shape[:-1]
+            coeffs = self.analysis(values, sigma.duals)
+            products = [(s[:, None] if batch else s) @ c for s, c in zip(sigma.buckets, coeffs)]
+            return self.synthesis(sigma.duals, products, math.prod(batch)).reshape(*batch, self.node_count)
+
+        return op
+
+    def _node_values(self, values) -> np.ndarray:
+        """Complex grid values (N,) or (k, N), refused when their last axis is not the node count."""
+        values = np.asarray(values, dtype=complex)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.node_count:
+            raise ValueError("value count does not match grid node count")
+        return values
 
     def kernel_rows(self, sigma, nodes=None):
         """Yield (rows, K[rows]) over `batch_slices` of the rows `nodes` (an index array), or consecutive slices

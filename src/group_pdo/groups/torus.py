@@ -12,6 +12,7 @@ each with its exact index rule on the dual.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -19,6 +20,11 @@ import numpy as np
 
 from ..errors import PrecisionError
 from .dual import DualIndex, Duals, GridMeta
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: the page size times the number of physical pages."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -146,10 +152,18 @@ class Torus:
         """Uniform product grid with `resolution` nodes per axis.
 
         Exact for products of two characters when both lie in the centred
-        band |k_j| <= (resolution - 1) // 2.
+        band |k_j| <= (resolution - 1) // 2.  A grid whose nodes and weights
+        alone would not fit in physical memory is refused before they are
+        allocated.
         """
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
+        need = 8 * (self.n + 1) * int(resolution) ** self.n  # the float64 nodes (N, n) and weights (N,)
+        if need > physical_memory():
+            raise PrecisionError(
+                f"a grid of {int(resolution)}^{self.n} nodes needs {need / 2**30:.3g} GiB for its nodes and weights, "
+                f"more than the {physical_memory() / 2**30:.3g} GiB of physical memory; refuse to allocate it"
+            )
         return TorusGrid(group=self, shape=(int(resolution),) * self.n)
 
     def grid_for_band(self, band: float, margin: int = 0) -> "TorusGrid":
@@ -208,16 +222,51 @@ class TorusGrid(GridMeta):
 
     def synthesis(self, duals: Duals, buckets: list[np.ndarray], count: int) -> np.ndarray:
         """sum_k a_k(z) xi_k at every node, for the `count` tables z of the one bucket: (count, nodes)."""
+        labels = self._representable(duals)
+        coeffs = buckets[0].reshape(len(labels), count).T  # all 1x1 on the torus
+        cubes = np.zeros((count, *self.shape), dtype=complex)
+        cubes[(slice(None), *(labels % self.shape).T)] += coeffs
+        return (np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * self.node_count).reshape(count, self.node_count)
+
+    def invariant_operator(self, sigma):
+        """Op(sigma) of an invariant sigma set up for this grid, bit for bit `GridMeta.invariant_operator`: the
+        band and the representability of sigma's duals are checked once, and sigma is placed once on the FFT
+        lattice, zero off its duals.  Each call on grid values (N,) or (k, N) is the per-axis FFTs in `fftn`'s
+        order (last axis first), / N, the lattice product, the inverse FFTs and * N: the steps of `analysis`
+        and `synthesis`, whose bits the / N and * N keep.  The product is spelt on the real and imaginary
+        parts, as the 1x1 matmul of the blockwise product computes it; numpy's complex * rounds differently."""
+        self.require_band(sigma.band, what="symbol band")
+        lattice = np.zeros(self.shape, dtype=complex)
+        lattice[tuple((self._representable(sigma.duals) % self.shape).T)] = sigma.buckets[0].reshape(-1)
+        re, im = lattice.real.copy(), lattice.imag.copy()
+        axes = range(len(self.shape), 0, -1)
+
+        def op(values):
+            values = self._node_values(values)
+            cubes = values.reshape(-1, *self.shape)
+            for axis in axes:
+                cubes = np.fft.fft(cubes, axis=axis)
+            cubes /= self.node_count
+            product = np.empty_like(cubes)
+            product.real = re * cubes.real - im * cubes.imag
+            product.imag = re * cubes.imag + im * cubes.real
+            for axis in axes:
+                product = np.fft.ifft(product, axis=axis)
+            product *= self.node_count
+            return product.reshape(values.shape)
+
+        return op
+
+    def _representable(self, duals: Duals) -> np.ndarray:
+        """The labels of `duals`, refused if one lies outside the centred band |k_j| <= (m_j - 1) // 2 of the
+        grid, where its FFT index would alias another."""
         labels = duals.labels
         outside = np.flatnonzero(np.any(np.abs(labels) > (np.array(self.shape) - 1) // 2, axis=1))
         if outside.size:
             raise PrecisionError(
                 f"coefficient k={duals[outside[0]].label} cannot be represented on grid shape {self.shape}"
             )
-        coeffs = buckets[0].reshape(len(labels), count).T  # all 1x1 on the torus
-        cubes = np.zeros((count, *self.shape), dtype=complex)
-        cubes[(slice(None), *(labels % self.shape).T)] += coeffs
-        return (np.fft.ifftn(cubes, axes=range(1, cubes.ndim)) * self.node_count).reshape(count, self.node_count)
+        return labels
 
     def orbits(self) -> tuple[np.ndarray, int]:
         """(representatives, size) of the node orbits under the translations by the nodes: node 0, with an

@@ -4,8 +4,10 @@ Op(sigma) f(x) = sum_xi d_xi Tr(xi(x) sigma(x, xi) fhat(xi)); the kernel is
 K(x, y) = sum_xi d_xi Tr(xi(y^-1 x) sigma(x, xi)) and Op(sigma) on grid
 values is the matrix M[i, j] = K(x_i, y_j) w_j.  The norm estimators take a
 `GridOperator` record holding M: dense from `realize`, the oracle, or as a
-matrix-free `SymbolMatrix` from `operator`, which applies M and its
-transpose by Fourier transforms (invariant symbols only).  The grid's
+matrix-free `SymbolMatrix` from `operator` (invariant symbols only), which
+sets up Op(sigma) and Op(sigma^*) once through the grid's
+`invariant_operator` and applies M, M^H and M.T with them: on the torus an
+FFT, one multiply on the FFT lattice and an inverse FFT.  The grid's
 `kernel_rows`, one loop shared by every grid over its own `_rows`, yields K
 a chunk of rows at a time, so the kernel bounds in `bounds` never hold it
 whole, and `realize` fills M from those chunks.
@@ -91,17 +93,28 @@ def matvec_rows(matrix, x: np.ndarray) -> np.ndarray:
     return matrix @ x
 
 
+def adjoint_rows(matrix, x: np.ndarray) -> np.ndarray:
+    """matrix^H @ v for each row v of the block x (k, N): `SymbolMatrix.rmatvec`, or the conjugate of
+    `matvec_rows` through the dense oracle's transpose at conj(x)."""
+    if isinstance(matrix, np.ndarray):
+        return np.conj(matvec_rows(matrix.T, np.conj(x)))
+    return matrix.rmatvec(x)
+
+
 class SymbolMatrix:
     """Matrix-free M = realize(sigma, grid).matrix for an invariant sigma, in the idiom of
-    scipy's LinearOperator: `shape`, `M @ x` and `M.T @ u` on grid value arrays.
+    scipy's LinearOperator: `shape`, `M @ x`, `M.rmatvec(v)` (M^H v) and `M.T @ u` on grid
+    value arrays.
 
-    M @ x is `apply` (forward transform, blockwise product, inverse), which is
-    the quadrature sum of M's rows for any x, band-limited or not.  A block
-    x (k, N) holds k vectors, and M @ x and M.T @ x map each row.  The kernel
-    of Op(sigma^*) at (y, x) is conj K(x, y), so M^H v = w * Op(sigma^*)(v / w)
-    and M.T @ u is its conjugate at conj(u): exact on every grid, whatever its
-    weights.  A gridded sigma is refused: its pointwise adjoint is not the
-    symbol of the adjoint operator.
+    Op(sigma) and Op(sigma^*) are set up once, by the grid's `invariant_operator`,
+    which refuses here a band the grid does not cover: on the torus each product is
+    then an FFT, one multiply on the FFT lattice and an inverse FFT.  M @ x is
+    `apply(sigma, x, check_band=False)` bit for bit, the quadrature sum of M's rows
+    for any x, band-limited or not.  A block x (k, N) holds k vectors, and every
+    product maps each row.  The kernel of Op(sigma^*) at (y, x) is conj K(x, y), so
+    M^H v = w * Op(sigma^*)(v / w), and M.T @ u is its conjugate at conj(u): exact on
+    every grid, whatever its weights.  A gridded sigma is refused: its pointwise
+    adjoint is not the symbol of the adjoint operator.
     """
 
     def __init__(self, sigma: Symbol, grid):
@@ -110,13 +123,18 @@ class SymbolMatrix:
                 "a matrix-free operator needs an invariant symbol (the pointwise adjoint of a "
                 "gridded symbol is not the symbol of its adjoint); use realize(sigma, grid)"
             )
-        self.sigma = sigma
-        self.adjoint = sigma.adjoint()
         self.grid = grid
         self.shape = (grid.node_count, grid.node_count)
+        self._op = grid.invariant_operator(sigma)
+        self._adjoint_op = grid.invariant_operator(sigma.adjoint())
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return apply(self.sigma, GridFunction(self.grid, x), check_band=False).values
+        return self._op(x)
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """M^H v = w * Op(sigma^*)(v / w), for one vector or a block of rows."""
+        w = self.grid.weights
+        return w * self._adjoint_op(v / w)
 
     @property
     def T(self) -> "_Transpose":
@@ -129,6 +147,4 @@ class _Transpose:
         self.shape = m.shape
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        w = self.m.grid.weights
-        adj = apply(self.m.adjoint, GridFunction(self.m.grid, np.conj(u) / w), check_band=False)
-        return np.conj(w * adj.values)
+        return np.conj(self.m.rmatvec(np.conj(u)))

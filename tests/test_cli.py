@@ -301,6 +301,30 @@ def test_band_past_int64_labels_is_usage_error(argv, tmp_path):
     assert not out.exists()
 
 
+def test_torus_grid_past_physical_memory_is_precision_error(tmp_path, monkeypatch, capsys):
+    # band 1e9 on t1 asks for 2e9 + 2 nodes: refused before the node arrays are allocated, whatever the machine
+    from group_pdo.groups import torus
+
+    monkeypatch.setattr(torus, "physical_memory", lambda: 2**30)
+    code, _, files = run(["transform", "--group", "t1", "--band", "1e9"], tmp_path)
+    assert code == 3 and files == []
+    err = capsys.readouterr().err
+    assert "precision/band error: a grid of 2000000002^1 nodes needs 29.8 GiB" in err and "Traceback" not in err
+
+
+def test_band_past_the_operator_grid_is_refused_at_set_up(tmp_path, monkeypatch, capsys):
+    # lp-sharpness on a grid two nodes short of its cutoff: refused where the operator is set up, before any
+    # power step, with exit 3
+    from group_pdo.groups import Torus, TorusGrid
+
+    monkeypatch.setattr(Torus, "haar_grid", lambda self, resolution: TorusGrid(self, (resolution - 2,)))
+    monkeypatch.setattr(group_pdo.bounds, "lp_lower_bound", lambda *a, **k: pytest.fail("a power step ran"))
+    code, _, files = run(["lp-sharpness", "--p", "4", "--lambdas", "8,16,32"], tmp_path)
+    assert code == 3 and files == []
+    err = capsys.readouterr().err
+    assert err == "precision/band error: symbol band 8.06226 (|k| <= 8) exceeds grid exactness |k| <= 7 (shape (16,)); refuse to alias\n"
+
+
 def run_fresh(argv: str, tmp_path):
     """The CLI in a fresh process with a timeout, so an enumeration that never ends fails instead of hanging."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))

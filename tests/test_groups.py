@@ -295,6 +295,17 @@ class TestQuadrature:
         with pytest.raises(PrecisionError):
             su2.haar_grid(4).require_band(su2.band_of_native(5))
 
+    def test_torus_grid_past_physical_memory_is_refused(self, t1, t2, monkeypatch):
+        # 8 bytes per node coordinate and weight; with physical memory patched small nothing large is allocated
+        from group_pdo.groups import torus
+
+        monkeypatch.setattr(torus, "physical_memory", lambda: 1600)
+        assert t1.haar_grid(100).node_count == 100  # 16 bytes a node: exactly the 1600
+        assert t2.haar_grid(8).node_count == 64  # 24 bytes a node: 1536 bytes, and 81 nodes would be 1944
+        for group, resolution in ((t1, 101), (t2, 9), (t1, 2 * 10**9 + 2)):
+            with pytest.raises(PrecisionError, match="physical memory; refuse to allocate"):
+                group.haar_grid(resolution)
+
     def test_grid_for_band_covers(self, t1, su2):
         for group, band in ((t1, 12.0), (su2, 7.3)):
             grid = group.grid_for_band(band, margin=2)

@@ -15,8 +15,9 @@ import pytest
 
 from group_pdo.bounds import LpLowerBound, lp_lower_bound
 from group_pdo.fourier import GridFunction
+from group_pdo.groups import TorusGrid
 from group_pdo.named_functions import dirichlet_kernel
-from group_pdo.quantize import matvec_rows, operator, realize
+from group_pdo.quantize import adjoint_rows, matvec_rows, operator, realize
 from group_pdo.symbols import (
     Symbol,
     hirschman_wainger,
@@ -103,6 +104,16 @@ class TestBlockMatchesPerStart:
             if p == 8.0:  # the starts leave the block at different steps
                 assert len(set(steps.values())) > 1
 
+    def test_t2_twisted_multiplier_power_matrix_free(self, t2):
+        # the multi-axis FFT lattice path, which no command reaches: unequal axes and a non-Hermitian symbol
+        sig = map_blocks(
+            multiplier_power(t2, -0.5, t2.band_of_native(6)),
+            lambda xi, b: b * np.exp(1j * (xi.label[0] + 2 * xi.label[1]) / 3),
+        )
+        op = operator(sig, TorusGrid(t2, (13, 17)))
+        for p in (2.0, 2.2, 8.0):
+            assert_same(lp_lower_bound(op, p, iterations=25, seed=2), per_start_oracle(op, p, iterations=25, seed=2))
+
     def test_hirschman_wainger_dense(self, t1):
         op = realize(hirschman_wainger(0.5, 0.1, band=t1.band_of_native(16)), t1.haar_grid(34))
         for p in (2.0, 2.2, 8.0):
@@ -142,6 +153,10 @@ class TestBlockMatchesPerStart:
                 assert rows.shape == x.shape
                 for row, v in zip(rows, x):
                     assert np.array_equal(row, m @ v)
+            rows = adjoint_rows(op.matrix, x)
+            assert rows.shape == x.shape
+            for row, v in zip(rows, x):
+                assert np.array_equal(row, np.conj(op.matrix.T @ np.conj(v)))
 
 
 def per_dual_identity(group, band, grid=None) -> Symbol:

@@ -8,6 +8,7 @@ from group_pdo.groups import TorusGrid
 from group_pdo.quantize import SymbolMatrix, apply, operator, realize
 from group_pdo.symbols import (
     Symbol,
+    hirschman_wainger,
     identity_symbol,
     multiplier,
     multiplier_power,
@@ -343,3 +344,75 @@ class TestOperator:
             operator(sig, grid)
         with pytest.raises(ValueError, match="realize"):
             SymbolMatrix(sig, grid)
+
+    @pytest.mark.parametrize("group_name", ["t1", "t2", "su2"])
+    def test_set_up_operator_is_apply_bit_for_bit(self, group_name, t1, t2, su2, rng):
+        # M @ x, M.rmatvec(x) and M.T @ x against the transform path of `apply`, for one vector and a block of 6:
+        # random blocks with every third one exactly zero, on a band whose |k| (j2) reaches the grid's native_exact
+        grid = {"t1": t1.haar_grid(33), "t2": TorusGrid(t2, (9, 11)), "su2": su2.haar_grid(6)}[group_name]
+        group, band = grid.group, grid.exactness_band
+
+        def blocks(duals):
+            re, im = rng.normal(size=(2, len(duals), duals.dims[0], duals.dims[0]))
+            return np.where((np.arange(len(duals)) % 3 == 0)[:, None, None], 0.0, re + 1j * im)
+
+        sig = multiplier(group, band, blocks)
+        assert group.native_cut(band) == grid.native_exact
+        assert any(not b.any() for b in sig.blocks)
+        free, w = operator(sig, grid).matrix, grid.weights
+        for shape in ((grid.node_count,), (6, grid.node_count)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.array_equal(free @ x, apply(sig, GridFunction(grid, x), check_band=False).values)
+            adjoint = w * apply(sig.adjoint(), GridFunction(grid, x / w), check_band=False).values
+            assert np.array_equal(free.rmatvec(x), adjoint)
+            transpose = apply(sig.adjoint(), GridFunction(grid, np.conj(x) / w), check_band=False).values
+            assert np.array_equal(free.T @ x, np.conj(w * transpose))
+            assert (free @ x).shape == (free.T @ x).shape == shape
+
+    def test_lattice_product_rounds_as_the_blockwise_matmul(self, t1, rng):
+        # the torus lattice product is spelt on real and imaginary parts, as the (count, 1, 1) @ (count, B, 1, 1)
+        # matmul of `apply` rounds; numpy's complex * rounds differently on blocks of the workload's
+        # largest cutoff, by up to ~1e-15, so a lattice product written with it fails here
+        grid = t1.haar_grid(2050)
+        sig = hirschman_wainger(0.5, 0.1, band=t1.band_of_native(1024))
+        x = rng.normal(size=(6, grid.node_count)) + 1j * rng.normal(size=(6, grid.node_count))
+        free = operator(sig, grid).matrix
+        assert np.array_equal(free @ x, apply(sig, GridFunction(grid, x), check_band=False).values)
+        transpose = apply(sig.adjoint(), GridFunction(grid, np.conj(x) / grid.weights), check_band=False).values
+        assert np.array_equal(free.T @ x, np.conj(grid.weights * transpose))
+
+    @pytest.mark.parametrize("group_name", ["t1", "su2"])
+    def test_band_past_the_grid_is_refused_at_set_up(self, group_name, t1, su2, rng):
+        # refused when the operator is set up, with the text `apply` gives, before any product is taken
+        group = {"t1": t1, "su2": su2}[group_name]
+        grid = group.haar_grid(8)
+        sig = multiplier_power(group, -1.0, group.band_of_native(9))
+        with pytest.raises(PrecisionError) as through_apply:
+            apply(sig, GridFunction(grid, rng.normal(size=grid.node_count)), check_band=False)
+        assert "symbol band" in str(through_apply.value)
+        for build in (operator, SymbolMatrix):
+            with pytest.raises(PrecisionError) as at_set_up:
+                build(sig, grid)
+            assert str(at_set_up.value) == str(through_apply.value)
+
+    def test_dual_outside_the_torus_grid_is_refused_at_set_up(self, t1, rng):
+        # a dual past the grid's centred band, on a symbol whose band the grid covers: refused by SymbolMatrix at
+        # set-up with the text of `synthesis`, where `apply` refuses it at its inverse transform
+        grid = t1.haar_grid(9)
+        sig = Symbol(t1, 2.0, t1.duals_of([[0], [1], [5]]), [np.ones((3, 1, 1), dtype=complex)])
+        with pytest.raises(PrecisionError, match="cannot be represented") as through_apply:
+            apply(sig, GridFunction(grid, rng.normal(size=grid.node_count)), check_band=False)
+        with pytest.raises(PrecisionError) as at_set_up:
+            SymbolMatrix(sig, grid)
+        assert str(at_set_up.value) == str(through_apply.value)
+
+    def test_input_of_another_shape_is_refused(self, t1, t2, su2):
+        # each product of the set-up operator still checks its input: (N,) or (k, N) grid values
+        for grid in (t1.haar_grid(9), t2.haar_grid(5), su2.haar_grid(2)):
+            free = operator(identity_symbol(grid.group, grid.exactness_band), grid).matrix
+            for x in (np.ones(grid.node_count + 1), np.ones((2, 3, grid.node_count))):
+                for product in (free.__matmul__, free.rmatvec, free.T.__matmul__):
+                    with pytest.raises(ValueError):
+                        product(x)
+                with pytest.raises(ValueError, match="node count"):
+                    free @ x
