@@ -419,7 +419,7 @@ def _seminorm(args) -> Outcome:
     params = ClassParams(m=args.m, rho=args.rho, delta=args.delta, l=args.l)  # refused before a symbol is built
     _, grid, sigma = _build(args, need_margin=args.l)
     windows = _parse_list(args.windows) if args.windows else None
-    rep = seminorm(sigma, params, windows, grid=grid)
+    rep = seminorm(sigma, params, windows)
     rows = [["alpha", "beta", "window", "partial_sup"]]
     for e in rep.entries:
         for lam, s in e.sweep:
@@ -439,15 +439,7 @@ def _classcheck(args) -> Outcome:
 
     _, grid, sigma = _build(args, need_margin=args.l)
     windows = _parse_list(args.windows) if args.windows else None
-    verdict = class_membership(
-        sigma,
-        m=args.m,
-        rho=args.rho,
-        delta=args.delta,
-        l=args.l,
-        windows=windows,
-        grid=grid,
-    )
+    verdict = class_membership(sigma, m=args.m, rho=args.rho, delta=args.delta, l=args.l, windows=windows)
     rows = [["alpha", "beta", "slope"]] + [
         ["|".join(map(str, a)), "|".join(map(str, b)), s] for a, b, s in verdict.slopes
     ]

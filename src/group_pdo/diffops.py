@@ -2,27 +2,25 @@
 
 A difference operator Delta_q acts on Fourier coefficients by
 Delta_q fhat = (q f)^ for a function q vanishing at the identity.  Each
-group hands over its strongly admissible collection as (name, q, shift)
-triples (`difference_functions`); the calculus here is the same for every
-group.  Symbols are differenced kernel-side: a batched inverse gives the
-kernel of sigma(x, .) for every node x on a grid whose exactness covers the
-band, and a batched forward of q times the kernels gives the shrunken
-trusted band, a chunk of nodes at a time.  A q with an exact index rule on
-the dual (the torus shifts q = exp(+-i x_j) - 1) takes that rule as a fast
-path.
+group hands over its strongly admissible collection as (name, q, rule)
+triples (`difference_functions`), rule being Delta_q on the dual in closed
+form: the index shifts of q = exp(+-i x_j) - 1 on the torus, the
+Clebsch-Gordan three-spin rule of q = D^{1/2}_ab - delta_ab on SU(2).  The
+calculus here is the same for every group, and `difference` is the rule
+alone: it reads the symbol's blocks on the dual, invariant or per node, and
+calls no transform.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import BandExhaustedError, PrecisionError
-from .fourier import GridFunction, concat, forward, inverse
-from .groups import batch_slices
+from .fourier import GridFunction, forward, inverse
+from .groups import Duals, batch_slices
 from .symbols import Symbol, multiplier
 
 _ALIAS_TOL = 1e-8  # round-trip residual, relative to max(|entry|, 1), above which an x-dependence is aliased
@@ -34,15 +32,17 @@ class DifferenceOp:
 
     point_fn evaluates q at arbitrary group points; native_band is the dual
     band q occupies (|k| units on the torus, doubled spin on SU(2)), which is
-    what one application consumes from a symbol's trusted band.  shift, when
-    set, is an exact index rule (axis, step) on the dual, which the torus
-    shifts have: Delta sigma(k) = sigma(k - step e_axis) - sigma(k).
+    what one application consumes from a symbol's trusted band.  rule is
+    Delta_q on the dual, exact and without a transform:
+    rule(duals, buckets, keep) gives the buckets of duals[keep] from a
+    symbol's duals and buckets, sigma zero outside them, acting on the
+    trailing (d, d) axes so that a node axis broadcasts.
     """
 
     name: str
     native_band: int
     point_fn: Callable[[np.ndarray], np.ndarray]
-    shift: Optional[tuple[int, int]] = None
+    rule: Callable[[Duals, list, np.ndarray], list]
 
     def values(self, grid) -> np.ndarray:
         return self.point_fn(grid.nodes)
@@ -53,16 +53,16 @@ class DifferenceOp:
 
 def admissible_collection(group) -> list[DifferenceOp]:
     """The strongly admissible first-order collection used everywhere, one `DifferenceOp` per
-    (name, q, shift) of `group.difference_functions()`."""
-    return [DifferenceOp(name, 1, q, shift) for name, q, shift in group.difference_functions()]
+    (name, q, rule) of `group.difference_functions()`."""
+    return [DifferenceOp(name, 1, q, rule) for name, q, rule in group.difference_functions()]
 
 
 # ---------------------------------------------------------------------------
 # difference application
 
 
-def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
-    """Delta_q sigma on the trusted band shrunk by q's native band."""
+def difference(q: DifferenceOp, sigma: Symbol) -> Symbol:
+    """Delta_q sigma on the trusted band shrunk by q's native band, by q's rule on the dual."""
     new_native = sigma.native_band - q.native_band
     if new_native < 0:
         raise BandExhaustedError(
@@ -71,43 +71,13 @@ def difference(q: DifferenceOp, sigma: Symbol, grid=None) -> Symbol:
         )
     new_band = sigma.group.band_of_native(new_native)
     keep = sigma.duals.within(new_band)
-    target = sigma.duals[keep]
-    if q.shift is not None:
-        buckets = [_shifted_blocks(q, sigma, keep)]
-    else:
-        buckets = _kernel_side_blocks(q, sigma, target, new_band, grid)
     return replace(
         sigma,
         band=new_band,
-        duals=target,
-        buckets=buckets,
+        duals=sigma.duals[keep],
+        buckets=q.rule(sigma.duals, sigma.buckets, keep),
         provenance=f"D[{q.name}]{sigma.provenance}",
     )
-
-
-def _shifted_blocks(q: DifferenceOp, sigma: Symbol, keep: np.ndarray) -> np.ndarray:
-    """sigma(k - step e_axis) - sigma(k) on the kept duals; sigma is zero outside its band."""
-    axis, step = q.shift
-    blocks = sigma.buckets[0]  # a group with shift rules has 1x1 blocks only (the torus): one bucket
-    labels = sigma.duals.labels
-    pad = int(np.abs(labels).max()) + 1
-    # sigma scattered into a zero cube that has room for every shifted label
-    cube = np.zeros((2 * pad + 1,) * labels.shape[1] + blocks.shape[1:], dtype=complex)
-    cube[tuple((labels + pad).T)] = blocks
-    shifted = labels[keep] + pad
-    shifted[:, axis] -= step
-    return cube[tuple(shifted.T)] - blocks[keep]
-
-
-def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float, grid) -> list[np.ndarray]:
-    """forward(q k) on the target duals, k the kernel of sigma(x, .) at each node x, a chunk of nodes at a time."""
-    grid = sigma.resolve_grid(grid)
-    qvals = q.values(grid)
-    parts = [
-        forward(GridFunction(grid, inverse(sigma.rows(rows), grid).values * qvals), new_band, duals=target)
-        for rows in batch_slices(math.prod(sigma.batch), grid.node_count)
-    ]
-    return concat(parts).buckets
 
 
 # ---------------------------------------------------------------------------

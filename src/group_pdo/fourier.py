@@ -136,13 +136,6 @@ class FourierCoefficients:
         return np.concatenate([_op_norms(b).reshape(len(b), -1).max(axis=1) for b in self.buckets])
 
 
-def concat(parts: list[FourierCoefficients]) -> FourierCoefficients:
-    """Tables over the same duals joined along their batch axis; a single table as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    return replace(parts[0], buckets=[np.concatenate(b, axis=1) for b in zip(*(p.buckets for p in parts))])
-
-
 def _op_norms(stack: np.ndarray) -> np.ndarray:
     if stack.shape[-1] == 1:
         return np.abs(stack[..., 0, 0])

@@ -21,7 +21,9 @@ On the product grid the Fourier pair is Kostelec and Rockmore's separated
 SO(3) transform, as GEMMs over the parity slots of `wigner.SpinShells`; its
 synthesis, conjugated, also gives the rows of a Schwartz kernel.  The
 admissible difference collection is the four spin-1/2 coefficients
-``D^{1/2}_ab - delta_ab``, which have no index rule on the dual.
+``D^{1/2}_ab - delta_ab``.  By Clebsch-Gordan, q D^j splits into D^(j -+ 1/2),
+so each difference is an exact rule over three spins (`_three_spin_rule`),
+which `diffops.difference` applies without a transform.
 """
 
 from __future__ import annotations
@@ -84,6 +86,36 @@ def quat_to_euler(q) -> tuple[float, float, float]:
     if rebuilt @ np.array([q0, q1, q2, q3]) < 0.0:
         psi = np.mod(psi + 2 * np.pi, 4 * np.pi)
     return float(phi), float(theta), float(psi)
+
+
+def _three_spin_rule(a: int, b: int):
+    """The dual rule of q = D^{1/2}_ab - delta_ab: (Delta_q sigma)(J) at each kept doubled spin J, d_J = J + 1,
+    from sigma at J - 1, J and J + 1 (Clebsch-Gordan), on the trailing (d, d) axes of the buckets (1, [N,] d, d)
+    of one spin each; sigma is zero past its top spin.  In block indices (n, m) of the ascending weight basis:
+    - delta_ab sigma(J);
+    + sigma(J - 1), d = J, entry (n, m) at (n + b, m + a), weight sqrt(f_b(n) f_a(m)) / d_J, f = (d - k, k + 1);
+    +- sigma(J + 1), d = J + 2, entry (n, m) at (n - 1 + b, m - 1 + a), weight sqrt(g_b(n) g_a(m)) / d_J,
+    g = (k, d - 1 - k), + for a = b."""
+    sign = 1.0 if a == b else -1.0
+
+    def rule(duals: Duals, buckets: list, keep: np.ndarray) -> list:
+        spins = dict(zip(duals.labels.tolist(), buckets))
+        out = []
+        for j2 in duals.labels[keep].tolist():
+            acc = -spins[j2] if a == b else np.zeros_like(spins[j2])
+            if j2 - 1 in spins:
+                k = np.arange(j2)
+                f = (j2 - k, k + 1)
+                acc[..., b : b + j2, a : a + j2] += np.sqrt(np.outer(f[b], f[a])) / (j2 + 1) * spins[j2 - 1]
+            if j2 + 1 in spins:  # the rows and columns whose weight g is not zero
+                k = np.arange(j2 + 2)
+                g = (k, j2 + 1 - k)
+                n, m = slice(1 - b, j2 + 2 - b), slice(1 - a, j2 + 2 - a)
+                acc += sign * np.sqrt(np.outer(g[b][n], g[a][m])) / (j2 + 1) * spins[j2 + 1][..., n, m]
+            out.append(acc)
+        return out
+
+    return rule
 
 
 @dataclass(frozen=True)
@@ -186,9 +218,10 @@ class SU2:
         return q
 
     def difference_functions(self) -> list[tuple]:
-        """The strongly admissible first-order collection as (name, q, shift): the four spin-1/2 coefficients
+        """The strongly admissible first-order collection as (name, q, rule): the four spin-1/2 coefficients
         q_ab = D^{1/2}_ab - delta_ab, whose common zero set is exactly {e} (the defining representation is
-        faithful, so the centre is covered), with no shift rule."""
+        faithful, so the centre is covered), with no shift rule: each has the three-spin rule
+        `_three_spin_rule(a, b)` on the dual."""
         # spin-1/2 in the ascending weight basis, straight from the quaternion: only the entry (a, b)
         entries = {
             (0, 0): lambda q0, q1, q2, q3: q0 + 1j * q3,
@@ -206,7 +239,7 @@ class SU2:
 
             return fn
 
-        return [(f"q[{a}{b}]", coeff_fn(a, b), None) for a in range(2) for b in range(2)]
+        return [(f"q[{a}{b}]", coeff_fn(a, b), _three_spin_rule(a, b)) for a in range(2) for b in range(2)]
 
     def _check_dual(self, xi: DualIndex):
         if not isinstance(xi.label, int):

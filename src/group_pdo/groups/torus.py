@@ -7,7 +7,9 @@ rep matrices are 1x1.  On the uniform grid the Fourier pair is an FFT, and
 the rows of a Schwartz kernel are translates of the kernels of sigma(x, .):
 the grid's `_rows` gathers them for the shared `GridMeta.kernel_rows` loop.
 The admissible difference collection is the shifts ``exp(+-i x_j) - 1``,
-each with its exact index rule on the dual.
+each with its exact index rule on the dual (`_shift`),
+``Delta sigma(k) = sigma(k -+ e_j) - sigma(k)``, which `diffops.difference`
+applies without a transform.
 """
 
 from __future__ import annotations
@@ -25,6 +27,26 @@ from .dual import DualIndex, Duals, GridMeta
 def physical_memory() -> int:
     """Bytes of physical memory: the page size times the number of physical pages."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _shift(axis: int, step: int):
+    """q(x) = exp(i step x_axis) - 1 and its exact rule on the dual: sigma(k - step e_axis) - sigma(k) on the kept
+    duals, from the one bucket of 1x1 blocks; sigma is zero outside its band."""
+
+    def q(points):
+        return np.exp(1j * step * points[:, axis]) - 1.0
+
+    def rule(duals: Duals, buckets: list, keep: np.ndarray) -> list:
+        blocks, labels = buckets[0], duals.labels
+        pad = int(np.abs(labels).max()) + 1
+        # sigma scattered into a zero cube that has room for every shifted label
+        cube = np.zeros((2 * pad + 1,) * labels.shape[1] + blocks.shape[1:], dtype=complex)
+        cube[tuple((labels + pad).T)] = blocks
+        shifted = labels[keep] + pad
+        shifted[:, axis] -= step
+        return [cube[tuple(shifted.T)] - blocks[keep]]
+
+    return q, rule
 
 
 @dataclass(frozen=True)
@@ -127,17 +149,10 @@ class Torus:
         return np.mod(x, 2 * np.pi)
 
     def difference_functions(self) -> list[tuple]:
-        """The strongly admissible first-order collection as (name, q, shift): q(x) = exp(+-i x_j) - 1
-        per axis j, with its exact rule shift = (j, +-1) on the dual, Delta_q sigma(k) = sigma(k -+ e_j) - sigma(k)."""
-
-        def shift_fn(axis: int, step: int):
-            def fn(points):
-                return np.exp(1j * step * points[:, axis]) - 1.0
-
-            return fn
-
+        """The strongly admissible first-order collection as (name, q, rule): q(x) = exp(+-i x_j) - 1 per
+        axis j, with its exact index rule on the dual, Delta_q sigma(k) = sigma(k -+ e_j) - sigma(k) (`_shift`)."""
         return [
-            (f"q[{'+' if step > 0 else '-'}{j + 1}]", shift_fn(j, step), (j, step))
+            (f"q[{'+' if step > 0 else '-'}{j + 1}]", *_shift(j, step))
             for j in range(self.n)
             for step in (+1, -1)
         ]

@@ -8,7 +8,6 @@ without pytest.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +181,9 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     sig = multiplier_power(t1, -1.0, band)
     q = admissible_collection(t1)[0]
     d_shift = difference(q, sig)
-    d_kernel = difference(dataclasses.replace(q, shift=None), sig)
+    # the kernel-side reference: q times the kernel of sig, forward on the differenced duals
+    kgrid = t1.grid_for_band(band)
+    d_kernel = forward(GridFunction(kgrid, inverse(sig, kgrid).values * q.values(kgrid)), d_shift.band, d_shift.duals)
     serr = max(
         float(np.abs(d_shift.block(z.label) - d_kernel.block(z.label)).max()) for z in d_shift.duals
     )

@@ -81,7 +81,6 @@ def seminorm(
     sigma: Symbol,
     params: ClassParams,
     windows=None,
-    grid=None,
 ) -> SeminormReport:
     """Seminorm report of sigma for the given class parameters.
 
@@ -108,8 +107,6 @@ def seminorm(
             f"window {windows[-1]:.6g} exceeds the band trusted after {params.l} "
             f"differences ({deepest_band:.6g})"
         )
-    if grid is None and sigma.grid is None and not all(q.shift is not None for q in ops):
-        grid = group.grid_for_band(sigma.band)
 
     entries = []
     for beta in _multi_indices(group.dim, params.l):
@@ -127,7 +124,7 @@ def seminorm(
                 i = next(idx for idx, a in enumerate(alpha) if a > 0)
                 parent = list(alpha)
                 parent[i] -= 1
-                tau = difference(ops[i], cache[tuple(parent)], grid=grid)
+                tau = difference(ops[i], cache[tuple(parent)])
                 if sum(alpha) < params.l - nb:  # leaves are never differenced again
                     cache[alpha] = tau
             else:
@@ -175,14 +172,11 @@ def class_membership(
     delta: float,
     l: int,
     windows,
-    grid=None,
 ) -> MembershipVerdict:
     """Fit log(partial sup) against log(window) per entry; flat means consistent."""
     if len(windows) < 2:
         raise ValueError("class_membership needs at least two band windows")
-    report = seminorm(
-        sigma, ClassParams(m=m, rho=rho, delta=delta, l=l), windows, grid=grid
-    )
+    report = seminorm(sigma, ClassParams(m=m, rho=rho, delta=delta, l=l), windows)
     slopes = []
     worst = ((), ())
     worst_slope = -np.inf

@@ -6,11 +6,15 @@ its own, by einsum against Wigner-d tables built here with
 `wigner_d_tables` and phase tables of the full weight range, so it shares
 no layout with the spin-shell engine.  `kernel_bounds_sweep` and
 `bmo_per_center` reduce every kernel row and every ball center, where
-`group_pdo.bounds` reads one per grid orbit.
+`group_pdo.bounds` reads one per grid orbit.  `kernel_side_difference` is
+Delta_q sigma from q's values alone: the kernel of sigma(x, .) at each node
+x by a batched inverse, times q, and a batched forward onto the shrunken
+band (`_kernel_side_blocks`, a chunk of nodes at a time, joined by
+`concat`), where `diffops.difference` applies each group's rule on the dual.
 
 The builders and lookups that only tests use live here too: `map_blocks`
 (a table rebuilt one block per dual), `dual_index` (one dual by its
-label), `laplace_op` (the second-order difference rho^2),
+label), `laplace_op` (the second-order difference rho^2, which has no dual rule),
 `vector_field_plus_c` (the symbol of X_j + c, the forward operator of
 criterion 10) and `entry` (one entry of a seminorm report).
 """
@@ -23,8 +27,8 @@ from dataclasses import replace
 import numpy as np
 
 from group_pdo.diffops import DifferenceOp, admissible_collection
-from group_pdo.fourier import FourierCoefficients, GridFunction
-from group_pdo.groups import DualIndex, Torus, wigner_d_tables
+from group_pdo.fourier import FourierCoefficients, GridFunction, forward, inverse
+from group_pdo.groups import DualIndex, Torus, batch_slices, wigner_d_tables
 from group_pdo.seminorms import SeminormEntry, SeminormReport
 from group_pdo.symbols import Symbol, multiplier
 
@@ -48,7 +52,7 @@ def laplace_op(group) -> DifferenceOp:
     def fn(points):
         return (0.5 * sum(np.abs(q.point_fn(points)) ** 2 for q in ops)).astype(complex)
 
-    return DifferenceOp(name="laplace", native_band=1, point_fn=fn)
+    return DifferenceOp(name="laplace", native_band=1, point_fn=fn, rule=None)  # `kernel_side_difference` only
 
 
 def vector_field_plus_c(group, j: int, c: complex, band: float) -> Symbol:
@@ -124,6 +128,36 @@ def inverse_su2_per_spin(a: FourierCoefficients, grid) -> GridFunction:
             acc[:, slots, :, slots] += contrib.transpose(0, 2, 1, 3)
     values = np.einsum("aj,zatb,bk->zjtk", ephi.conj(), acc, epsi.conj(), optimize=True)
     return GridFunction(grid, values.reshape(*a.batch, grid.node_count))
+
+
+# the kernel-side difference that `diffops.difference` ran before each group had a rule on the dual
+
+
+def kernel_side_difference(q: DifferenceOp, sigma: Symbol) -> Symbol:
+    """Delta_q sigma on the trusted band shrunk by q's native band, from q's values alone (its rule unread), on
+    sigma's own grid, else the smallest grid for its band."""
+    new_band = sigma.group.band_of_native(sigma.native_band - q.native_band)
+    target = sigma.duals[sigma.duals.within(new_band)]
+    buckets = _kernel_side_blocks(q, sigma, target, new_band)
+    return replace(sigma, band=new_band, duals=target, buckets=buckets, provenance=f"D[{q.name}]{sigma.provenance}")
+
+
+def _kernel_side_blocks(q: DifferenceOp, sigma: Symbol, target, new_band: float) -> list[np.ndarray]:
+    """forward(q k) on the target duals, k the kernel of sigma(x, .) at each node x, a chunk of nodes at a time."""
+    grid = sigma.resolve_grid()
+    qvals = q.values(grid)
+    parts = [
+        forward(GridFunction(grid, inverse(sigma.rows(rows), grid).values * qvals), new_band, duals=target)
+        for rows in batch_slices(math.prod(sigma.batch), grid.node_count)
+    ]
+    return concat(parts).buckets
+
+
+def concat(parts: list[FourierCoefficients]) -> FourierCoefficients:
+    """Tables over the same duals joined along their batch axis; a single table as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return replace(parts[0], buckets=[np.concatenate(b, axis=1) for b in zip(*(p.buckets for p in parts))])
 
 
 # the admissible collections and rho^2 in closed form, as the difference calculus first wrote them per group

@@ -2,12 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from group_pdo import diffops, fourier
 from group_pdo.diffops import admissible_collection, difference, invariant_derivative
 from group_pdo.errors import BandExhaustedError, PrecisionError
 from group_pdo.fourier import FourierCoefficients, GridFunction, forward, inverse
-from group_pdo.symbols import identity_symbol, multiplier_power, schrodinger_phase
-from oracles import laplace_op, map_blocks, su2_coeff, su2_rho2, torus_rho2, torus_shift
+from group_pdo.groups import SU2, SU2Grid, TorusGrid
+from group_pdo.symbols import Symbol, identity_symbol, multiplier_power, schrodinger_phase
+from oracles import kernel_side_difference, laplace_op, map_blocks, su2_coeff, su2_rho2, torus_rho2, torus_shift
 
 
 class TestAdmissibleCollection:
@@ -22,20 +26,21 @@ class TestAdmissibleCollection:
             assert grad == pytest.approx(sign * 1j, abs=1e-6)
 
     def test_values_keep_the_closed_forms(self, t1, t2, su2):
-        # every q bit for bit as the closed form, with its name and shift rule
+        # every q bit for bit as the closed form, with its name; each rule is checked against the oracle below
         for group, grid in ((t1, t1.haar_grid(9)), (t2, t2.haar_grid(7)), (su2, su2.haar_grid(6))):
             if group is su2:
-                want = [(f"q[{a}{b}]", su2_coeff(grid.nodes, a, b), None) for a in range(2) for b in range(2)]
+                want = [(f"q[{a}{b}]", su2_coeff(grid.nodes, a, b)) for a in range(2) for b in range(2)]
             else:
                 steps = ((+1, "+"), (-1, "-"))
                 want = [
-                    (f"q[{sign}{j + 1}]", torus_shift(grid.nodes, j, step), (j, step))
+                    (f"q[{sign}{j + 1}]", torus_shift(grid.nodes, j, step))
                     for j in range(group.n)
                     for step, sign in steps
                 ]
             ops = admissible_collection(group)
-            assert [(q.name, q.native_band, q.shift) for q in ops] == [(name, 1, shift) for name, _, shift in want]
-            for q, (_, values, _) in zip(ops, want):
+            assert [(q.name, q.native_band) for q in ops] == [(name, 1) for name, _ in want]
+            assert all(callable(q.rule) for q in ops)
+            for q, (_, values) in zip(ops, want):
                 assert np.array_equal(q.values(grid), values)
 
     def test_vanish_at_identity(self, t1, su2):
@@ -75,7 +80,7 @@ class TestTorusShifts:
                 sig = multiplier_power(group, -0.7, band)
             for q in admissible_collection(group):
                 fast = difference(q, sig)
-                slow = difference(dataclasses.replace(q, shift=None), sig)
+                slow = kernel_side_difference(q, sig)
                 assert fast.duals == slow.duals
                 for xi in fast.duals:
                     np.testing.assert_allclose(
@@ -90,8 +95,8 @@ class TestTorusShifts:
         def q1q2(points):
             return q1.point_fn(points) * q2.point_fn(points)
 
-        combined = dataclasses.replace(q1, name="q1q2", native_band=2, point_fn=q1q2, shift=None)
-        lhs = difference(combined, sig)
+        combined = dataclasses.replace(q1, name="q1q2", native_band=2, point_fn=q1q2, rule=None)
+        lhs = kernel_side_difference(combined, sig)
         rhs = difference(q1, difference(q2, sig))
         for xi in lhs.duals:
             np.testing.assert_allclose(lhs.block(xi.label), rhs.block(xi.label), atol=1e-11)
@@ -152,35 +157,143 @@ class TestSU2Difference:
     def test_su2_native_band_stays_int(self, su2):
         sig = multiplier_power(su2, -1.0, su2.band_of_native(5))
         for q in (*admissible_collection(su2), laplace_op(su2)):
-            sig = difference(q, sig)
+            sig = (difference if q.rule else kernel_side_difference)(q, sig)
             assert type(sig.native_band) is int
         assert sig.native_band == 0 and sig.duals.labels.tolist() == [0]
 
     def test_laplace_difference_identity(self, su2):
         sig = identity_symbol(su2, su2.band_of_native(5))
-        out = difference(laplace_op(su2), sig)
+        out = kernel_side_difference(laplace_op(su2), sig)
         for b in out.blocks:
             np.testing.assert_allclose(b, 0, atol=1e-12)
 
 
+def random_symbol(group, top: int, rng, grid=None, only_top=False) -> Symbol:
+    """Random complex blocks on the duals up to native band `top`, per node of `grid` if given; with
+    `only_top`, zero below the top dual."""
+    band = group.band_of_native(top)
+    duals = group.enumerate_dual(band)
+    nodes = () if grid is None else (grid.node_count,)
+    buckets = []
+    for start, stop in duals.runs:
+        d = duals.dims[start]
+        b = rng.normal(size=(stop - start, *nodes, d, d)) + 1j * rng.normal(size=(stop - start, *nodes, d, d))
+        buckets.append(b * (duals.labels[start:stop] == top).reshape(-1, *[1] * (b.ndim - 1)) if only_top else b)
+    return Symbol(group, band, duals, buckets, grid=grid, provenance="random")
+
+
+def assert_rule_matches_oracle(q, sig, rtol=1e-13):
+    fast, slow = difference(q, sig), kernel_side_difference(q, sig)
+    assert fast.duals == slow.duals and fast.band == slow.band
+    scale = max(np.abs(b).max() for b in slow.buckets)
+    err = max(np.abs(f - s).max() for f, s in zip(fast.buckets, slow.buckets))
+    assert scale > 0 and err <= rtol * scale, (q.name, sig.native_band, err / scale)
+
+
+class TestSU2ThreeSpinRule:
+    """The rule of each q_ab against the kernel-side oracle, to 1e-13 of the oracle's largest entry."""
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 4, 7, 10, 17, 24, 31, 39, 40])
+    def test_invariant_matches_oracle(self, su2, top):
+        sig = random_symbol(su2, top, np.random.default_rng(top))
+        for q in admissible_collection(su2):
+            assert_rule_matches_oracle(q, sig)
+
+    @pytest.mark.parametrize("top", [1, 2, 9, 40])
+    def test_band_edge(self, su2, top):
+        # sigma only at its top spin: the output is the sigma(J + 1) term at the last spin kept, J = top - 1
+        sig = random_symbol(su2, top, np.random.default_rng(top), only_top=True)
+        for q in admissible_collection(su2):
+            assert_rule_matches_oracle(q, sig)
+            out = difference(q, sig)
+            assert out.duals.labels[-1] == top - 1 and np.abs(out.buckets[-1]).max() > 0
+
+    @pytest.mark.parametrize("top", [3, 4, 8])
+    def test_gridded_matches_oracle(self, su2, top):
+        band = su2.band_of_native(top)
+        grid = su2.grid_for_band(band, margin=1)
+        f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * grid.nodes[:, 1])
+        symbols = (schrodinger_phase(su2, 0.7, f, 0.5, band), random_symbol(su2, top, np.random.default_rng(top), grid))
+        for sig in symbols:
+            for q in admissible_collection(su2):
+                assert_rule_matches_oracle(q, sig)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(top=st.integers(min_value=2, max_value=14), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_determinant_identity(self, top, seed):
+        # det D^{1/2} = 1 gives q00 + q11 + q00 q11 - q01 q10 = 0, so the same of the differences on the band
+        # shrunk by 2; no transform is involved
+        sig = random_symbol(SU2(), top, np.random.default_rng(seed))
+        d00, d01, d10, d11 = admissible_collection(SU2())
+        terms = [
+            difference(d00, sig),
+            difference(d11, sig),
+            difference(d00, difference(d11, sig)),
+            difference(d01, difference(d10, sig)),
+        ]
+        inner = len(terms[2].buckets)
+        assert terms[2].duals == terms[3].duals == terms[0].duals[:inner]
+        scale = max(np.abs(b).max() for t in terms for b in t.buckets[:inner])
+        for a, b, ab, cd in zip(*(t.buckets[:inner] for t in terms)):
+            np.testing.assert_allclose(a + b + ab - cd, 0, atol=1e-13 * scale)
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(top=st.integers(min_value=2, max_value=14), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_differences_commute(self, top, seed):
+        sig = random_symbol(SU2(), top, np.random.default_rng(seed))
+        ops = admissible_collection(SU2())
+        for i, p in enumerate(ops):
+            for q in ops[i + 1 :]:
+                pq, qp = difference(p, difference(q, sig)), difference(q, difference(p, sig))
+                scale = max(np.abs(b).max() for b in pq.buckets)
+                for x, y in zip(pq.buckets, qp.buckets):
+                    np.testing.assert_allclose(x, y, atol=1e-13 * scale)
+
+
+def test_difference_calls_no_transform(su2, t2, monkeypatch):
+    # every symbol is built first; then any transform, either half of it on either grid, raises
+    symbols = []
+    for group, top in ((su2, 4), (t2, 3)):
+        band = group.band_of_native(top)
+        grid = group.grid_for_band(band, margin=1)
+        f = GridFunction(grid, np.cos(grid.nodes[:, 0]))
+        symbols += [multiplier_power(group, -1.0, band), schrodinger_phase(group, 0.7, f, 0.5, band)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a difference called a transform")
+
+    for module in (fourier, diffops):
+        monkeypatch.setattr(module, "forward", refuse)
+        monkeypatch.setattr(module, "inverse", refuse)
+    for cls in (SU2Grid, TorusGrid):
+        monkeypatch.setattr(cls, "analysis", refuse)
+        monkeypatch.setattr(cls, "synthesis", refuse)
+    for sig in symbols:
+        for q in admissible_collection(sig.group):
+            out = difference(q, difference(q, sig))
+            assert out.native_band == sig.native_band - 2
+
+
 class TestGriddedKernelSide:
     def test_matches_per_node_oracle(self, su2, t2):
-        # sigma(x_n, .) differenced node by node: inverse, multiply by q, forward
+        # sigma(x_n, .) differenced node by node: inverse, multiply by q, forward; against the rule of each
+        # admissible q and the batched kernel-side oracle
         cases = [(su2, 3, q) for q in admissible_collection(su2)] + [(t2, 3, laplace_op(t2))]
         for group, cut, q in cases:
             band = group.band_of_native(cut)
             grid = group.grid_for_band(band, margin=1)
             f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * grid.nodes[:, 1])
             sig = schrodinger_phase(group, 0.7, f, 0.5, band)
-            out = difference(q, sig)
-            assert out.grid is sig.grid
             qvals = q.values(grid)
-            for node in range(grid.node_count):
-                at_node = FourierCoefficients.from_blocks(group, sig.band, sig.duals, [b[node] for b in sig.blocks])
-                kernel = inverse(at_node, grid)
-                want = forward(GridFunction(grid, kernel.values * qvals), out.band, duals=out.duals)
-                for b, w in zip(out.blocks, want.blocks):
-                    np.testing.assert_allclose(b[node], w, atol=1e-12)
+            for out in [kernel_side_difference(q, sig)] + ([difference(q, sig)] if q.rule else []):
+                assert out.grid is sig.grid
+                for node in range(grid.node_count):
+                    blocks = [b[node] for b in sig.blocks]
+                    at_node = FourierCoefficients.from_blocks(group, sig.band, sig.duals, blocks)
+                    kernel = inverse(at_node, grid)
+                    want = forward(GridFunction(grid, kernel.values * qvals), out.band, duals=out.duals)
+                    for b, w in zip(out.blocks, want.blocks):
+                        np.testing.assert_allclose(b[node], w, atol=1e-12)
 
 
 class TestInvariantDerivative:

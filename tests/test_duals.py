@@ -22,7 +22,7 @@ from group_pdo.symbols import (
     schrodinger_phase,
     z_plus_c_inverse,
 )
-from oracles import dual_index, laplace_op
+from oracles import dual_index, kernel_side_difference, laplace_op
 
 _TOL = 1e-9
 # group -> largest native radius (|k| on the torus, doubled spin on SU(2)) the bands reach
@@ -155,8 +155,9 @@ def test_no_dual_index_on_hot_paths(monkeypatch, t1, t2, su2, rng):
             params = {"t": 0.3, "delta": 0.5} if name == "schrodinger" else {}  # each builder only its own keys
             sigma = build_symbol(name, group, band, grid=gridded, params=params)
             hs_norm_symbol(sigma)
-            for q in (*admissible_collection(group), laplace_op(group)):
+            for q in admissible_collection(group):
                 difference(q, sigma)
+            kernel_side_difference(laplace_op(group), sigma)
         weyl_count(group, [2.0, 4.0], 0.0)
         casimir_series(group, 3.5, [2.0, 4.0])
     lp_lower_bound(operator(hirschman_wainger(0.5, 0.1, t1.band_of_native(16)), t1.haar_grid(34)), 2.2, iterations=3)

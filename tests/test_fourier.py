@@ -220,6 +220,7 @@ class TestBatch:
         from group_pdo.groups import dual
         from group_pdo.diffops import admissible_collection, difference, invariant_derivative
         from conftest import dense_kernel
+        from oracles import kernel_side_difference
         from group_pdo.symbols import multiplier_power, schrodinger_phase
 
         su2_grid, t2_grid = su2.haar_grid(8), t2.haar_grid(24)
@@ -235,7 +236,7 @@ class TestBatch:
                 sig = schrodinger_phase(group, 0.3, f, 0.5, group.band_of_native(cut))
                 q = admissible_collection(group)[1]
                 beta = (1,) + (0,) * (group.dim - 1)
-                for tau in (difference(q, sig), invariant_derivative(beta, sig)):
+                for tau in (difference(q, sig), kernel_side_difference(q, sig), invariant_derivative(beta, sig)):
                     out.append(np.concatenate([np.ravel(b) for b in tau.blocks]))
                 out.append(dense_kernel(sig, grid))
             out.append(dense_kernel(multiplier_power(t1, -1.0, 9.0), t1.haar_grid(40)))

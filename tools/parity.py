@@ -1,15 +1,16 @@
-"""Byte-for-byte parity of the group-pdo CLI between this checkout and a git revision.
+"""Byte-for-byte, or numeric, parity of the group-pdo CLI between this checkout and a git revision.
 
 Usage (from the repository root):
 
     python tools/parity.py <rev>
+    python tools/parity.py --numeric <rev>
 
 The revision's files are exported with ``git archive`` into a temporary
 directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 60 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 61 more that cover
 the other subcommands, groups and refusals, and the ``--config`` loader on
 the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
@@ -20,12 +21,29 @@ invocation is identical, 1 on any difference, and 2 when the revision
 cannot be exported.  Against ``HEAD`` on a clean checkout it is a
 determinism check: CI runs it so, and any byte that depends on the process
 (a hash seed, an address, the order of a set) fails it.
+
+``--numeric`` lets numbers move in their low bits, for a change that
+reorders floating-point work.  Exit codes and file names must still be the
+same, and stdout, stderr and every result file must be the same text once
+each number in them is set aside: verdict strings, non-float cells and row
+counts included.  A number's column is its slot in the lines of the same
+shape: a CSV column, or a JSON key, each JSON leaf read as one line
+``path = value`` with each list's length in the path, not its index.  Its
+change is taken relative to the largest magnitude in its column, so that a
+value that cancels down from larger terms is not held to more digits than
+the terms carry.  An invocation whose numbers moved prints ``MOVED`` and,
+per differing output, the largest relative change in columns of magnitude
+>= 1e-8 and the largest absolute change in the smaller ones, round-off
+residuals; it fails past a relative change of 1e-12.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -40,6 +58,9 @@ SEEDS = (1, 7)
 TIMEOUT_S = 900
 SCHRODINGER = "--symbol schrodinger --symbol-params t=0.1,delta=0.5"
 CONFIG = os.path.join(ROOT, "tools", "parity.cfg")
+NUMERIC_RTOL = 1e-12  # far below every pinned acceptance tolerance
+RESIDUAL = 1e-8  # magnitude under which a value is a round-off residual: its absolute change is reported, not gated
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 EXTRA = (
     "transform --group t2 --band 20 --samples 3",
     "transform --group t3 --band 6 --samples 2",
@@ -55,6 +76,8 @@ EXTRA = (
     "classcheck --group t1 --band 70 --symbol multiplier_power --symbol-params s=-1 --m -1 --rho 1 --delta 0 --l 2 "
     "--windows 8,16,32,64",
     "classcheck --group t2 --band 40 --symbol identity --m -1 --rho 1 --delta 0 --l 1 --windows 4,8,16,32",
+    "classcheck --group su2 --band 8 --symbol z_plus_c_inverse --symbol-params c=0.3 --m 0 --rho 0 --delta 0 --l 2 "
+    "--windows 2,4,6",
     "quantize --group t1 --band 32 --symbol multiplier_power --symbol-params s=-2 --function dirichlet",
     "quantize --group su2 --band 5 --symbol schrodinger --symbol-params t=0.5,delta=0.5 --function random",
     "hsnorm --group t2 --band 10 --symbol multiplier_power --symbol-params s=-1",
@@ -148,9 +171,78 @@ def differences(base, here) -> list[str]:
     return out
 
 
+def leaf_lines(text: str) -> list[str]:
+    """One line `path = value` per leaf of a JSON text, with each list's length in the path, not the index; the
+    text's own lines if it is not JSON."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text.splitlines()
+
+    def leaves(path: str, value) -> list[str]:
+        if isinstance(value, dict):
+            return [line for key, v in value.items() for line in leaves(f"{path}/{key}", v)]
+        if isinstance(value, list):
+            return [line for v in value for line in leaves(f"{path}[{len(value)}]", v)]
+        return [f"{path} = {json.dumps(value)}"]
+
+    return leaves("", value)
+
+
+def numeric_change(base: bytes, here: bytes):
+    """(largest change relative to its column's magnitude in columns >= RESIDUAL, largest absolute change in the
+    smaller ones) between two texts that are the same once each number is set aside; None when they differ in
+    more than their numbers.  A column is a numeric slot of the lines of one shape (`leaf_lines`)."""
+    lines = leaf_lines(base.decode()), leaf_lines(here.decode())
+    shapes = [[NUMBER.sub("#", line) for line in side] for side in lines]
+    if shapes[0] != shapes[1]:
+        return None
+    columns = {}
+    for shape, b, h in zip(shapes[0], *lines):
+        for slot, pair in enumerate(zip(*(map(float, NUMBER.findall(line)) for line in (b, h)))):
+            columns.setdefault((shape, slot), []).append(pair)
+    rel = resid = 0.0
+    for pairs in columns.values():
+        moved = [(x, y) for x, y in pairs if x != y]
+        if not moved:
+            continue
+        if not all(math.isfinite(v) for pair in moved for v in pair):
+            return math.inf, resid
+        scale = max(abs(v) for pair in pairs for v in pair if math.isfinite(v))
+        for x, y in moved:
+            if scale >= RESIDUAL:
+                rel = max(rel, abs(x - y) / scale)
+            else:
+                resid = max(resid, abs(x - y))
+    return rel, resid
+
+
+def numeric_differences(base, here) -> tuple[list[str], list[str]]:
+    """(failures, moves) between two runs: a different exit code, file list or text, or a relative change past
+    NUMERIC_RTOL, fails; any other change of a number is a move, one entry per output."""
+    failures, moves = [], []
+    if base[0] != here[0]:
+        failures.append(f"exit {base[0]} != {here[0]}")
+    if sorted(base[3]) != sorted(here[3]):
+        failures.append(f"files {sorted(base[3])} != {sorted(here[3])}")
+    outputs = [("stdout", base[1], here[1]), ("stderr", base[2], here[2])]
+    outputs += [(name, base[3][name], here[3][name]) for name in sorted(base[3]) if name in here[3]]
+    for what, b, h in outputs:
+        if b == h:
+            continue
+        change = numeric_change(b, h)
+        if change is None:
+            failures.append(f"text of {what}")
+        else:
+            line = f"{what} rel {change[0]:.2g}, residual abs {change[1]:.2g}"
+            (failures if change[0] > NUMERIC_RTOL else moves).append(line)
+    return failures, moves
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="CLI parity between this checkout and a git revision")
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD or a commit hash")
+    parser.add_argument("--numeric", action="store_true", help=f"let numbers move up to {NUMERIC_RTOL:g} relative")
     args = parser.parse_args(argv)
     scratch = tempfile.mkdtemp(prefix="group-pdo-parity-")
     base = os.path.join(scratch, "base")
@@ -163,15 +255,25 @@ def main(argv=None) -> int:
     try:
         subprocess.run(["tar", "-x", "-C", base], input=made.stdout, check=True)
         todo = invocations()
-        failed = 0
+        failed = moved = 0
         for i, cmd in enumerate(todo):
             base_run = run(base, cmd, os.path.join(scratch, f"{i}-base"))
             here_run = run(ROOT, cmd, os.path.join(scratch, f"{i}-here"))
-            diff = differences(base_run, here_run)
+            if args.numeric:
+                diff, moves = numeric_differences(base_run, here_run)
+            else:
+                diff, moves = differences(base_run, here_run), []
             failed += bool(diff)
-            status = "DIFF " + "; ".join(diff) if diff else f"same exit {here_run[0]}, {len(here_run[3])} files"
+            moved += bool(moves) and not diff
+            if diff:
+                status = "DIFF " + "; ".join(diff)
+            elif moves:
+                status = "MOVED " + "; ".join(moves)
+            else:
+                status = f"same exit {here_run[0]}, {len(here_run[3])} files"
             print(f"[{i + 1:2d}/{len(todo)}] {status}: {' '.join(cmd)}", flush=True)
-        print(f"{len(todo) - failed} of {len(todo)} invocations identical to {args.rev}")
+        within = f", {moved} moved within {NUMERIC_RTOL:g} relative" if args.numeric else ""
+        print(f"{len(todo) - failed - moved} of {len(todo)} invocations identical to {args.rev}{within}")
         return 1 if failed else 0
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
