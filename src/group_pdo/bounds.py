@@ -140,27 +140,31 @@ def lp_lower_bound(
         raise ValueError("iterations must be >= 1")
     m = op.matrix
     w = op.grid.weights
+    inv_w = 1.0 / w
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
 
-    def norms(v, r, source=None):
-        """The norm of each row of v, refused where it is not finite, or 0 where the row of `source`, the
-        vector that v was mapped from (v itself by default), is not: that 0 is an underflow."""
+    def norms(a, r, source=None):
+        """The norm of each row of v from its magnitudes a = |v|, refused where it is not finite, or 0
+        where the row of `source`, the vector that v was mapped from (v itself by default), is not: that
+        0 is an underflow."""
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out = float_powers(np.sum(w * np.abs(v) ** r, axis=-1), 1.0 / r)
+            out = float_powers(np.sum(w * a**r, axis=-1), 1.0 / r)
         if np.isfinite(out).all() and out.all():  # the common case: every norm finite and positive
             return out
         zero = out == 0.0
-        if not np.isfinite(out).all() or np.any((v if source is None else source)[zero] != 0.0):
+        if not np.isfinite(out).all() or np.any((a if source is None else source)[zero] != 0.0):
             raise ValueError(
                 f"the weighted norms at p={p!r} cannot be formed in floating point "
                 "(one overflowed, underflowed to 0 or is NaN); take p nearer 2"
             )
         return out
 
-    def dual(v, r):
-        a = np.abs(v)
-        phase = v / a if a.all() else np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
+    def dual(v, r, a):
+        """The dual direction of v, from its magnitudes a = |v|.  Every iterate is complex, and numpy divides
+        complex by real by Smith's rule, a product with 1 / a, so the products below keep the quotients'
+        bits."""
+        phase = v * (1.0 / a) if a.all() else np.where(a > 0, v * (1.0 / np.where(a > 0, a, 1.0)), 0.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # what overflows, norms refuses
             return a ** (r - 1.0) * phase
 
@@ -170,7 +174,7 @@ def lp_lower_bound(
     dirichlet = dirichlet_kernel(op.grid, min(op.band, op.grid.exactness_band)).values
     labels = ["dirichlet", *(f"random{s}" for s in range(random_starts))]
     x = np.array([dirichlet, *(draw() for _ in labels[1:])])
-    x = x / norms(x, p)[:, None]
+    x = x / norms(np.abs(x), p)[:, None]
     history = [[] for _ in labels]
     top, top_x = np.zeros(len(labels)), np.zeros_like(x)  # per start: the first strict maximum, its iterate
     prev = np.full(len(labels), -1.0)
@@ -178,7 +182,8 @@ def lp_lower_bound(
     restarts = 0
     for it in range(iterations):
         y = matvec_rows(m, x)
-        quot = norms(y, p)
+        ay = np.abs(y)
+        quot = norms(ay, p)
         for i, value in zip(active.tolist(), quot.tolist()):
             history[i].append((labels[i], it, value))
         gain = quot > top[active]
@@ -186,15 +191,15 @@ def lp_lower_bound(
         zero = quot == 0.0
         for i in np.flatnonzero(zero):
             x[i] = draw()
-            x[i] /= norms(x[i : i + 1], p)[0]
+            x[i] /= norms(np.abs(x[i : i + 1]), p)[0]
             restarts += 1
             warnings.warn("zero iterate in lp_lower_bound; restarted with a perturbed seed")
         restarted = zero.any()
         live = np.flatnonzero(~zero) if restarted else slice(None)  # views, not copies, when no row restarts
-        z = adjoint_rows(m, w * dual(y[live], p)) / w
-        step = dual(z, q)
-        nx = norms(step, p, z)
-        step = step / np.where(nx == 0.0, 1.0, nx)[:, None]
+        z = adjoint_rows(m, w * dual(y[live], p, ay[live])) * inv_w
+        step = dual(z, q, np.abs(z))
+        nx = norms(np.abs(step), p, z)
+        step = step * (1.0 / np.where(nx == 0.0, 1.0, nx))[:, None]
         if restarted:
             x[live] = step
         else:

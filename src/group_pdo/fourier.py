@@ -17,8 +17,11 @@ container) is one, so `inverse` of a symbol gives the kernel of sigma(x, .)
 at every node.  Its format is one packed bucket per run of duals of equal
 dimension, taken and stored as given; `blocks` is a per-dual view of it,
 `from_blocks` the one constructor from per-dual blocks, and the per-dual
-reductions (`hs_squares`, `sup_op_norms`) live here too.  A table has no
-file layout of its own: the CLI writes every result file.
+reductions (`hs_squares`, `sup_op_norms`) live here too.  `sup_op_norms`
+pins each node's norm between max|a_ij| and (||A||_1 ||A||_inf)^(1/2),
+and takes an SVD only where these differ: a block with at most one
+nonzero per row and column takes none.  A table has no file layout of
+its own: the CLI writes every result file.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import Duals
+from .groups import Duals, batch_size, batch_slices
 
 
 @dataclass
@@ -132,14 +135,50 @@ class FourierCoefficients:
         return np.concatenate([np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in self.buckets])
 
     def sup_op_norms(self) -> np.ndarray:
-        """max over nodes of ||sigma(x, xi)||_op, for every dual in order."""
-        return np.concatenate([_op_norms(b).reshape(len(b), -1).max(axis=1) for b in self.buckets])
+        """max over nodes of ||sigma(x, xi)||_op, for every dual in order: `_sup_op_norms` per bucket."""
+        return np.concatenate([_sup_op_norms(b) for b in self.buckets])
 
 
-def _op_norms(stack: np.ndarray) -> np.ndarray:
-    if stack.shape[-1] == 1:
-        return np.abs(stack[..., 0, 0])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+# Bounds below this scale may rest on underflowed squares, so they pin nothing.
+_TRUSTED = 2.0**-460
+
+
+def _sup_op_norms(bucket: np.ndarray) -> np.ndarray:
+    """Per dual of `bucket` (count, [B,] d, d), the largest spectral norm over its batch.
+
+    Each node's norm lies between lower = max|a_ij| and upper = (||A||_1 ||A||_inf)^(1/2) (Golub & Van
+    Loan, Matrix Computations, 2.3).  Where the two are bitwise equal, as for every block with at most
+    one nonzero per row and column (1 x 1 included: sqrt(|a|^2) is |a|), lower is the norm.  Every
+    other node takes the SVD, with the bits each matrix gets from it in any batch; so does every node
+    with a non-finite entry (NaN raises LinAlgError, inf gives NaN) or bounds so small that their
+    squares may have underflowed.  Duals are taken a group at a time, and their nodes a chunk of
+    `batch_size` blocks at a time.
+    """
+    d = bucket.shape[-1]
+    stack = bucket.reshape(len(bucket), -1, d, d)  # a view: no axes are merged
+    step = batch_size(d * d)
+    nodes, duals = min(step, stack.shape[1]), max(1, step // stack.shape[1])
+    out = np.empty(len(stack))
+    for start in range(0, len(stack), duals):
+        group = stack[start : start + duals]
+        lower, upper = np.empty(group.shape[:2]), np.empty(group.shape[:2])
+        for b in range(0, group.shape[1], nodes):
+            lower[:, b : b + nodes], upper[:, b : b + nodes] = _norm_bounds(group[:, b : b + nodes])
+        pinned = np.isfinite(lower) & ((lower == 0.0) | (lower >= _TRUSTED)) & (upper == lower)
+        open_duals, open_nodes = np.nonzero(~pinned)
+        for part in batch_slices(len(open_duals), d * d):
+            at = open_duals[part], open_nodes[part]
+            lower[at] = np.linalg.svd(group[at], compute_uv=False)[:, 0]
+        out[start : start + duals] = lower.max(axis=1)
+    return out
+
+
+def _norm_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max|a_ij|, (||A||_1 ||A||_inf)^(1/2)) of every block of `blocks` (..., d, d)."""
+    ones = np.ones(blocks.shape[-1])  # column and row sums as products: faster than sums over short axes
+    with np.errstate(over="ignore"):  # an overflowed bound is inf, and pins nothing
+        a = np.abs(blocks)
+        return a.max(axis=(-2, -1)), np.sqrt((ones @ a).max(axis=-1) * (a @ ones).max(axis=-1))
 
 
 # ---------------------------------------------------------------------------

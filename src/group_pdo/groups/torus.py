@@ -231,7 +231,8 @@ class TorusGrid(GridMeta):
 
     def analysis(self, values: np.ndarray, duals: Duals) -> list[np.ndarray]:
         """The forward transform of grid values (N,) or (B, N) on `duals`: the one bucket (count, [B,] 1, 1)."""
-        cubes = np.fft.fftn(values.reshape(-1, *self.shape), axes=range(1, len(self.shape) + 1)) / self.node_count
+        cubes = np.fft.fftn(values.reshape(-1, *self.shape), axes=range(1, len(self.shape) + 1))
+        cubes *= 1.0 / self.node_count  # the bits of / N: numpy divides complex by real as a product with 1 / N
         coeffs = cubes[(slice(None), *(duals.labels % self.shape).T)]  # (B, count)
         return [coeffs.T.reshape(len(duals), *values.shape[:-1], 1, 1)]
 
@@ -247,9 +248,10 @@ class TorusGrid(GridMeta):
         """Op(sigma) of an invariant sigma set up for this grid, bit for bit `GridMeta.invariant_operator`: the
         band and the representability of sigma's duals are checked once, and sigma is placed once on the FFT
         lattice, zero off its duals.  Each call on grid values (N,) or (k, N) is the per-axis FFTs in `fftn`'s
-        order (last axis first), / N, the lattice product, the inverse FFTs and * N: the steps of `analysis`
-        and `synthesis`, whose bits the / N and * N keep.  The product is spelt on the real and imaginary
-        parts, as the 1x1 matmul of the blockwise product computes it; numpy's complex * rounds differently."""
+        order (last axis first), * (1 / N), the lattice product, the inverse FFTs and * N: the steps of
+        `analysis` and `synthesis`, whose bits the * (1 / N) and * N keep.  The product is spelt on the real
+        and imaginary parts, as the 1x1 matmul of the blockwise product computes it; numpy's complex *
+        rounds differently."""
         self.require_band(sigma.band, what="symbol band")
         lattice = np.zeros(self.shape, dtype=complex)
         lattice[tuple((self._representable(sigma.duals) % self.shape).T)] = sigma.buckets[0].reshape(-1)
@@ -261,7 +263,7 @@ class TorusGrid(GridMeta):
             cubes = values.reshape(-1, *self.shape)
             for axis in axes:
                 cubes = np.fft.fft(cubes, axis=axis)
-            cubes /= self.node_count
+            cubes *= 1.0 / self.node_count
             product = np.empty_like(cubes)
             product.real = re * cubes.real - im * cubes.imag
             product.imag = re * cubes.imag + im * cubes.real

@@ -185,7 +185,7 @@ def class_membership(
         lam = np.array([v[0] for v in e.sweep])
         sup = np.array([v[1] for v in e.sweep])
         good = sup > floor
-        if good.sum() < 2:
+        if good.sum() < 2 or np.all(sup[good] == sup[good][0]):  # bitwise flat: 0, not polyfit's round-off
             slope = 0.0
         else:
             slope = float(np.polyfit(np.log(lam[good]), np.log(sup[good]), 1)[0])

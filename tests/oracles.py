@@ -11,6 +11,9 @@ Delta_q sigma from q's values alone: the kernel of sigma(x, .) at each node
 x by a batched inverse, times q, and a batched forward onto the shrunken
 band (`_kernel_side_blocks`, a chunk of nodes at a time, joined by
 `concat`), where `diffops.difference` applies each group's rule on the dual.
+`svd_sup_op_norms` takes every block's norm by a full batched SVD, where
+`FourierCoefficients.sup_op_norms` takes one only where cheap bounds leave
+the norm open.
 
 The builders and lookups that only tests use live here too: `map_blocks`
 (a table rebuilt one block per dual), `dual_index` (one dual by its
@@ -182,6 +185,13 @@ def torus_rho2(points: np.ndarray) -> np.ndarray:
 
 def su2_rho2(points: np.ndarray) -> np.ndarray:
     return 2.0 - 2.0 * points[:, 0]
+
+
+def svd_sup_op_norms(table: FourierCoefficients) -> np.ndarray:
+    """max over the batch of ||a(xi)||_op for every dual in order, by the SVD of every block."""
+    return np.concatenate(
+        [np.linalg.svd(b, compute_uv=False)[..., 0].reshape(len(b), -1).max(axis=1) for b in table.buckets]
+    )
 
 
 # the kernel bounds and the BMO seminorm as they were first written: every kernel row, every ball center

@@ -13,9 +13,9 @@ from group_pdo.fourier import (
     l2_norm,
     random_bandlimited,
 )
-from group_pdo.groups import SU2
+from group_pdo.groups import SU2, Torus
 from group_pdo.named_functions import dirichlet_kernel
-from oracles import dual_index, forward_direct, forward_su2_per_spin, inverse_su2_per_spin
+from oracles import dual_index, forward_direct, forward_su2_per_spin, inverse_su2_per_spin, svd_sup_op_norms
 
 
 class TestForward:
@@ -298,3 +298,97 @@ class TestSU2Engine:
         for sides in shells.shells:
             for _, _, view in sides:
                 assert view.base is shells.values
+
+
+def structured_table(group, top: int, batch: int, kind: str, scale: float, rng) -> FourierCoefficients:
+    """A table on the duals up to native `top`, batch axis (batch,) or none when batch is 0, whose every block
+    is of `kind`, times `scale`."""
+    duals = group.enumerate_dual(group.band_of_native(top))
+    buckets = []
+    for start, stop in duals.runs:
+        d = int(duals.dims[start])
+        shape = (stop - start, *((batch,) if batch else ()), d, d)
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if kind == "diagonal":
+            z = z * np.eye(d)
+        elif kind == "shifted diagonal":
+            z = z * np.eye(d, k=1)
+        elif kind == "permuted diagonal":
+            z = z * np.eye(d)[rng.permutation(d)]
+        elif kind == "nearly diagonal":  # the bounds differ by little, but the norm is not the largest entry
+            z = z * np.eye(d) + 1e-6 * z.conj() * (1.0 - np.eye(d))
+        elif kind == "rank 1":
+            z = z[..., :1] * z[..., :1, :].conj()
+        elif kind == "zero":
+            z = np.zeros(shape, dtype=complex)
+        elif kind == "tied":  # entries of one modulus, and the same block at every node
+            z = np.broadcast_to(np.exp(1j * z[:, :1].real if batch else 1j * z.real), shape).copy()
+        buckets.append(scale * z)
+    return FourierCoefficients(group, group.band_of_native(top), duals, buckets)
+
+
+# the kinds whose norm no bound pins (at d >= 2), so the SVD sets every maximum
+SVD_KINDS = ("dense", "nearly diagonal", "rank 1", "tied")
+
+
+class TestSupOpNorms:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        group=st.sampled_from(["t1", "su2"]),
+        top=st.integers(0, 6),
+        batch=st.sampled_from([0, 1, 5, 40]),
+        kind=st.sampled_from(["diagonal", "shifted diagonal", "permuted diagonal", "zero", *SVD_KINDS]),
+        scale=st.sampled_from([1.0, 3e-100, 1e-200, 1e200]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(group="su2", top=6, batch=40, kind="dense", scale=1.0, seed=0)
+    @example(group="su2", top=6, batch=40, kind="permuted diagonal", scale=1.0, seed=0)
+    @example(group="su2", top=6, batch=40, kind="nearly diagonal", scale=1.0, seed=0)
+    @example(group="su2", top=6, batch=0, kind="nearly diagonal", scale=1.0, seed=0)
+    @example(group="t1", top=6, batch=0, kind="dense", scale=1.0, seed=0).via("d = 1, invariant")
+    def test_matches_the_svd_oracle(self, group, top, batch, kind, scale, seed):
+        # within 4 ulp of a full SVD of every block; where that SVD sets the maximum, in its bits. At 1e-200 the
+        # squares underflow and at 1e200 they overflow, so no bound holds and every node takes the SVD
+        group = {"t1": Torus(1), "su2": SU2()}[group]
+        table = structured_table(group, top, batch, kind, scale, np.random.default_rng(seed))
+        got, want = table.sup_op_norms(), svd_sup_op_norms(table)
+        assert got.shape == want.shape == (len(table.duals),)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+        svd_sets_the_max = ((table.duals.dims >= 2) & (kind in SVD_KINDS)) | (scale in (1e-200, 1e200))
+        assert np.array_equal(got[svd_sets_the_max], want[svd_sets_the_max])
+
+    def test_bounds_on_underflowed_squares_pin_nothing(self, su2, rng):
+        # (||A||_1 ||A||_inf)^(1/2) of [[a, 0], [e, 0]] rounds to a when a * a is subnormal and a * e below half
+        # its spacing, though ||A|| = (a^2 + e^2)^(1/2) exceeds a by about 2^-13 relative: the SVD must set it
+        a, e = 2.0**-535, 2.0**-541
+        table = structured_table(su2, 1, 0, "zero", 1.0, rng)
+        table.buckets[1][0] = [[a, 0.0], [e, 0.0]]
+        got, want = table.sup_op_norms(), svd_sup_op_norms(table)
+        assert want[1] > a and np.array_equal(got, want)
+
+    def test_one_matrix_alone_gets_its_bits_in_a_batch(self, rng):
+        # so the SVD of the nodes that bounds leave open has the bits of the full batch's
+        for d in (2, 3, 5, 8, 13):
+            stack = rng.normal(size=(60, d, d)) + 1j * rng.normal(size=(60, d, d))
+            batched = np.linalg.svd(stack, compute_uv=False)
+            for i in (0, 17, 59):
+                assert np.array_equal(np.linalg.svd(stack[i], compute_uv=False), batched[i])
+            some = rng.random(60) < 0.3
+            assert np.array_equal(np.linalg.svd(stack[some], compute_uv=False), batched[some])
+
+    @pytest.mark.parametrize("top", [0, 1, 2])
+    def test_non_finite_entries_take_the_svd(self, su2, top, rng):
+        # NaN anywhere raises LinAlgError and inf gives NaN, as a full SVD does; 1 x 1 blocks (top 0) included
+        for batch in (0, 4):
+            table = structured_table(su2, top, batch, "diagonal", 1.0, rng)
+            for bad in (np.nan, np.inf):
+                last = table.buckets[-1].copy()
+                last[(-1, *((batch - 1,) if batch else ()), 0, 0)] = bad
+                poked = FourierCoefficients(su2, table.band, table.duals, [*table.buckets[:-1], last])
+                if np.isnan(bad):
+                    with pytest.raises(np.linalg.LinAlgError):
+                        poked.sup_op_norms()
+                else:
+                    got = poked.sup_op_norms()
+                    assert np.isnan(got[-1]) and np.array_equal(got[:-1], table.sup_op_norms()[:-1])
+

@@ -7,6 +7,7 @@ from group_pdo.seminorms import ClassParams, class_membership, seminorm
 from group_pdo.symbols import (
     hirschman_wainger,
     identity_symbol,
+    multiplier,
     multiplier_power,
     schrodinger_phase,
     z_plus_c_inverse,
@@ -114,7 +115,39 @@ class TestClassMembership:
             sig, m=0.0, rho=0.5, delta=0.5, l=2, windows=[8.0, 16.0, 32.0, 62.0]
         )
         assert v.consistent
+    @pytest.mark.parametrize("c", [0.3, 2.9])
+    def test_bitwise_flat_entries_have_slope_zero(self, t1, su2, c):
+        # c I has partial sups equal in every window, so every slope is exactly 0.0, not np.polyfit's round-off
+        # (-4.3e-17 at c = 2.9 on t1, which moved worst_entry to a zero entry), and worst_entry is the first one
+        for group in (t1, su2):
+            sig = multiplier(group, group.band_of_native(40), lambda duals: np.full(len(duals), c))
+            v = class_membership(sig, m=0.0, rho=1.0, delta=0.0, l=1, windows=[4.0, 8.0, 16.0])
+            assert [slope for *_, slope in v.slopes] == [0.0] * len(v.slopes)
+            assert v.consistent and v.worst_slope == 0.0 and v.worst_entry == v.slopes[0][:2]
+
     def test_needs_two_windows(self, t1):
         sig = identity_symbol(t1, t1.band_of_native(8))
         with pytest.raises(ValueError):
             class_membership(sig, m=0.0, rho=1.0, delta=0.0, l=1, windows=[4.0])
+
+
+def test_su2_differences_of_monomial_symbols_take_no_svd(su2, monkeypatch):
+    # every block of schrodinger, of (Z + c)^-1 and of their differences has at most one nonzero per row and
+    # column, so its norm is its largest entry: the reports are those computed with the SVD allowed
+    band = su2.band_of_native(6)
+    grid = su2.grid_for_band(band, margin=2)
+    symbols = (
+        schrodinger_phase(su2, 0.1, GridFunction(grid, np.cos(grid.nodes[:, 0])), 0.5, band),
+        z_plus_c_inverse(0.3, band=band),
+    )
+    params = ClassParams(m=0.0, rho=1.0, delta=0.5, l=2)
+    reports = [seminorm(sig, params) for sig in symbols]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for sig, rep in zip(symbols, reports):
+        again = seminorm(sig, params)
+        assert [(e.alpha, e.beta, e.sweep) for e in again.entries] == [(e.alpha, e.beta, e.sweep) for e in rep.entries]
+

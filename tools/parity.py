@@ -10,7 +10,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 61 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 62 more that cover
 the other subcommands, groups and refusals, and the ``--config`` loader on
 the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
@@ -73,6 +73,7 @@ EXTRA = (
     "seminorm --group su2 --band 4 --symbol z_plus_c_inverse --symbol-params c=0.3 --m -1 --rho 1 --delta 0 --l 2",
     f"seminorm --group su2 --band 3.2 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1",
     f"seminorm --group su2 --band 2.5 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1 --margin 3",
+    f"seminorm --group su2 --band 6.6 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1",
     "classcheck --group t1 --band 70 --symbol multiplier_power --symbol-params s=-1 --m -1 --rho 1 --delta 0 --l 2 "
     "--windows 8,16,32,64",
     "classcheck --group t2 --band 40 --symbol identity --m -1 --rho 1 --delta 0 --l 1 --windows 4,8,16,32",
