@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,16 +77,17 @@ class FourierCoefficients:
             first, last = self.duals[0].label, self.duals[-1].label
             raise ValueError(f"{len(self.buckets)} buckets for duals {first} to {last}, which form {len(runs)} runs")
         self.buckets = [np.asarray(b, dtype=complex) for b in self.buckets]
-        # a grid fixes the batch axis to its nodes; otherwise the first bucket tells
-        self.batch = (self.grid.node_count,) if self.grid is not None else self.buckets[0].shape[1:-2]
         for (start, stop), bucket in zip(runs, self.buckets):
             dim = int(self.duals.dims[start])
             want = (*self.batch, dim, dim)
-            if len(self.batch) > 1 or bucket.shape[1:] != want:
+            if len(want) > 3 or bucket.shape[1:] != want:
                 raise ValueError(f"block for {self.duals[start].label} has shape {bucket.shape[1:]}, wanted {want}")
             if len(bucket) != stop - start:
                 raise ValueError(f"bucket from {self.duals[start].label} holds {len(bucket)} blocks for {stop - start} duals")
-        self._index = None
+
+    @property
+    def batch(self) -> tuple:  # a grid fixes the batch axis to its nodes; otherwise the first bucket tells
+        return (self.grid.node_count,) if self.grid is not None else self.buckets[0].shape[1:-2]
 
     @classmethod
     def from_blocks(cls, group, band: float, duals: Duals, blocks, grid=None, **fields):
@@ -102,11 +104,13 @@ class FourierCoefficients:
             return self.buckets[0]
         return [b for bucket in self.buckets for b in bucket]
 
+    @cached_property
+    def _index(self) -> dict:  # the position of each dual label, a tuple on the torus
+        labels = self.duals.labels.tolist()
+        keys = map(tuple, labels) if self.duals.labels.ndim == 2 else labels
+        return {label: i for i, label in enumerate(keys)}
+
     def block(self, label) -> np.ndarray:
-        if self._index is None:
-            labels = self.duals.labels.tolist()
-            keys = map(tuple, labels) if self.duals.labels.ndim == 2 else labels
-            self._index = {label: i for i, label in enumerate(keys)}
         return self.blocks[self._index[label]]
 
     def map_buckets(self, fn) -> "FourierCoefficients":

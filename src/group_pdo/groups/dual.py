@@ -96,16 +96,16 @@ class Duals:
 
 
 class GridMeta:
-    """The fields every Haar grid derives the same way, from its `group`, `nodes`, `shape` and `native_exact`,
-    the one kernel-row loop `kernel_rows`, and `invariant_operator`, Op(sigma) set up once for the grid (by
-    default its `analysis`, the blockwise product and its `synthesis`).  Each grid owns the group-specific
-    rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`, `synthesis(duals, buckets, count)
-    -> (count, N) values`, the kernel rows of one chunk `_rows(sigma, rows) -> (len, N)`, and the motions that
-    map it onto itself: `orbits() -> (representatives, size)` and `move(k, nodes)`."""
+    """A Haar grid is its group and shape, so `==` compares grids; nodes, weights and tables are derived on first
+    read.  Every grid takes from here `node_count`, `exactness_band`, `meta()`, the kernel-row loop `kernel_rows`
+    and `invariant_operator`, Op(sigma) set up once (by default `analysis`, the blockwise product, `synthesis`).
+    Each grid owns the rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`, `synthesis(duals,
+    buckets, count) -> (count, N) values`, the kernel rows of one chunk `_rows(sigma, rows) -> (len, N)`, and the
+    motions that map it onto itself: `orbits() -> (representatives, size)` and `move(k, nodes)`."""
 
     @property
     def node_count(self) -> int:
-        return self.nodes.shape[0]
+        return math.prod(self.shape)
 
     @property
     def exactness_band(self) -> float:

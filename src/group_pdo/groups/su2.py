@@ -29,7 +29,8 @@ which `diffops.difference` applies without a transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -270,10 +271,10 @@ class SU2:
 class SU2Grid(GridMeta):
     """Product Haar grid in (phi, theta, psi), nodes raveled in that order.
 
-    It caches, on first use, only its parity phase rows and its spin shells,
-    the one copy of its Wigner-d values that every SU(2) path reads.
-    ``rep_table`` is assembled from them on each call: a kept copy
-    (N (j2+1)^2 complex numbers per spin) saved no time.
+    A grid is its group and `j2max_exact`; its `axes`, `nodes`, `weights`, and the parity phase rows and
+    spin shells (its one copy of the Wigner-d values) that the transforms read, are derived on first read.
+    ``rep_table`` is assembled from them on each call: a kept copy (N (j2+1)^2 complex numbers per spin)
+    saved no time.
 
     The left z-rotations z(2 pi k / p) map the grid onto itself (`move`),
     so its nodes fall into t q orbits of p nodes (`orbits`): a kernel bound
@@ -283,35 +284,31 @@ class SU2Grid(GridMeta):
 
     group: SU2
     j2max_exact: int
-    phi: np.ndarray = field(init=False, repr=False)
-    psi: np.ndarray = field(init=False, repr=False)
-    cos_theta: np.ndarray = field(init=False, repr=False)
-    gl_weights: np.ndarray = field(init=False, repr=False)
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        j2 = self.j2max_exact
-        p = j2 + 1
-        q = 2 * j2 + 2
-        t = j2 // 2 + 1
-        self.phi = 2 * np.pi * np.arange(p) / p
-        self.psi = 4 * np.pi * np.arange(q) / q
-        self.cos_theta, self.gl_weights = np.polynomial.legendre.leggauss(t)
-        theta = np.arccos(self.cos_theta)
-        mesh = np.meshgrid(self.phi, theta, self.psi, indexing="ij")
-        self.nodes = euler_to_quat(*(a.ravel() for a in mesh)).T
-        w = np.ones((p, 1, 1)) * (self.gl_weights / (2.0 * p * q))[None, :, None]
-        self.weights = np.broadcast_to(w, (p, t, q)).ravel().copy()
-        self._cache: dict = {}
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (self.phi.size, self.cos_theta.size, self.psi.size)
+        j2 = self.j2max_exact
+        return (j2 + 1, j2 // 2 + 1, 2 * j2 + 2)
 
     @property
     def native_exact(self) -> int:
         return self.j2max_exact
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """(phi, theta, psi, w): the node angles on each axis, cos theta the Gauss-Legendre nodes of weights w."""
+        p, t, q = self.shape
+        cos_theta, w = np.polynomial.legendre.leggauss(t)
+        return 2 * np.pi * np.arange(p) / p, np.arccos(cos_theta), 4 * np.pi * np.arange(q) / q, w
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return euler_to_quat(*(a.ravel() for a in np.meshgrid(*self.axes[:3], indexing="ij"))).T
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        p, t, q = self.shape
+        return np.broadcast_to((self.axes[3] / (2.0 * p * q))[None, :, None], (p, t, q)).ravel()
 
     def require_band(self, band: float, what: str = "band"):
         if self.group.native_cut(band) > self.j2max_exact:
@@ -320,23 +317,21 @@ class SU2Grid(GridMeta):
                 f"exactness j2 <= {self.j2max_exact}; refuse to alias"
             )
 
-    # Cached tables for the separated (phi, theta, psi) transforms.
+    # Tables for the separated (phi, theta, psi) transforms.
 
+    @cached_property
     def _phase_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(E_phi, E_psi) [r, s, j] = exp(-i m2 angle_j / 2), the phase factors of D, at the parity slots of
         `SpinShells`, 0 if empty."""
-        if "phase" not in self._cache:
-            m2 = self._shells().weights2[..., None]
-            kept = np.abs(m2) <= self.j2max_exact
-            # the conjugate of exp(+i m2 angle / 2), not exp(-i ...): the bits the pinned result files hold
-            self._cache["phase"] = tuple(np.where(kept, np.exp(0.5j * m2 * a), 0).conj() for a in (self.phi, self.psi))
-        return self._cache["phase"]
+        m2 = self._shells.weights2[..., None]
+        kept = np.abs(m2) <= self.j2max_exact
+        # the conjugate of exp(+i m2 angle / 2), not exp(-i ...): the bits the pinned result files hold
+        return tuple(np.where(kept, np.exp(0.5j * m2 * a), 0).conj() for a in (self.axes[0], self.axes[2]))
 
+    @cached_property
     def _shells(self) -> SpinShells:
         """The Wigner-d values at the theta nodes for j2 = 0..j2max_exact, in spin shells."""
-        if "dtab" not in self._cache:
-            self._cache["dtab"] = SpinShells(self.j2max_exact, np.arccos(self.cos_theta))
-        return self._cache["dtab"]
+        return SpinShells(self.j2max_exact, self.axes[1])
 
     def rep_table(self, xi: DualIndex, rows=slice(None)) -> np.ndarray:
         """D^xi at the nodes `rows`, a slice (every node by default) or an index array, shape
@@ -346,10 +341,10 @@ class SU2Grid(GridMeta):
             raise PrecisionError(
                 f"representation j2={j2} exceeds grid tables (j2max {self.j2max_exact})"
             )
-        ephi, epsi = (e[j2 % 2] for e in self._phase_rows())
+        ephi, epsi = (e[j2 % 2] for e in self._phase_rows)
         slots = (self.j2max_exact - j2) // 2 + np.arange(j2 + 1)
         j, t, k = np.unravel_index(np.arange(self.node_count)[rows], self.shape)
-        d = self._shells().spin(j2, np.arange(self.shape[1]))[t]  # at every theta node, then at each row's
+        d = self._shells.spin(j2, np.arange(self.shape[1]))[t]  # at every theta node, then at each row's
         return np.einsum("na,nab,nb->nab", ephi[slots, j[:, None]], d, epsi[slots, k[:, None]])
 
     def analysis(self, values: np.ndarray, duals: Duals) -> list[np.ndarray]:
@@ -358,14 +353,14 @@ class SU2Grid(GridMeta):
         one GEMM over theta against its d values, the quadrature weights folded in, into the coefficient
         grid [r, a, c, j2 // 2, z] of `synthesis`."""
         p, t, q = self.shape
-        (ephi, epsi), top = (e.conj() for e in self._phase_rows()), int(duals.labels.max())
+        (ephi, epsi), top = (e.conj() for e in self._phase_rows), int(duals.labels.max())
         h, count = ephi.shape[1], math.prod(values.shape[:-1])
         # phi: [(r a), phi] x [phi, (theta z psi)]
         stage = ephi.reshape(2 * h, p) @ values.reshape(count, p, t, q).transpose(1, 2, 0, 3).reshape(p, -1)
         # psi, per parity: [r, c, psi] x [r, psi, (a theta z)], so that every slot pair (a, c) is a view [r, c, a]
         stage = np.matmul(epsi, stage.reshape(2, -1, q).transpose(0, 2, 1)).reshape(2, h, h, t, count).view(float)
-        coeffs, weights = np.empty((2, h, h, t, 2 * count)), self.gl_weights / (2.0 * p * q)
-        for j0, sides in enumerate(self._shells().shells[: top + 1]):
+        coeffs, weights = np.empty((2, h, h, t, 2 * count)), self.axes[3] / (2.0 * p * q)
+        for j0, sides in enumerate(self._shells.shells[: top + 1]):
             r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
             for a, c, d in sides:  # [a, c, spin, theta] x [a, c, theta, z]
                 weighted = (d[:n] * weights).transpose(1, 2, 0, 3)
@@ -386,14 +381,14 @@ class SU2Grid(GridMeta):
         if top > self.j2max_exact:
             raise PrecisionError(f"coefficient j2={top} cannot be represented on grid with j2max {self.j2max_exact}")
         p, t, q = self.shape
-        ephi, epsi = self._phase_rows()
+        ephi, epsi = self._phase_rows
         h = ephi.shape[1]
         # a shell reads only entries inside the squares of its spins, so with every spin 0..top given none is unset
         coeffs = (np.empty if len(spins) > top else np.zeros)((2, h, h, t, count), dtype=complex)
         for j2, block in zip(spins, buckets):
             _spin(coeffs, j2)[:] = (j2 + 1) * block.reshape(count, j2 + 1, j2 + 1).transpose(2, 1, 0)
         coeffs, acc = coeffs.view(float), np.zeros((2, h, h, t, 2 * count))  # acc: [r, a, c, theta, (z re/im)]
-        for j0, sides in enumerate(self._shells().shells[: top + 1]):
+        for j0, sides in enumerate(self._shells.shells[: top + 1]):
             r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
             for a, c, d in sides:  # [a, c, theta, spin] x [a, c, spin, z]
                 np.matmul(d[:n].transpose(1, 2, 3, 0), coeffs[r, a, c, j0 // 2 : j0 // 2 + n], out=acc[r, a, c])

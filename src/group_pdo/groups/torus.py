@@ -15,8 +15,8 @@ applies without a transform.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -193,6 +193,7 @@ class Torus:
 @dataclass
 class TorusGrid(GridMeta):
     """Uniform product grid, nodes raveled in C order over the axes; its `_rows` feeds `GridMeta.kernel_rows`.
+    A grid is its group and `shape`; its `nodes` and `weights`, which the FFTs never read, are derived on first read.
 
     The translations by its nodes map it onto itself (`move`), so all its
     nodes form one orbit (`orbits`): a kernel bound of an invariant symbol
@@ -202,15 +203,15 @@ class TorusGrid(GridMeta):
 
     group: Torus
     shape: tuple[int, ...]
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        axes = [2 * np.pi * np.arange(m) / m for m in self.shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.nodes = np.stack([a.ravel() for a in mesh], axis=1)
-        size = int(np.prod(self.shape))
-        self.weights = np.full(size, 1.0 / size)
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        mesh = np.meshgrid(*[2 * np.pi * np.arange(m) / m for m in self.shape], indexing="ij")
+        return np.stack([a.ravel() for a in mesh], axis=1)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.full(self.node_count, 1.0 / self.node_count)
 
     @property
     def native_exact(self) -> int:

@@ -43,8 +43,7 @@ class Symbol(FourierCoefficients):
         """
         if grid is None:
             grid = self.grid if self.grid is not None else self.group.grid_for_band(self.band)
-        same = self.grid is grid or (type(self.grid) is type(grid) and self.grid.meta() == grid.meta())
-        if not (self.invariant or same):
+        if not (self.invariant or self.grid == grid):
             raise ValueError("a gridded symbol lives on its own grid, not on a different one")
         grid.require_band(self.band, what="symbol band")
         return grid

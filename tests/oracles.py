@@ -19,7 +19,8 @@ The builders and lookups that only tests use live here too: `map_blocks`
 (a table rebuilt one block per dual), `dual_index` (one dual by its
 label), `laplace_op` (the second-order difference rho^2, which has no dual rule),
 `vector_field_plus_c` (the symbol of X_j + c, the forward operator of
-criterion 10) and `entry` (one entry of a seminorm report).
+criterion 10) and `entry` (one entry of a seminorm report).  `SU2_TABLES`
+names what an SU(2) grid keeps once it has transformed and made rep tables.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from group_pdo.fourier import FourierCoefficients, GridFunction, forward, invers
 from group_pdo.groups import DualIndex, Torus, batch_slices, wigner_d_tables
 from group_pdo.seminorms import SeminormEntry, SeminormReport
 from group_pdo.symbols import Symbol, multiplier
+
+
+# an SU(2) grid's init fields, its axes, phase rows and spin shells: no node and no rep table
+SU2_TABLES = {"group", "j2max_exact", "axes", "_phase_rows", "_shells"}
 
 
 def map_blocks(table: FourierCoefficients, fn) -> FourierCoefficients:
@@ -93,8 +98,9 @@ def forward_direct(f: GridFunction, band: float) -> FourierCoefficients:
 def _tables(grid):
     """Wigner-d tables at the theta nodes and (E_phi, E_psi) with E[m2 + top, j] = exp(i m2 angle_j / 2)."""
     m2 = np.arange(-grid.j2max_exact, grid.j2max_exact + 1)
-    phases = tuple(np.exp(0.5j * np.outer(m2, angles)) for angles in (grid.phi, grid.psi))
-    return wigner_d_tables(grid.j2max_exact, np.arccos(grid.cos_theta)), phases
+    phi, theta, psi, _ = grid.axes
+    phases = tuple(np.exp(0.5j * np.outer(m2, angles)) for angles in (phi, psi))
+    return wigner_d_tables(grid.j2max_exact, theta), phases
 
 
 def forward_su2_per_spin(f: GridFunction, band: float) -> FourierCoefficients:
@@ -107,7 +113,7 @@ def forward_su2_per_spin(f: GridFunction, band: float) -> FourierCoefficients:
     vals = f.values.reshape(-1, p, t, q)
     stage1 = np.einsum("mj,zjtk->zmtk", ephi, vals, optimize=True)
     stage2 = np.einsum("zmtk,nk->zmtn", stage1, epsi, optimize=True)
-    theta_w = grid.gl_weights / (2.0 * p * q)
+    theta_w = grid.axes[3] / (2.0 * p * q)
     buckets = []
     for j2 in duals.labels.tolist():
         slots = slice(grid.j2max_exact - j2, grid.j2max_exact + j2 + 1, 2)

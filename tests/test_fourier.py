@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from group_pdo.fourier import (
 )
 from group_pdo.groups import SU2, Torus
 from group_pdo.named_functions import dirichlet_kernel
-from oracles import dual_index, forward_direct, forward_su2_per_spin, inverse_su2_per_spin, svd_sup_op_norms
+from oracles import SU2_TABLES, dual_index, forward_direct, forward_su2_per_spin, inverse_su2_per_spin, svd_sup_op_norms
 
 
 class TestForward:
@@ -85,6 +87,14 @@ class TestInverse:
             f = random_bandlimited(grid, band, rng)
             back = inverse(forward(f, band), grid)
             assert np.abs(back.values - f.values).max() < 1e-10
+
+
+    def test_su2_round_trip_builds_no_node(self, su2, rng):
+        grid = su2.haar_grid(64)
+        band = su2.band_of_native(64)
+        f = GridFunction(grid, rng.normal(size=grid.node_count))
+        inverse(forward(f, band), grid)
+        assert "nodes" not in vars(grid) and set(vars(grid)) == SU2_TABLES
 
 
 class TestParsevalAndLinearity:
@@ -174,6 +184,21 @@ class TestPackedContainer:
                 assert len(stacked.buckets) == len(packed.buckets)
                 for a, b in zip(stacked.buckets, packed.buckets):
                     assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_block_index_follows_the_duals(self, t1, su2, rng):
+        for group, band in ((t1, 5.0), (su2, su2.band_of_native(4))):
+            duals, buckets = self.random_buckets(group, band, rng)
+            coeffs = FourierCoefficients(group, band, duals, buckets)
+            top = duals[-1].label
+            assert np.array_equal(coeffs.block(top), coeffs.blocks[-1])
+            doubled = coeffs.map_buckets(lambda b: 2 * b)
+            assert "_index" not in vars(doubled)
+            assert np.array_equal(doubled.block(top), 2 * coeffs.blocks[-1])
+            low = group.enumerate_dual(band - 1.0)
+            kept = [b[: stop - start] for b, (start, stop) in zip(buckets, low.runs)]
+            fewer = replace(coeffs, band=band - 1.0, duals=low, buckets=kept)
+            with pytest.raises(KeyError):
+                fewer.block(top)
 
     def test_hs_squares_equal_a_per_dual_loop(self, t2, su2, rng):
         for group, band in ((t2, t2.band_of_native(2)), (su2, su2.band_of_native(3))):
@@ -292,8 +317,8 @@ class TestSU2Engine:
             band = su2.band_of_native(cut)
             inverse(forward(random_bandlimited(grid, band, rng), band), grid)
         grid.rep_table(dual_index(su2, 5))
-        assert sorted(grid._cache) == ["dtab", "phase"]
-        shells = grid._shells()
+        assert set(vars(grid)) == SU2_TABLES  # no rep table and no nodes are kept
+        shells = grid._shells
         assert shells.values.size == sum((j2 + 1) ** 2 for j2 in range(13)) * grid.shape[1]
         for sides in shells.shells:
             for _, _, view in sides:

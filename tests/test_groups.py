@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_pdo.errors import PrecisionError
-from group_pdo.groups import SU2, Torus, wigner_d_matrix, wigner_d_sum, wigner_d_tables
+from group_pdo.groups import SU2, Torus, TorusGrid, wigner_d_matrix, wigner_d_sum, wigner_d_tables
 from group_pdo.groups.su2 import euler_to_quat, quat_to_euler
 from group_pdo.groups.wigner import angular_momentum_matrices
-from oracles import dual_index
+from oracles import SU2_TABLES, dual_index
 
 
 class TestDualEnumeration:
@@ -253,6 +253,29 @@ class TestQuadrature:
         assert float(grid.weights.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(grid.weights >= 0)
 
+    @pytest.mark.parametrize("spec", [("t1", (9,)), ("t2", (9, 11)), ("su2", 6), ("su2", 7)])
+    def test_nodes_and_weights_are_the_formulas_bit_for_bit(self, spec, t1, t2, su2):
+        # the reference: nodes and weights by their formulas, written out apart from the grid's code
+        if spec[0] == "su2":
+            grid, j2 = su2.haar_grid(spec[1]), spec[1]
+            p, t, q = j2 + 1, j2 // 2 + 1, 2 * j2 + 2
+            phi, psi = 2 * np.pi * np.arange(p) / p, 4 * np.pi * np.arange(q) / q
+            cos_theta, gl_weights = np.polynomial.legendre.leggauss(t)
+            mesh = np.meshgrid(phi, np.arccos(cos_theta), psi, indexing="ij")
+            nodes = euler_to_quat(*(a.ravel() for a in mesh)).T
+            w = np.ones((p, 1, 1)) * (gl_weights / (2.0 * p * q))[None, :, None]
+            weights = np.broadcast_to(w, (p, t, q)).ravel().copy()
+        else:
+            grid = TorusGrid({"t1": t1, "t2": t2}[spec[0]], spec[1])
+            mesh = np.meshgrid(*[2 * np.pi * np.arange(m) / m for m in spec[1]], indexing="ij")
+            nodes = np.stack([a.ravel() for a in mesh], axis=1)
+            size = int(np.prod(spec[1]))
+            weights = np.full(size, 1.0 / size)
+        assert grid.node_count == len(nodes) and "nodes" not in vars(grid)  # the count builds no node
+        for got, want in ((grid.nodes, nodes), (grid.weights, weights)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert grid.node_count == len(grid.nodes)
+
     def test_su2_rep_integrals_vanish(self, su2):
         grid = su2.haar_grid(10)
         for j2 in range(1, 6):
@@ -267,7 +290,7 @@ class TestQuadrature:
         first, second = grid.rep_table(xi), grid.rep_table(xi)
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
-        assert sorted(grid._cache) == ["dtab", "phase"]  # only the phase and d tables are kept
+        assert set(vars(grid)) == SU2_TABLES  # only the axes, phase rows and spin shells are kept
         picked = np.array([5, 0, 300, 301, 5])
         assert np.array_equal(grid.rep_table(xi, picked), first[picked])
         assert np.array_equal(grid.rep_table(xi, slice(40, 90)), first[40:90])

@@ -187,3 +187,14 @@ class TestSymbolContainer:
         adj = sig.adjoint()
         for xi in sig.duals:
             np.testing.assert_allclose(adj.block(xi.label), sig.block(xi.label).conj().T)
+
+    def test_gridded_symbol_takes_an_equal_grid_and_refuses_another_shape(self, t1, su2):
+        for group, resolution in ((t1, 16), (su2, 6)):
+            grid = group.haar_grid(resolution)
+            f = GridFunction(grid, np.cos(grid.nodes[:, 0]))
+            sig = schrodinger_phase(group, 0.8, f, 0.5, group.band_of_native(3))
+            twin = group.haar_grid(resolution)
+            assert twin is not grid and sig.resolve_grid(twin) is twin
+            assert sig.resolve_grid() is grid
+            with pytest.raises(ValueError, match="lives on its own grid"):
+                sig.resolve_grid(group.haar_grid(resolution + 2))
