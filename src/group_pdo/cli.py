@@ -388,12 +388,12 @@ def _transform(args) -> Outcome:
     from .fourier import forward, grid_l2_norm, inverse, l2_norm, random_bandlimited
 
     band, grid = _setup(args)
-    rng = np.random.default_rng(args.seed)
+    rng, duals = np.random.default_rng(args.seed), grid.group.enumerate_dual(band)  # one dual ball for every sample
     worst_rt = worst_pv = 0.0
     rows = [["sample", "roundtrip_sup_error", "parseval_abs_error"]]
     for i in range(args.samples):
-        f = random_bandlimited(grid, band, rng)
-        coeffs = forward(f, band)
+        f = random_bandlimited(grid, band, rng, duals)
+        coeffs = forward(f, band, duals)
         back = inverse(coeffs, grid)
         rt = float(np.max(np.abs(back.values - f.values)))
         pv = abs(l2_norm(coeffs) - grid_l2_norm(f))

@@ -224,10 +224,10 @@ def sup_norm(f: GridFunction) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def random_bandlimited(grid, band: float, rng: np.random.Generator) -> GridFunction:
-    """Random band-limited function with unit spectral L2 norm."""
+def random_bandlimited(grid, band: float, rng: np.random.Generator, duals=None) -> GridFunction:
+    """Random band-limited function with unit spectral L2 norm, on `duals` if given (the dual ball of `band`)."""
     group = grid.group
-    duals = group.enumerate_dual(band)
+    duals = group.enumerate_dual(band) if duals is None else duals
     buckets = []
     for start, stop in duals.runs:
         # per dual a real, then an imaginary d x d draw: one stream for the whole bucket

@@ -12,15 +12,16 @@ a ``(j2+1) x (j2+1)`` matrix are ordered by ascending weight,
 orthogonal.  The full representation matrix in z-y-z Euler angles is
 ``D^j_{m'm}(phi, theta, psi) = exp(-i m' phi) d^j_{m'm}(theta) exp(-i m psi)``.
 
-The values are built one spin shell at a time (``SpinShells``, also the
-layout the SU(2) transforms read): by a closed form at the lowest spin of
-each ``(m, n)``, then by the three-term recursion in ``j``, which stays stable
-far beyond the range where the explicit factorial sum overflows.  The
-factorial sum is kept (``wigner_d_sum``) as a cross-check for small spins.
+The values are built in spin shells (``SpinShells``, also the layout the SU(2)
+transforms read): a closed form at each shell's lowest spin, then the three-term
+recursion in ``j`` one spin level at a time, on its top row only, the other three
+sides by the exact symmetries of d.  The recursion stays stable far beyond the range
+where the factorial sum (``wigner_d_sum``, kept as a small-spin cross-check) overflows.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
@@ -42,24 +43,27 @@ class SpinShells:
     slots and view (spins, len a, len c, theta): the top and bottom rows,
     then the left and right columns between them.
 
-    A block is built in place: its first spin is the border of d^{j0} by the
-    closed form, from one table of powers of cos(theta/2), sin(theta/2) and
-    -sin(theta/2); each later spin comes from the two before it by the
-    recursion in j at fixed (m, n) (Bonnet-type; Legendre's at m = n = 0):
+    Only the top rows (2m = -j0, every n) are computed.  At its first spin a
+    top row is the closed form sqrt(C(j0, k)) cos(theta/2)^(j0-k) sin(theta/2)^k,
+    k = 0 .. j0, from one table of powers; each later spin comes from the two
+    before it by the recursion in j at fixed (m, n), one spin level at a time over
+    the top rows of all shells of its parity (Bonnet-type; Legendre's at m = n = 0):
 
         w1(j) d^{j+1} = (2j+1) (cos(theta) - m n / (j (j+1))) d^j - w3(j) d^{j-1}
 
     with w1(j) = sqrt(((j+1)^2-m^2)((j+1)^2-n^2))/(j+1) and
     w3(j) = sqrt((j^2-m^2)(j^2-n^2))/j, which is 0 at a shell's first spin.
+    By d_mn = (-1)^(m-n) d_nm = (-1)^(m-n) d_{-m,-n} = d_{-n,-m} the bottom row is then (-1)^(j0-k) top[j0-k],
+    the left column (-1)^k top[k] and the right column top[j0-k]: every d^j2 has the three symmetries bit for bit.
     """
 
     def __init__(self, top: int, theta: np.ndarray):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         self.weights2 = 2 * np.arange(top + 1) - top + (top + np.arange(2)[:, None]) % 2
-        h, t, m2, slots = top + 1, theta.size, self.weights2.ravel(), np.arange(top + 1)
-        first, step = np.zeros(2 * h * h, dtype=int), np.zeros(2 * h * h, dtype=int)  # per pair, in `values`
+        h, t, cos_t, slots = top + 1, theta.size, np.cos(theta), np.arange(top + 1)
+        self._first, self._step = np.zeros(2 * h * h, dtype=int), np.zeros(2 * h * h, dtype=int)  # per pair
         self.values = np.empty(t * (top + 1) * (top + 2) * (2 * top + 3) // 6)  # the size of the per-spin tables
-        self.shells, blocks, size = [], [], 0
+        self.shells, size = [], 0
         for j0 in range(top + 1):
             lo, hi, spins = (top - j0) // 2, (top + j0) // 2, (top - j0) // 2 + 1
             ends = slice(lo, hi + 1, max(j0, 1))  # the slots of 2m = -j0 and j0
@@ -67,43 +71,50 @@ class SpinShells:
             sides = [(j0 % 2) * h * h + h * slots[a][:, None] + slots[c] for a, c in ring]  # pairs r h^2 + a h + c
             pairs = np.concatenate([side.ravel() for side in sides])
             block = self.values[size : size + spins * pairs.size * t].reshape(spins, -1, t)  # (spins, pairs, theta)
-            first[pairs], step[pairs] = size + t * np.arange(pairs.size), pairs.size * t  # d^{j0}(theta_0), a spin
+            self._first[pairs], self._step[pairs] = size + t * np.arange(pairs.size), pairs.size * t  # theta_0, a spin
             views = np.split(block, np.cumsum([side.size for side in sides])[:-1], axis=1)
             self.shells.append([(a, c, v.reshape(spins, *p.shape, t)) for (a, c), p, v in zip(ring, sides, views)])
-            blocks.append((pairs, block))
             size += block.size
-        self._at = []  # per spin, the place in `values` of each entry of d^j2(theta_0)
-        for j2 in range(top + 1):
-            mag, own = np.abs(np.arange(-j2, j2 + 1, 2)), (top - j2) // 2 + np.arange(j2 + 1)  # |2m|, its slots
-            pairs = (j2 % 2) * h * h + h * own[:, None] + own
-            self._at.append(first[pairs] + (j2 - np.maximum.outer(mag, mag)) // 2 * step[pairs])
-
-        cos_t, cos_half, sin_half = np.cos(theta), np.cos(theta / 2.0), np.sin(theta / 2.0)
         # column k is the k-th power, each by its own `**` as the closed form reads
-        pc, ps, pn = (np.stack([base**k for k in range(top + 1)], axis=1) for base in (cos_half, sin_half, -sin_half))
-        for j0, (pairs, block) in enumerate(blocks):
-            # the border of d^{j0}: rows m = -j and m = j, then per row between them columns n = -j and n = j
-            k = np.arange(j0 + 1)
-            root = np.array([sqrt(comb(j0, i)) for i in k])
-            lines = [root * pc[:, j0 - k] * ps[:, k], root * pc[:, k] * pn[:, j0 - k]][: 2 if j0 else 1]
-            k, root = k[1:-1], root[1:-1]
-            lines.append(np.stack([root * pc[:, j0 - k] * pn[:, k], root * pc[:, k] * ps[:, j0 - k]], axis=2))
-            block[0] = np.concatenate([line.reshape(len(theta), -1) for line in lines], axis=1).T
-            if j0 == 0 and top >= 2:  # d^1_00 = cos(theta): the recursion's m n / (j (j+1)) is 0/0 here
-                np.multiply(cos_t, block[0], out=block[1])
-            # step s makes spin j0 + 2s from j = (j0 + 2s - 2) / 2, in the operand order of the formula
-            steps = np.arange(2 if j0 == 0 else 1, len(block))
-            j = ((j0 + 2 * steps - 2) / 2.0)[:, None, None]
-            jp, m, n = j + 1.0, m2[pairs // h][:, None] / 2.0, m2[pairs // (h * h) * h + pairs % h][:, None] / 2.0
-            shift, w1 = m * n / (j * jp), np.sqrt((jp * jp - m * m) * (jp * jp - n * n)) / jp
-            w3 = np.sqrt((j * j - m * m) * (j * j - n * n)) / j
-            for i, s in enumerate(steps.tolist()):
-                np.subtract(cos_t, shift[i], out=block[s])
-                block[s] *= 2 * j[i] + 1
-                block[s] *= block[s - 1]
-                if s >= 2:
-                    block[s] -= w3[i] * block[s - 2]
-                block[s] /= w1[i]
+        pc, ps = (np.stack([base**k for k in range(h)], axis=1) for base in (np.cos(theta / 2.0), np.sin(theta / 2.0)))
+        for j0s in [np.arange(r, h, 2) for r in range(min(h, 2))]:  # the shells of one parity (no odd one at top 0)
+            # a level holds their top rows one after another, shell i's ending at ends[i]
+            ends, shell = np.cumsum(j0s + 1), np.repeat(j0s, j0s + 1)
+            k = np.arange(ends[-1]) - np.repeat(ends - j0s - 1, j0s + 1)  # 2m = -j0, 2n = 2k - j0
+            root = np.array([sqrt(comb(j0, i)) for j0, i in zip(shell.tolist(), k.tolist())])
+            seeds, m, n = (root * pc[:, shell - k] * ps[:, k]).T, -shell / 2.0, (2 * k - shell) / 2.0
+            mn, mm, nn, levels = m * n, m * m, n * n, np.empty((3, ends[-1], t))
+            for i, j2 in enumerate(j0s.tolist()):
+                # d^j2 from d^(j2-2) and d^(j2-4) on the shells below j2, in the operand order of the formula
+                new, last, before = levels[i % 3], levels[(i - 1) % 3], levels[(i - 2) % 3]
+                live, old, j, jp = ends[i - 1] if i else 0, ends[i - 2] if i > 1 else 0, (j2 - 2) / 2.0, j2 / 2.0
+                if j2 == 2:  # d^1_00 = cos(theta): the recursion's m n / (j (j+1)) is 0/0 here
+                    np.multiply(cos_t, last[:1], out=new[:1])
+                elif i:
+                    np.subtract(cos_t, (mn[:live] / (j * jp))[:, None], out=new[:live])
+                    new[:live] *= 2 * j + 1
+                    new[:live] *= last[:live]
+                    new[:old] -= (np.sqrt((j * j - mm[:old]) * (j * j - nn[:old])) / j)[:, None] * before[:old]
+                    new[:live] /= (np.sqrt((jp * jp - mm[:live]) * (jp * jp - nn[:live])) / jp)[:, None]
+                new[live : ends[i]] = seeds[live : ends[i]]
+                for j0, stop in zip(j0s[: i + 1].tolist(), ends.tolist()):
+                    self.shells[j0][0][2][(j2 - j0) // 2, 0] = new[stop - j0 - 1 : stop]
+        for j0, sides in enumerate(self.shells[1:], 1):  # bottom, then left and right by the signed mirror
+            rows, sign = sides[0][2], (-1.0) ** np.arange(j0 + 1)[:, None]
+            np.multiply(rows[:, 0, ::-1], sign[::-1], out=rows[:, 1])
+            for _, _, cols in sides[1:]:
+                np.multiply(rows[:, 0, 1:j0], sign[1:j0], out=cols[:, :, 0])
+                cols[:, :, 1] = rows[:, 0, j0 - 1 : 0 : -1]
+
+    @cached_property
+    def _at(self) -> list[np.ndarray]:
+        """Per spin, the place in `values` of each entry of d^j2(theta_0): read by `spin` only."""
+        h, at = len(self.shells), []
+        for j2 in range(h):
+            mag, own = np.abs(np.arange(-j2, j2 + 1, 2)), (h - 1 - j2) // 2 + np.arange(j2 + 1)  # |2m|, its slots
+            pairs = (j2 % 2) * h * h + h * own[:, None] + own
+            at.append(self._first[pairs] + (j2 - np.maximum.outer(mag, mag)) // 2 * self._step[pairs])
+        return at
 
     def spin(self, j2: int, thetas: np.ndarray) -> np.ndarray:
         """d^j2 at the theta nodes `thetas`, shape (len, j2 + 1, j2 + 1)."""

@@ -146,7 +146,13 @@ def seminorm(
 
 def _measure(tau: Symbol, alpha, beta, params: ClassParams, windows) -> SeminormEntry:
     expo = params.m - params.rho * sum(alpha) + params.delta * sum(beta)
-    ratios = tau.sup_op_norms() / tau.duals.weights**expo
+    with np.errstate(over="ignore"):  # a weight past the float range is refused below
+        weights = tau.duals.weights**expo
+    if not (np.isfinite(weights).all() and weights.all()):
+        raise ValueError(
+            f"<xi>^{expo:g} leaves the float range: --m {params.m:g}, --rho {params.rho:g}, --delta {params.delta:g}"
+        )
+    ratios = tau.sup_op_norms() / weights
     sweep = [(lam, float(ratios[tau.duals.within(lam)].max(initial=0.0))) for lam in windows]
     return SeminormEntry(tuple(alpha), tuple(beta), sweep[-1][1], sweep)
 

@@ -128,8 +128,11 @@ def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: floa
     tf = 1j * t * fv.real
     buckets = []
     for start, stop in duals.runs:
-        powers = float_powers(duals.weights[start:stop], delta)
-        buckets.append(np.exp(tf * powers[:, None])[:, :, None, None] * np.eye(duals.dims[start]))
+        with np.errstate(over="ignore"):  # a phase past the float range is refused below
+            phase = tf * float_powers(duals.weights[start:stop], delta)[:, None]
+        if not np.isfinite(phase).all():
+            raise ValueError(f"symbol parameter t={t} makes the phase t f(x) <xi>^delta non-finite")
+        buckets.append(np.exp(phase)[:, :, None, None] * np.eye(duals.dims[start]))
     return Symbol(
         group, band, duals, buckets, grid=f.grid, provenance=f"schrodinger(t={t},delta={delta})"
     )

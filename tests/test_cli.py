@@ -53,6 +53,21 @@ class TestVerdictCommands:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_transform_enumerates_the_dual_ball_once(self, tmp_path, monkeypatch):
+        # every sample is drawn and forwarded on one enumeration, not two per sample
+        from group_pdo.groups import Torus
+
+        calls, enumerate_dual = [], Torus.enumerate_dual
+
+        def counted(self, band):
+            calls.append(band)
+            return enumerate_dual(self, band)
+
+        monkeypatch.setattr(Torus, "enumerate_dual", counted)
+        code, _, _ = run(["transform", "--group", "t2", "--band", "20", "--samples", "3"], tmp_path)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_hsnorm(self, tmp_path):
         code, out, files = run(
             ["hsnorm", "--group", "t1", "--band", "8", "--symbol", "multiplier_power",
@@ -187,6 +202,9 @@ POWER = "--group t1 --band 8 --symbol multiplier_power --symbol-params s"
 LADDER = "band must be finite and >= 1 at every lambda of a non-empty ladder, got "
 SHARPNESS = "lp-sharpness --lambdas 8,16,32 --iterations 3"
 NORMS = "the weighted norms at p={p} cannot be formed in floating point"
+SCHRODINGER = "--group t1 --band 20 --symbol schrodinger --symbol-params t=1e308,delta=0.5"
+PHASE = "symbol parameter t=1e+308 makes the phase t f(x) <xi>^delta non-finite"
+WEIGHTED = f"seminorm {POWER}=3 --rho 1 --delta 0 --l 1"
 
 
 @pytest.mark.parametrize(
@@ -228,6 +246,10 @@ NORMS = "the weighted norms at p={p} cannot be formed in floating point"
         ("weyl --group t1 --alpha 0 --lambdas 0.5,1", LADDER + "[0.5, 1.0]"),
         (f"hsnorm {POWER}=1j", "symbol parameter s=1j must be real"),
         ("hsnorm --group su2 --band 3 --symbol schrodinger --symbol-params t=1j", "symbol parameter t=1j must be real"),
+        (f"hsnorm {SCHRODINGER}", PHASE),
+        (f"seminorm {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1", PHASE),
+        (f"{WEIGHTED} --m 1e308", "<xi>^1e+308 leaves the float range: --m 1e+308, --rho 1, --delta 0"),
+        (f"{WEIGHTED} --m=-1e308", "<xi>^-1e+308 leaves the float range: --m -1e+308, --rho 1, --delta 0"),
         ("hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params =3", "--symbol-params =3 has no key"),
         (
             "hsnorm --group t1 --band 8 --symbol multiplier_power --symbol-params S=-1",
@@ -254,7 +276,7 @@ def test_vacuous_or_non_finite_input_is_usage_error(argv, message, tmp_path, mon
     import group_pdo.symbols
 
     # those refuse the symbol in its builder or once built
-    if not message.startswith(("band windows", "a power with exponent", "symbol parameter")):
+    if not message.startswith(("band windows", "a power with exponent", "symbol parameter", "<xi>^")):
         monkeypatch.setattr(group_pdo.symbols, "build_symbol", lambda *a, **k: pytest.fail("a symbol was built"))
     code, _, files = run(argv.split(), tmp_path)
     assert code == 2

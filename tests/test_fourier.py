@@ -96,6 +96,16 @@ class TestInverse:
         inverse(forward(f, band), grid)
         assert "nodes" not in vars(grid) and set(vars(grid)) == SU2_TABLES
 
+    def test_su2_round_trip_builds_no_spin_index(self, su2, rng):
+        # the transforms read the shells' sides; the per-spin index table is `spin`'s alone
+        grid = su2.haar_grid(12)
+        for cut in (12, 5):
+            band = su2.band_of_native(cut)
+            inverse(forward(random_bandlimited(grid, band, rng), band), grid)
+        assert "_at" not in vars(grid._shells)
+        grid.rep_table(dual_index(su2, 3))
+        assert "_at" in vars(grid._shells)
+
 
 class TestParsevalAndLinearity:
     @pytest.mark.parametrize("spec", [("t1", 64, 20), ("su2", 10, 10)])

@@ -64,25 +64,26 @@ class TestDualEnumeration:
 
 
 def _seed(j2: int, m2: int, n2: int, cos_half: np.ndarray, sin_half: np.ndarray) -> np.ndarray:
-    """d^{j0}_{mn} at the lowest admissible spin j0 = max(|m|, |n|), one entry at a time."""
+    """d^{j0}_{mn} at the lowest admissible spin j0 = max(|m|, |n|), one entry at a time: the closed form on the
+    top row and the right column; the bottom row and the left column are the top row's signed mirror,
+    d_mn = (-1)^(m-n) d_{-m,-n} and d_mn = (-1)^(m-n) d_nm."""
     if j2 == 0:
         return np.ones_like(cos_half)
     if m2 == j2:
-        binom = comb(j2, (j2 - n2) // 2)
-        return sqrt(binom) * cos_half ** ((j2 + n2) // 2) * (-sin_half) ** ((j2 - n2) // 2)
+        return (-1.0) ** ((m2 - n2) // 2) * _seed(j2, -m2, -n2, cos_half, sin_half)
     if m2 == -j2:
         binom = comb(j2, (j2 + n2) // 2)
         return sqrt(binom) * cos_half ** ((j2 - n2) // 2) * sin_half ** ((j2 + n2) // 2)
     if n2 == j2:
         binom = comb(j2, (j2 - m2) // 2)
         return sqrt(binom) * cos_half ** ((j2 + m2) // 2) * sin_half ** ((j2 - m2) // 2)
-    binom = comb(j2, (j2 + m2) // 2)
-    return sqrt(binom) * cos_half ** ((j2 - m2) // 2) * (-sin_half) ** ((j2 + m2) // 2)
+    return (-1.0) ** ((m2 - n2) // 2) * _seed(j2, n2, m2, cos_half, sin_half)
 
 
 class TestWigner:
     def test_borders_equal_the_closed_form_per_entry(self):
         # the border of every d^j, from one table of powers, bit for bit against the entry-by-entry closed form
+        # and its signed mirror
         thetas = np.concatenate([[0.0, np.pi / 2, np.pi], np.arccos(np.polynomial.legendre.leggauss(9)[0])])
         cos_half, sin_half = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
         for j2, d in enumerate(wigner_d_tables(128, thetas)):
@@ -120,11 +121,15 @@ class TestWigner:
             np.testing.assert_allclose(d @ d.T, np.eye(j2 + 1), atol=1e-12)
 
     def test_tables_have_exact_mn_symmetry(self):
-        # d^j_{m,n} = d^j_{-n,-m} in exact arithmetic; the recursion's operands are symmetric under
-        # (m, n) -> (-n, -m), so any drift in the expression order shows up as a moved bit
+        # d^j_{m,n} = d^j_{-n,-m} = (-1)^(m-n) d^j_{n,m} = (-1)^(m-n) d^j_{-m,-n} in exact arithmetic; the
+        # recursion's operands are symmetric under (m, n) -> (-n, -m), so any drift in the expression order
+        # shows up as a moved bit, and the signed two hold bit for bit only if the sides are one side's mirror
         thetas = np.array([0.0, 0.3, np.pi / 2, 2.9, np.pi])
-        for d in wigner_d_tables(128, thetas):
-            assert np.array_equal(d, d[:, ::-1, ::-1].transpose(0, 2, 1))
+        for j2, d in enumerate(wigner_d_tables(128, thetas)):
+            sign = (-1.0) ** np.add.outer(np.arange(j2 + 1), np.arange(j2 + 1))  # (-1)^(m-n)
+            assert np.array_equal(d, d[:, ::-1, ::-1].transpose(0, 2, 1)), j2
+            assert np.array_equal(d, sign * d.transpose(0, 2, 1)), j2
+            assert np.array_equal(d, sign * d[:, ::-1, ::-1]), j2
 
     def test_spin_half_explicit(self):
         theta = 0.7
