@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PrecisionError
 from .fourier import GridFunction
 from .groups import BAND_TOL, Torus, batch_size, batch_slices
 from .named_functions import dirichlet_kernel
@@ -48,7 +49,9 @@ def _hs_norm(sigma: Symbol, squares: np.ndarray) -> float:
 
 
 def hs_relative_difference(hs_kernel: float, hs_symbol: float) -> float:
-    """|hs_kernel - hs_symbol| relative to hs_symbol, or absolute when hs_symbol is 0."""
+    """|hs_kernel - hs_symbol| relative to hs_symbol, or absolute when hs_symbol is 0; both must be finite."""
+    if not np.isfinite([hs_kernel, hs_symbol]).all():
+        raise PrecisionError(f"HS norms not finite (kernel {hs_kernel}, symbol {hs_symbol}): a square overflowed")
     return abs(hs_kernel - hs_symbol) / hs_symbol if hs_symbol > 0 else abs(hs_kernel - hs_symbol)
 
 
@@ -78,7 +81,8 @@ def _kernel_bounds(sigma: Symbol, grid) -> tuple[float, float]:
         block = np.abs(k)
         del k  # the complex rows are not held while the next chunk is made
         row_l1.append(block @ w)
-        row_sq.append(np.square(block, out=block) @ w)
+        with np.errstate(over="ignore"):  # an overflowed square is inf, which the HS gate refuses
+            row_sq.append(np.square(block, out=block) @ w)
     w_rows = w if reps is None else w[reps]
     return float(np.max(np.concatenate(row_l1))), float(np.sqrt(size * (w_rows @ np.concatenate(row_sq))))
 
@@ -402,10 +406,10 @@ def finite_regularity_threshold(n: int, p: float, rho: float, delta: float) -> T
 
 
 @dataclass
-class WeylReport:
-    variant: str
-    rows: list  # (lambda, sum, ratio to lambda^{(alpha+1) n})
-    last_band_fraction: float = None
+class DualSumReport:
+    variant: str  # "cumulative", "tail" or "series"
+    rows: list  # (lambda, sum, ratio to lambda^{(alpha+1) n}), or (lambda, partial sum) for the series
+    last_band_fraction: float = None  # the series' share of its total past the second-largest lambda
 
 
 def _lambda_ladder(lambdas) -> list[float]:
@@ -416,75 +420,54 @@ def _lambda_ladder(lambdas) -> list[float]:
     return ladder
 
 
-def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> WeylReport:
+def _dual_sums(group, exponent: float, ladder: list, tail_to: float = None) -> list[float]:
+    """sum d_xi^2 <xi>^exponent per lambda of the ladder: over the ball <xi> <= lambda, or over the tail
+    lambda <= <xi> <= tail_to, which counts the shell at lambda, as `Duals.within` cannot express."""
+    duals = group.enumerate_dual(ladder[-1] if tail_to is None else tail_to)
+    weights = duals.weights
+    terms = duals.dims**2 * float_powers(weights, exponent)
+    masks = (duals.within(lam) if tail_to is None else weights >= lam - BAND_TOL for lam in ladder)
+    return [float(terms[mask].sum()) for mask in masks]
+
+
+def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> DualSumReport:
     """Exact dual sums sum d_xi^2 <xi>^(alpha n) over <xi> <= lambda.
 
     alpha > -1: cumulative variant, expected to scale like lambda^((alpha+1) n);
     a band_limit, which it would not read, is refused.
-    alpha < -1: tail variant from lambda up to band_limit, with the fraction
-    of the sum sitting in the last dyadic band reported as a truncation
-    diagnostic.
+    alpha < -1: tail variant, the sum from lambda up to band_limit.
     """
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     lambdas = _lambda_ladder(lambdas)
     n = group.dim
     if alpha > -1.0:
-        variant = "cumulative"
         if band_limit is not None:
             raise ValueError(
                 f"band_limit {band_limit} is read only by the tail variant (alpha < -1), not at alpha {alpha}"
             )
-        top = lambdas[-1]
     elif alpha < -1.0:
-        variant = "tail"
         if band_limit is None:
             raise ValueError("the tail variant (alpha < -1) requires band_limit")
         if band_limit < lambdas[-1]:
             raise ValueError(f"band_limit {band_limit} is below the largest lambda {lambdas[-1]}: an empty tail")
-        top = float(band_limit)
     else:
         raise ValueError("alpha = -1 separates the two variants; pick a side")
-    duals = group.enumerate_dual(top)
-    weights = duals.weights
-    terms = duals.dims**2 * float_powers(weights, alpha * n)
-    rows = []
-    for lam in lambdas:
-        if variant == "cumulative":
-            s = float(terms[duals.within(lam)].sum())
-        else:  # the tail counts the shell at lambda, which `within` cannot express
-            s = float(terms[weights >= lam - BAND_TOL].sum())
-        rows.append((lam, s, s / lam ** ((alpha + 1.0) * n)))
-    last_fraction = None
-    if variant == "tail":
-        total = float(terms[weights >= lambdas[0] - BAND_TOL].sum())
-        last = float(terms[weights >= top / 2.0].sum())
-        last_fraction = last / total if total > 0 else 0.0
-    return WeylReport(
-        variant=variant,
-        rows=rows,
-        last_band_fraction=last_fraction,
-    )
+    sums = _dual_sums(group, alpha * n, lambdas, tail_to=band_limit)
+    rows = [(lam, s, s / lam ** ((alpha + 1.0) * n)) for lam, s in zip(lambdas, sums)]
+    return DualSumReport(variant="cumulative" if alpha > -1.0 else "tail", rows=rows)
 
 
-@dataclass
-class SeriesReport:
-    rows: list  # (lambda, partial sum)
-    last_band_fraction: float
-
-
-def casimir_series(group, s: float, lambdas) -> SeriesReport:
+def casimir_series(group, s: float, lambdas) -> DualSumReport:
     """Partial sums of sum d_xi^2 <xi>^(-s); converges iff s > dim G."""
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     lambdas = _lambda_ladder(lambdas)
-    duals = group.enumerate_dual(lambdas[-1])
-    terms = duals.dims**2 * float_powers(duals.weights, -s)
-    rows = [(lam, float(terms[duals.within(lam)].sum())) for lam in lambdas]
-    total = rows[-1][1]
-    prev = rows[-2][1] if len(rows) > 1 else 0.0
+    sums = _dual_sums(group, -s, lambdas)
+    total = sums[-1]
+    prev = sums[-2] if len(sums) > 1 else 0.0
     frac = (total - prev) / total if total > 0 else 0.0
-    return SeriesReport(rows=rows, last_band_fraction=frac)
+    return DualSumReport(variant="series", rows=list(zip(lambdas, sums)), last_band_fraction=frac)
 
 
 # ---------------------------------------------------------------------------

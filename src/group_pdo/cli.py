@@ -501,7 +501,7 @@ def _linf(args) -> Outcome:
     rows = [["sample", "lhs", "rhs"]]
     violations = 0
     for i in range(args.samples):
-        f = random_bandlimited(grid, band, rng)
+        f = random_bandlimited(grid, band, rng, sigma.duals)  # the band's ball, enumerated once
         lhs = sup_norm(apply(sigma, f))
         rhs = (1 + LINF_FACTOR_TOL) * const * sup_norm(f)
         rows.append([i, lhs, rhs])
@@ -580,7 +580,7 @@ def _audit(args) -> Outcome:
 
     band, grid, sigma = _build(args)
     rng = np.random.default_rng(args.seed)
-    samples = (random_bandlimited(grid, band, rng) for _ in range(args.samples))  # drawn as the audit reads them
+    samples = (random_bandlimited(grid, band, rng, sigma.duals) for _ in range(args.samples))  # drawn as read
     rep = bound_audit(sigma, samples, grid)
     rows = [["check", "value", "bound", "ok", "note"]] + [
         [c.name, c.value, c.bound, int(c.ok), c.note] for c in rep.checks

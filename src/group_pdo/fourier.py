@@ -136,7 +136,8 @@ class FourierCoefficients:
 
     def hs_squares(self) -> np.ndarray:
         """||sigma(x, xi)||_HS^2 for every dual in order, batch axis kept: shape (count, [B])."""
-        return np.concatenate([np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in self.buckets])
+        with np.errstate(over="ignore"):  # an overflowed square is inf, which the HS gate refuses
+            return np.concatenate([np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in self.buckets])
 
     def sup_op_norms(self) -> np.ndarray:
         """max over nodes of ||sigma(x, xi)||_op, for every dual in order: `_sup_op_norms` per bucket."""

@@ -334,9 +334,41 @@ class TestWeylCounts:
             weyl_count(su2, [4.0], -2.0)
         rep = weyl_count(su2, [4.0, 8.0], -2.0, band_limit=64.0)
         assert rep.variant == "tail"
-        assert rep.last_band_fraction is not None
         # alpha < -1: tails decay like lambda^{(alpha+1) n}
         assert rep.rows[0][1] > rep.rows[1][1]
+
+    @pytest.mark.parametrize("name", ["t1", "t2", "su2"])
+    def test_sums_match_a_per_dual_loop(self, name, t1, t2, su2):
+        # two lambdas sit on shells, the third and the seventh, which the cumulative sum and the tail both count
+        group, top = {"t1": t1, "t2": t2, "su2": su2}[name], 12.5
+        shells = np.unique(group.enumerate_dual(top).weights)
+        lambdas = sorted([1.0, float(shells[2]), 3.7, float(shells[6])])
+
+        def per_dual(power, keep):
+            total = [0.0] * len(lambdas)
+            for xi in group.enumerate_dual(top):
+                for i, lam in enumerate(lambdas):
+                    if keep(xi.weight, lam):
+                        total[i] += xi.dim**2 * xi.weight**power
+            return total
+
+        n = group.dim
+        for alpha, band_limit, keep in ((0.5, None, lambda w, lam: w <= lam), (-2.0, top, lambda w, lam: w >= lam)):
+            rep = weyl_count(group, lambdas, alpha, band_limit=band_limit)
+            loop = per_dual(alpha * n, keep)
+            assert [s for _, s, _ in rep.rows] == pytest.approx(loop, rel=1e-13)
+            assert [r for _, _, r in rep.rows] == pytest.approx(
+                [s / lam ** ((alpha + 1.0) * n) for lam, s in zip(lambdas, loop)], rel=1e-13
+            )
+        series = casimir_series(group, 3.1, lambdas)
+        assert [s for _, s in series.rows] == pytest.approx(per_dual(-3.1, lambda w, lam: w <= lam), rel=1e-13)
+
+    def test_series_and_count_share_one_sum(self, t1):
+        # on t1 the exponent alpha * n of the count and -s of the series are the same float
+        lambdas = [2.0, 5.0, 40.0]
+        series = casimir_series(t1, 0.5, lambdas)
+        count = weyl_count(t1, lambdas, -0.5)
+        assert [s for _, s in series.rows] == [s for _, s, _ in count.rows]
 
     def test_series_dichotomy_around_dimension(self, su2):
         lambdas = [2.0**j for j in range(1, 12)]

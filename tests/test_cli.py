@@ -53,8 +53,16 @@ class TestVerdictCommands:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_transform_enumerates_the_dual_ball_once(self, tmp_path, monkeypatch):
-        # every sample is drawn and forwarded on one enumeration, not two per sample
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "transform --group t2 --band 20 --samples 3",
+            "linf --group t2 --band 20 --samples 5",
+            "audit --group t2 --band 8 --symbol multiplier_power --symbol-params s=-1 --samples 5",
+        ],
+    )
+    def test_transform_enumerates_the_dual_ball_once(self, argv, tmp_path, monkeypatch):
+        # every sample is drawn (and forwarded, or applied) on one enumeration, not one or two per sample
         from group_pdo.groups import Torus
 
         calls, enumerate_dual = [], Torus.enumerate_dual
@@ -64,7 +72,7 @@ class TestVerdictCommands:
             return enumerate_dual(self, band)
 
         monkeypatch.setattr(Torus, "enumerate_dual", counted)
-        code, _, _ = run(["transform", "--group", "t2", "--band", "20", "--samples", "3"], tmp_path)
+        code, _, _ = run(argv.split(), tmp_path)
         assert code == 0
         assert len(calls) == 1
 
@@ -353,6 +361,16 @@ def run_fresh(argv: str, tmp_path):
     out = tmp_path / "out"
     cmd = [sys.executable, "-m", "group_pdo.cli", *argv.split(), "--out", str(out)]
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60), out
+
+
+@pytest.mark.parametrize("command", ["hsnorm", "audit --samples 2"])
+def test_overflowed_hs_norm_is_precision_error(command, tmp_path):
+    # <xi>^150 is finite, but its square is not: the HS gate refuses the inf sides instead of failing on them,
+    # and the overflow prints no warning
+    done, out = run_fresh(f"{command} --group t1 --band 20 --symbol multiplier_power --symbol-params s=150", tmp_path)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "precision/band error: HS norms not finite (kernel inf, symbol inf): a square overflowed\n"
+    assert not out.exists()
 
 
 def test_threads_take_effect_after_numpy_import(tmp_path):

@@ -10,7 +10,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 62 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 68 more that cover
 the other subcommands, groups and refusals, and the ``--config`` loader on
 the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
@@ -126,6 +126,12 @@ EXTRA = (
     f"--conf {shlex.quote(CONFIG)} transform",
     "weyl --group t1 --alpha -2 --lambdas 2,4 --band 64",
     "lp-sharpness --p 2 --lambdas 580,5800 --iterations 2",
+    "weyl --group t1 --alpha -1 --lambdas 2",
+    "weyl --group su2 --alpha -2 --lambdas 4,8",
+    "weyl --group t2 --alpha -2 --lambdas 4,8 --band-limit 6",
+    "weyl --group su2 --alpha 0 --lambdas 4,8 --band-limit 16",
+    "weyl --group t3 --alpha -3 --lambdas 2,5 --band-limit 9",
+    "weyl --group su2 --s 3.1 --lambdas 8",
 )
 
 
