@@ -449,6 +449,8 @@ def weyl_count(group, lambdas, alpha: float, band_limit: float = None) -> DualSu
     elif alpha < -1.0:
         if band_limit is None:
             raise ValueError("the tail variant (alpha < -1) requires band_limit")
+        if not np.isfinite(float(band_limit) * float(band_limit)):  # NaN would pass the empty-tail check below
+            raise ValueError(f"band_limit must be finite and have a finite square, got {band_limit}")
         if band_limit < lambdas[-1]:
             raise ValueError(f"band_limit {band_limit} is below the largest lambda {lambdas[-1]}: an empty tail")
     else:

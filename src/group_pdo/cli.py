@@ -254,6 +254,7 @@ def main(argv=None) -> int:
             parser.error(f"cannot read config file: {exc}")
 
     args = parser.parse_args(argv)
+    from numpy.linalg import LinAlgError  # a ValueError, but a failed factorisation is no usage error
     from .errors import PrecisionError, SingularSymbolError
 
     try:
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
         if getattr(args, "margin", 0) < 0:
             raise ValueError(f"--margin must be >= 0, got {args.margin}")
         return _dispatch(args)
-    except PrecisionError as exc:
+    except (PrecisionError, LinAlgError) as exc:
         print(f"precision/band error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (ValueError, SingularSymbolError) as exc:

@@ -350,8 +350,8 @@ class SU2Grid(GridMeta):
     def analysis(self, values: np.ndarray, duals: Duals) -> list[np.ndarray]:
         """The forward transform of grid values (N,) or (B, N) on `duals`, one bucket (1, [B,] d, d) per
         spin: the phi GEMM over both parities, the psi GEMM per parity, then per side of each spin shell
-        one GEMM over theta against its d values, the quadrature weights folded in, into the coefficient
-        grid [r, a, c, j2 // 2, z] of `synthesis`."""
+        one GEMM over theta against its d values, into the coefficient grid [r, a, c, j2 // 2, z] of
+        `synthesis`.  The quadrature weights are folded into each shell's rows once, its columns a view."""
         p, t, q = self.shape
         (ephi, epsi), top = (e.conj() for e in self._phase_rows), int(duals.labels.max())
         h, count = ephi.shape[1], math.prod(values.shape[:-1])
@@ -360,11 +360,14 @@ class SU2Grid(GridMeta):
         # psi, per parity: [r, c, psi] x [r, psi, (a theta z)], so that every slot pair (a, c) is a view [r, c, a]
         stage = np.matmul(epsi, stage.reshape(2, -1, q).transpose(0, 2, 1)).reshape(2, h, h, t, count).view(float)
         coeffs, weights = np.empty((2, h, h, t, 2 * count)), self.axes[3] / (2.0 * p * q)
+        buf = np.empty(t * (top + 3) ** 2 // 4)  # each shell's weighted rows in turn: n 2 (j0 + 1) <= (top + 3)^2 / 4
         for j0, sides in enumerate(self._shells.shells[: top + 1]):
             r, n = j0 % 2, (top - j0) // 2 + 1  # the shell's spins j0 .. top, at j2 // 2 = j0 // 2 + (0 .. n - 1)
-            for a, c, d in sides:  # [a, c, spin, theta] x [a, c, theta, z]
-                weighted = (d[:n] * weights).transpose(1, 2, 0, 3)
-                np.matmul(weighted, stage[r, c, a].transpose(1, 0, 2, 3), out=coeffs[r, a, c, j0 // 2 : j0 // 2 + n])
+            rows = sides[0][2][:n]
+            rows = np.multiply(rows, weights, out=buf[: rows.size].reshape(rows.shape))  # once: the columns are a view
+            for (a, c, _), d in zip(sides, (rows, SpinShells.columns(rows))):  # [a, c, spin, theta] x [a, c, theta, z]
+                weighted, out = d.transpose(1, 2, 0, 3), coeffs[r, a, c, j0 // 2 : j0 // 2 + n]
+                np.matmul(weighted, stage[r, c, a].transpose(1, 0, 2, 3), out=out)
         coeffs, batch = coeffs.view(complex), values.shape[:-1]
         # a copy per spin, even where the transposed view is contiguous (j2 = 0): no bucket keeps the grid alive
         return [_spin(coeffs, j2).T.copy().reshape(1, *batch, j2 + 1, j2 + 1) for j2 in duals.labels]

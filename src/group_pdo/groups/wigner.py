@@ -14,8 +14,9 @@ orthogonal.  The full representation matrix in z-y-z Euler angles is
 
 The values are built in spin shells (``SpinShells``, also the layout the SU(2)
 transforms read): a closed form at each shell's lowest spin, then the three-term
-recursion in ``j`` one spin level at a time, on its top row only, the other three
-sides by the exact symmetries of d.  The recursion stays stable far beyond the range
+recursion in ``j`` one spin level at a time, on its top row only; the bottom row is
+its signed mirror, and the two columns, never stored, are views of the two rows by
+the unsigned mirror d_mn = d_{-n,-m}.  The recursion stays stable far beyond the range
 where the factorial sum (``wigner_d_sum``, kept as a small-spin cross-check) overflows.
 """
 
@@ -36,12 +37,12 @@ class SpinShells:
     h = top + 1 holds 2m = 2s - top + (top + r) % 2 (`weights2`; an empty
     slot has |2m| > top).  Shell j0 holds the slot pairs (a, c) of parity
     j0 % 2 with max(|2m_a|, |2m_c|) = j0: the border of every d^j with
-    j2 >= j0 at that distance from its centre.  Its values for the spins
-    j0, j0 + 2, ..., top are one block (spins, pairs, theta) of `values`:
-    the per-spin tables' values once each, and any spins <= j2 a prefix.
-    `shells[j0]` gives it as two sides (a, c, view), a and c slices of
-    slots and view (spins, len a, len c, theta): the top and bottom rows,
-    then the left and right columns between them.
+    j2 >= j0 at that distance from its centre.  Only its top and bottom rows
+    are stored, for the spins j0, j0 + 2, ..., top one block (spins, 2,
+    j0 + 1, theta) of `values` (one row at j0 = 0), any spins <= j2 a prefix.
+    `shells[j0]` gives the shell as two sides (a, c, view), a and c slices of
+    slots and view (spins, len a, len c, theta): the rows, then the left and
+    right columns between them, a view of the rows (`columns`).
 
     Only the top rows (2m = -j0, every n) are computed.  At its first spin a
     top row is the closed form sqrt(C(j0, k)) cos(theta/2)^(j0-k) sin(theta/2)^k,
@@ -53,8 +54,8 @@ class SpinShells:
 
     with w1(j) = sqrt(((j+1)^2-m^2)((j+1)^2-n^2))/(j+1) and
     w3(j) = sqrt((j^2-m^2)(j^2-n^2))/j, which is 0 at a shell's first spin.
-    By d_mn = (-1)^(m-n) d_nm = (-1)^(m-n) d_{-m,-n} = d_{-n,-m} the bottom row is then (-1)^(j0-k) top[j0-k],
-    the left column (-1)^k top[k] and the right column top[j0-k]: every d^j2 has the three symmetries bit for bit.
+    By d_mn = (-1)^(m-n) d_{-m,-n} the bottom row is then (-1)^(j0-k) top[j0-k], and by d_mn = d_{-n,-m} the
+    left column reads bottom[j0-k] and the right column top[j0-k]: every d^j2 has the three symmetries bit for bit.
     """
 
     def __init__(self, top: int, theta: np.ndarray):
@@ -62,19 +63,19 @@ class SpinShells:
         self.weights2 = 2 * np.arange(top + 1) - top + (top + np.arange(2)[:, None]) % 2
         h, t, cos_t, slots = top + 1, theta.size, np.cos(theta), np.arange(top + 1)
         self._first, self._step = np.zeros(2 * h * h, dtype=int), np.zeros(2 * h * h, dtype=int)  # per pair
-        self.values = np.empty(t * (top + 1) * (top + 2) * (2 * top + 3) // 6)  # the size of the per-spin tables
+        self.values = np.empty(t * sum(((top - j) // 2 + 1) * min(j + 1, 2) * (j + 1) for j in range(h)))  # the rows
         self.shells, size = [], 0
         for j0 in range(top + 1):
             lo, hi, spins = (top - j0) // 2, (top + j0) // 2, (top - j0) // 2 + 1
             ends = slice(lo, hi + 1, max(j0, 1))  # the slots of 2m = -j0 and j0
             ring = [(a, c) for a, c in [(ends, slice(lo, hi + 1)), (slice(lo + 1, hi), ends)] if slots[a].size]
-            sides = [(j0 % 2) * h * h + h * slots[a][:, None] + slots[c] for a, c in ring]  # pairs r h^2 + a h + c
-            pairs = np.concatenate([side.ravel() for side in sides])
-            block = self.values[size : size + spins * pairs.size * t].reshape(spins, -1, t)  # (spins, pairs, theta)
-            self._first[pairs], self._step[pairs] = size + t * np.arange(pairs.size), pairs.size * t  # theta_0, a spin
-            views = np.split(block, np.cumsum([side.size for side in sides])[:-1], axis=1)
-            self.shells.append([(a, c, v.reshape(spins, *p.shape, t)) for (a, c), p, v in zip(ring, sides, views)])
-            size += block.size
+            rows = self.values[size : size + spins * slots[ends].size * (j0 + 1) * t].reshape(spins, -1, j0 + 1, t)
+            at = size + t * np.arange(rows[0, ..., 0].size).reshape(1, -1, j0 + 1, 1)  # each row entry's theta_0
+            self.shells.append([(a, c, v) for (a, c), v in zip(ring, (rows, self.columns(rows)))])
+            for (a, c), first in zip(ring, (at, self.columns(at))):  # pairs r h^2 + a h + c
+                pairs = (j0 % 2) * h * h + h * slots[a][:, None] + slots[c]
+                self._first[pairs], self._step[pairs] = first[0, ..., 0], rows[0].size  # theta_0, a spin
+            size += rows.size
         # column k is the k-th power, each by its own `**` as the closed form reads
         pc, ps = (np.stack([base**k for k in range(h)], axis=1) for base in (np.cos(theta / 2.0), np.sin(theta / 2.0)))
         for j0s in [np.arange(r, h, 2) for r in range(min(h, 2))]:  # the shells of one parity (no odd one at top 0)
@@ -99,12 +100,15 @@ class SpinShells:
                 new[live : ends[i]] = seeds[live : ends[i]]
                 for j0, stop in zip(j0s[: i + 1].tolist(), ends.tolist()):
                     self.shells[j0][0][2][(j2 - j0) // 2, 0] = new[stop - j0 - 1 : stop]
-        for j0, sides in enumerate(self.shells[1:], 1):  # bottom, then left and right by the signed mirror
+        for j0, sides in enumerate(self.shells[1:], 1):  # the bottom row by the signed mirror
             rows, sign = sides[0][2], (-1.0) ** np.arange(j0 + 1)[:, None]
             np.multiply(rows[:, 0, ::-1], sign[::-1], out=rows[:, 1])
-            for _, _, cols in sides[1:]:
-                np.multiply(rows[:, 0, 1:j0], sign[1:j0], out=cols[:, :, 0])
-                cols[:, :, 1] = rows[:, 0, j0 - 1 : 0 : -1]
+
+    @staticmethod
+    def columns(rows: np.ndarray) -> np.ndarray:
+        """The column side (spins, j0 - 1, 2, ...) of a shell as a view of its rows (spins, 2, j0 + 1, ...), or of any
+        array of their shape: by d_mn = d_{-n,-m}, left[k] = bottom[j0 - k] and right[k] = top[j0 - k], unsigned."""
+        return rows[:, ::-1, -2:0:-1].swapaxes(1, 2)
 
     @cached_property
     def _at(self) -> list[np.ndarray]:

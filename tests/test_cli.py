@@ -213,6 +213,7 @@ NORMS = "the weighted norms at p={p} cannot be formed in floating point"
 SCHRODINGER = "--group t1 --band 20 --symbol schrodinger --symbol-params t=1e308,delta=0.5"
 PHASE = "symbol parameter t=1e+308 makes the phase t f(x) <xi>^delta non-finite"
 WEIGHTED = f"seminorm {POWER}=3 --rho 1 --delta 0 --l 1"
+LIMIT = "must be finite and have a finite square"  # a --band-limit no tail sum can reach
 
 
 @pytest.mark.parametrize(
@@ -242,6 +243,10 @@ WEIGHTED = f"seminorm {POWER}=3 --rho 1 --delta 0 --l 1"
             "band windows (2.0, 2.0) must be distinct, finite and >= 1",
         ),
         ("weyl --group t1 --alpha -2 --lambdas 2,4 --band-limit 1", "band_limit 1.0 is below the largest lambda 4.0"),
+        *(
+            (f"weyl --group t1 --alpha -2 --lambdas 2,4 --band-limit {limit}", f"band_limit {LIMIT}, got {shown}")
+            for limit, shown in (("nan", "nan"), ("inf", "inf"), ("1e300", "1e+300"))  # 1e300 has no finite square
+        ),
         ("weyl --group t1 --alpha inf --lambdas 2,4", "alpha must be finite, got inf"),
         ("weyl --group t1 --alpha=-inf --lambdas 2,4 --band-limit 8", "alpha must be finite, got -inf"),
         (f"hsnorm {POWER}=800", "a power with exponent 800.0 overflows the float range"),
@@ -353,6 +358,21 @@ def test_band_past_the_operator_grid_is_refused_at_set_up(tmp_path, monkeypatch,
     assert code == 3 and files == []
     err = capsys.readouterr().err
     assert err == "precision/band error: symbol band 8.06226 (|k| <= 8) exceeds grid exactness |k| <= 7 (shape (16,)); refuse to alias\n"
+
+
+def test_failed_factorisation_is_precision_error(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, but an SVD that does not converge is no usage error: exit 3, not 2
+    import numpy as np
+
+    from group_pdo import cli
+
+    def fail(args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(cli.COMMANDS, "transform", fail)
+    code, _, files = run(["transform", "--group", "t1", "--band", "4"], tmp_path)
+    assert code == 3 and files == []
+    assert capsys.readouterr().err == "precision/band error: SVD did not converge\n"
 
 
 def run_fresh(argv: str, tmp_path):

@@ -16,6 +16,7 @@ from group_pdo.fourier import (
     random_bandlimited,
 )
 from group_pdo.groups import SU2, Torus
+from group_pdo.groups.wigner import SpinShells
 from group_pdo.named_functions import dirichlet_kernel
 from oracles import SU2_TABLES, dual_index, forward_direct, forward_su2_per_spin, inverse_su2_per_spin, svd_sup_op_norms
 
@@ -319,8 +320,8 @@ class TestSU2Engine:
         assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
 
     def test_grid_holds_one_copy_of_the_d_values(self, rng):
-        # after transforms at two bands and a rep table, the grid's d values are its spin shells, in
-        # exactly the bytes of the per-spin tables, and every shell block is a view of them
+        # after transforms at two bands and a rep table, the grid's d values are its spin shells' two rows (one
+        # at j0 = 0) and no more, and every side of every shell, the columns included, is a view of them
         su2 = SU2()
         grid = su2.haar_grid(12)
         for cut in (12, 7):
@@ -329,10 +330,13 @@ class TestSU2Engine:
         grid.rep_table(dual_index(su2, 5))
         assert set(vars(grid)) == SU2_TABLES  # no rep table and no nodes are kept
         shells = grid._shells
-        assert shells.values.size == sum((j2 + 1) ** 2 for j2 in range(13)) * grid.shape[1]
+        size = sum(((12 - j0) // 2 + 1) * min(j0 + 1, 2) * (j0 + 1) for j0 in range(13))  # spins x rows x row
+        assert shells.values.size == size * grid.shape[1]
         for sides in shells.shells:
             for _, _, view in sides:
                 assert view.base is shells.values
+        # half the per-spin tables' 24_727_560 bytes at j2 = 64 on its 33 Gauss-Legendre theta nodes
+        assert SpinShells(64, su2.haar_grid(64).axes[1]).values.nbytes == 12_925_704
 
 
 def structured_table(group, top: int, batch: int, kind: str, scale: float, rng) -> FourierCoefficients:
