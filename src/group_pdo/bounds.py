@@ -591,6 +591,8 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
         checks.append(AuditCheck(name=f"linf_bound[{i}]", value=lhs, bound=rhs, ok=bool(lhs <= rhs)))
     squares = sigma.hs_squares()  # one pass for the HS norm and the dyadic increments
     rel = hs_relative_difference(hs_k, _hs_norm(sigma, squares))
+    hs_terms = sigma.duals.dims * squares.reshape(len(squares), -1).max(axis=1)
+    del squares  # not held through `sup_op_norms`
     checks.append(AuditCheck(name="hs_identity", value=rel, bound=HS_REL_TOL, ok=bool(rel <= HS_REL_TOL)))
 
     weights = sigma.duals.weights
@@ -609,7 +611,6 @@ def bound_audit(sigma: Symbol, f_samples, grid=None) -> AuditReport:
             )
         )
         if m_fit > n / 2.0:
-            hs_terms = sigma.duals.dims * squares.reshape(len(weights), -1).max(axis=1)
             edges = [2.0**j for j in range(1, int(np.log2(max(weights.max(), 2.0))) + 1)]
             incs = []
             lo = 0.0

@@ -75,7 +75,7 @@ def difference(q: DifferenceOp, sigma: Symbol) -> Symbol:
         sigma,
         band=new_band,
         duals=sigma.duals[keep],
-        buckets=q.rule(sigma.duals, sigma.buckets, keep),
+        buckets=q.rule(sigma.duals, sigma.table().buckets, keep),
         provenance=f"D[{q.name}]{sigma.provenance}",
     )
 
@@ -110,7 +110,7 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol) -> Symbol:
         return s
 
     mults = multiplier(group, x_band, lambda duals: [field_power(eta) for eta in duals])
-    n = grid.node_count
+    n, sigma = grid.node_count, sigma.table()  # every entry of every block, a scalar form's zeros too
     # every matrix entry of every block as one stack of grid functions, in dual then row-major entry order
     entries = np.concatenate([np.moveaxis(b, 1, -1).reshape(-1, n) for b in sigma.buckets])
     for rows in batch_slices(len(entries), n):  # each chunk is overwritten by its derivative

@@ -15,13 +15,15 @@ a leading batch axis, and a single transform is the batch of one.
 optional batch axis: the node axis of a symbol (`symbols.Symbol`, the same
 container) is one, so `inverse` of a symbol gives the kernel of sigma(x, .)
 at every node.  Its format is one packed bucket per run of duals of equal
-dimension, taken and stored as given; `blocks` is a per-dual view of it,
-`from_blocks` the one constructor from per-dual blocks, and the per-dual
-reductions (`hs_squares`, `sup_op_norms`) live here too.  `sup_op_norms`
-pins each node's norm between max|a_ij| and (||A||_1 ||A||_inf)^(1/2),
-and takes an SVD only where these differ: a block with at most one
-nonzero per row and column takes none.  A table has no file layout of
-its own: the CLI writes every result file.
+dimension, stored as given: d x d blocks, or 1 x 1 blocks s for s I_d, the
+scalar form.  `table` builds every d x d block, `rows` those of a chunk of
+the batch axis; `blocks` is a per-dual view of the table, `from_blocks` the
+one constructor from per-dual blocks, and the per-dual reductions
+(`hs_squares`, `sup_op_norms`) read it a chunk of rows at a time.  They pin
+each node's operator norm between max|a_ij| and (||A||_1 ||A||_inf)^(1/2),
+and take an SVD only where these differ: a block with at most one nonzero
+per row and column takes none.  A table has no file layout of its own: the
+CLI writes every result file.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ class FourierCoefficients:
     for a symbol sigma(x, xi) tabulated at the B nodes of `grid`.  The
     format is `buckets`, one complex array ``(count, [B,] d, d)`` per
     maximal run of consecutive duals of equal dimension d (`duals.runs`): a
-    single bucket on the torus, one per spin on SU(2).  A complex bucket is
-    stored as given, not copied, and nothing writes into one.  `blocks` is
-    a read-only per-dual view of the buckets; `from_blocks` builds a table
-    from per-dual blocks.
+    single bucket on the torus, one per spin on SU(2).  A bucket of 1 x 1
+    blocks s is the scalar form s I_d of its run: B numbers per dual, not
+    B d^2, and on the torus its own table.  A complex bucket is stored as
+    given, not copied, and nothing writes into one.  `blocks` is a read-only
+    per-dual view of the `table`; `from_blocks` builds one from blocks.
     """
 
     group: object
@@ -80,7 +83,7 @@ class FourierCoefficients:
         for (start, stop), bucket in zip(runs, self.buckets):
             dim = int(self.duals.dims[start])
             want = (*self.batch, dim, dim)
-            if len(want) > 3 or bucket.shape[1:] != want:
+            if len(want) > 3 or bucket.shape[1:] not in (want, (*self.batch, 1, 1)):
                 raise ValueError(f"block for {self.duals[start].label} has shape {bucket.shape[1:]}, wanted {want}")
             if len(bucket) != stop - start:
                 raise ValueError(f"bucket from {self.duals[start].label} holds {len(bucket)} blocks for {stop - start} duals")
@@ -97,12 +100,16 @@ class FourierCoefficients:
         buckets = [np.asarray(blocks[start:stop], dtype=complex) for start, stop in duals.runs]
         return cls(group, band, duals, buckets, grid, **fields)
 
+    def table(self) -> "FourierCoefficients":
+        """Itself with d x d blocks in every bucket, a scalar bucket s becoming s I_d; every other field is kept."""
+        full = [_full(b, int(self.duals.dims[start])) for (start, _), b in zip(self.duals.runs, self.buckets)]
+        return self if all(f is b for f, b in zip(full, self.buckets)) else replace(self, buckets=full)
+
     @property
     def blocks(self) -> Sequence[np.ndarray]:
-        """The per-dual sequence over the buckets: the bucket itself when there is one."""
-        if len(self.buckets) == 1:
-            return self.buckets[0]
-        return [b for bucket in self.buckets for b in bucket]
+        """The per-dual sequence over the `table`'s buckets: the bucket itself when there is one."""
+        buckets = self.table().buckets
+        return buckets[0] if len(buckets) == 1 else [b for bucket in buckets for b in bucket]
 
     @cached_property
     def _index(self) -> dict:  # the position of each dual label, a tuple on the torus
@@ -114,34 +121,56 @@ class FourierCoefficients:
         return self.blocks[self._index[label]]
 
     def map_buckets(self, fn) -> "FourierCoefficients":
-        """fn(bucket) applied per packed bucket ``(count, [B,] d, d)``; every other field is kept."""
-        return replace(self, buckets=[fn(b) for b in self.buckets])
+        """fn(bucket) applied per packed bucket ``(count, [B,] d, d)`` of the `table`; every other field is kept."""
+        return replace(self, buckets=[fn(b) for b in self.table().buckets])
 
     def rows(self, rows: slice) -> "FourierCoefficients":
-        """Entries `rows` of the batch axis without a grid; a table without one is the same in every row."""
+        """The `table` of entries `rows` of the batch axis alone, without a grid; one without has the same rows."""
         if not self.batch:
-            return self
-        return FourierCoefficients(self.group, self.band, self.duals, [b[:, rows] for b in self.buckets])
+            return self.table()
+        return FourierCoefficients(self.group, self.band, self.duals, [b[:, rows] for b in self.buckets]).table()
+
+    def row_blocks(self, rows):
+        """Each dual's blocks at the entries `rows` of the batch axis (its one block without), built for it alone."""
+        for (start, _), bucket in zip(self.duals.runs, self.buckets):
+            yield from (_full(b[rows] if self.batch else b, int(self.duals.dims[start])) for b in bucket)
+
+    def _row_chunks(self) -> list[slice]:
+        """`batch_slices` of the batch axis by the table's entries per row, or one slice without a batch axis."""
+        return batch_slices(self.batch[0], int(np.sum(self.duals.dims**2))) if self.batch else [slice(None)]
 
     def __matmul__(self, other: "FourierCoefficients") -> "FourierCoefficients":
         """Blockwise product self(xi) @ other(xi) over the same duals; a one-sided batch axis broadcasts."""
         if other.duals is not self.duals and other.duals != self.duals:
             raise ValueError("blockwise product needs the same duals on both sides")
         lift = len(self.batch) < len(other.batch), len(other.batch) < len(self.batch)
-        products = [
-            (s[:, None] if lift[0] else s) @ (o[:, None] if lift[1] else o) for s, o in zip(self.buckets, other.buckets)
-        ]
+        pairs = zip(self.table().buckets, other.table().buckets)
+        products = [(s[:, None] if lift[0] else s) @ (o[:, None] if lift[1] else o) for s, o in pairs]
         grid = self.grid if self.grid is not None else other.grid
         return FourierCoefficients(self.group, self.band, self.duals, products, grid)
 
     def hs_squares(self) -> np.ndarray:
-        """||sigma(x, xi)||_HS^2 for every dual in order, batch axis kept: shape (count, [B])."""
+        """||sigma(x, xi)||_HS^2 for every dual in order, batch axis kept: (count, [B]), a chunk of rows at a time."""
+        out = np.empty((len(self.duals), *self.batch))
         with np.errstate(over="ignore"):  # an overflowed square is inf, which the HS gate refuses
-            return np.concatenate([np.sum(np.abs(b) ** 2, axis=(-2, -1)) for b in self.buckets])
+            for rows in self._row_chunks():
+                for (start, stop), b in zip(self.duals.runs, self.rows(rows).buckets):
+                    a = np.abs(b)
+                    np.sum(np.square(a, out=a), axis=(-2, -1), out=out[start:stop][..., rows])
+                    del a  # not held while the next bucket's is made
+        return out
 
     def sup_op_norms(self) -> np.ndarray:
-        """max over nodes of ||sigma(x, xi)||_op, for every dual in order: `_sup_op_norms` per bucket."""
-        return np.concatenate([_sup_op_norms(b) for b in self.buckets])
+        """max over nodes of ||sigma(x, xi)||_op, for every dual in order: `_sup_op_norms` per bucket of each chunk."""
+        out = np.full(len(self.duals), -np.inf)
+        for rows in self._row_chunks():
+            np.maximum(out, np.concatenate([_sup_op_norms(b) for b in self.rows(rows).buckets]), out=out)
+        return out
+
+
+def _full(bucket: np.ndarray, d: int) -> np.ndarray:
+    """The d x d blocks of `bucket`: s I_d of 1 x 1 blocks s (the scalar form), else the bucket itself."""
+    return bucket * np.eye(d) if bucket.shape[-1] < d else bucket
 
 
 # Bounds below this scale may rest on underflowed squares, so they pin nothing.
@@ -179,9 +208,12 @@ def _sup_op_norms(bucket: np.ndarray) -> np.ndarray:
 
 
 def _norm_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max|a_ij|, (||A||_1 ||A||_inf)^(1/2)) of every block of `blocks` (..., d, d)."""
-    ones = np.ones(blocks.shape[-1])  # column and row sums as products: faster than sums over short axes
+    """(max|a_ij|, (||A||_1 ||A||_inf)^(1/2)) of every block of `blocks` (..., d, d): (|a|, sqrt(|a| |a|)) for d = 1."""
     with np.errstate(over="ignore"):  # an overflowed bound is inf, and pins nothing
+        if blocks.shape[-1] == 1:  # no one-element matmul per block
+            a = np.abs(blocks[..., 0, 0])
+            return a, np.sqrt(a * a)
+        ones = np.ones(blocks.shape[-1])  # column and row sums as products: faster than sums over short axes
         a = np.abs(blocks)
         return a.max(axis=(-2, -1)), np.sqrt((ones @ a).max(axis=-1) * (a @ ones).max(axis=-1))
 
@@ -203,7 +235,7 @@ def forward(f: GridFunction, band: float, duals=None) -> FourierCoefficients:
 
 def inverse(a: FourierCoefficients, grid) -> GridFunction:
     """Pointwise evaluation of the finite Peter-Weyl sum on the grid nodes, per batch entry: its `synthesis`."""
-    values = grid.synthesis(a.duals, a.buckets, math.prod(a.batch))
+    values = grid.synthesis(a.duals, a.table().buckets, math.prod(a.batch))
     return GridFunction(grid, values.reshape(*a.batch, grid.node_count))
 
 

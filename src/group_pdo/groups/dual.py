@@ -122,7 +122,7 @@ class GridMeta:
             values = self._node_values(values)
             batch = values.shape[:-1]
             coeffs = self.analysis(values, sigma.duals)
-            products = [(s[:, None] if batch else s) @ c for s, c in zip(sigma.buckets, coeffs)]
+            products = [(s[:, None] if batch else s) @ c for s, c in zip(sigma.table().buckets, coeffs)]
             return self.synthesis(sigma.duals, products, math.prod(batch)).reshape(*batch, self.node_count)
 
         return op

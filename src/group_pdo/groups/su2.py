@@ -425,7 +425,7 @@ class SU2Grid(GridMeta):
         # each product P is conjugated in place and read transposed: no buffer beside it
         blocks = (
             np.conj(p, out=p).transpose(0, 2, 1)
-            for p in (self.rep_table(xi, x) @ b[0] for xi, b in zip(sigma.duals, sigma.rows(x).buckets))
+            for p in (self.rep_table(xi, x) @ b for xi, b in zip(sigma.duals, sigma.row_blocks(x)))
         )
         values = self.synthesis(sigma.duals, blocks, len(x))
         return np.conj(values, out=values)

@@ -225,10 +225,10 @@ class TorusGrid(GridMeta):
                 f"exactness |k| <= {self.native_exact} (shape {self.shape}); refuse to alias"
             )
 
-    def rep_table(self, xi: DualIndex) -> np.ndarray:
-        """xi at every node, shape (N, 1, 1)."""
+    def rep_table(self, xi: DualIndex, rows=slice(None)) -> np.ndarray:
+        """xi at the nodes `rows`, a slice (every node by default) or an index array, shape (len, 1, 1)."""
         self.group._check_dual(xi)
-        return np.exp(1j * (self.nodes @ np.asarray(xi.label, dtype=float)))[:, None, None]
+        return np.exp(1j * (self.nodes[rows] @ np.asarray(xi.label, dtype=float)))[:, None, None]
 
     def analysis(self, values: np.ndarray, duals: Duals) -> list[np.ndarray]:
         """The forward transform of grid values (N,) or (B, N) on `duals`: the one bucket (count, [B,] 1, 1)."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import PrecisionError
 from .fourier import GridFunction, forward, inverse
+from .groups import batch_slices
 from .symbols import Symbol
 
 BAND_CHECK_TOL = 1e-8
@@ -58,14 +59,13 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
             )
     if sigma.invariant:
         return inverse(sigma @ coeffs, grid)
-    # one dual at a time, never the whole table sigma(x, xi) fhat(xi): P = xi(x) sigma(x, xi) once for the
-    # batch, then Tr(P fhat) = sum_ab P_ab fhat_ba for every function as one product (N, d^2) x (d^2, B)
+    # a chunk of nodes and one dual at a time, never the whole table sigma(x, xi) fhat(xi): P = xi(x) sigma(x, xi)
+    # once for the batch, then Tr(P fhat) = sum_ab P_ab fhat_ba for every function as one product (n, d^2) x (d^2, B)
     vals = np.zeros((grid.node_count, math.prod(coeffs.batch)), dtype=complex)
-    for (start, stop), s, c in zip(sigma.duals.runs, sigma.buckets, coeffs.buckets):
-        d = int(sigma.duals.dims[start])
-        columns = np.swapaxes(c, -1, -2).reshape(stop - start, -1, d * d)
-        for xi, block, col in zip(sigma.duals[start:stop], s, columns):
-            vals += d * ((grid.rep_table(xi) @ block).reshape(-1, d * d) @ col.T)
+    for rows in batch_slices(grid.node_count, int(sigma.duals.dims.max()) ** 2):
+        columns = (col for c in coeffs.buckets for col in np.swapaxes(c, -1, -2).reshape(len(c), -1, c.shape[-1] ** 2))
+        for xi, block, col in zip(sigma.duals, sigma.row_blocks(rows), columns):
+            vals[rows] += xi.dim * ((grid.rep_table(xi, rows) @ block).reshape(-1, xi.dim**2) @ col.T)
     return GridFunction(grid, vals.T.reshape(*coeffs.batch, grid.node_count))
 
 

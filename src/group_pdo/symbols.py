@@ -1,13 +1,16 @@
 """Matrix symbols sigma(x, xi) and the builders used by the experiments.
 
 A `Symbol` is a `FourierCoefficients` table, the one packed container for
-dual-indexed blocks: x-independent (invariant) without a grid, tabulated
-per grid node with one.  It derives the native truncation index (ball
-radius |k| on the torus, doubled spin on SU(2)) from its weight band, so
-that difference operations can account for the band they consume, and adds
-a provenance string.  An invariant symbol is its own coefficient table and
-goes straight into `fourier.inverse`.  Each builder here serves a `--symbol`
-name of the CLI (`BUILDER_KEYS`).
+dual-indexed blocks: x-independent (invariant) without a grid, tabulated per
+grid node with one.  A gridded scalar field times I (`schrodinger_phase`, a
+gridded `identity_symbol`) is held in the scalar form, N numbers per dual:
+only the readers of every block at once (a difference, a derivative, an
+adjoint, `@`, `blocks`, `inverse`) build its table.  It derives the native
+truncation index (ball radius |k| on the torus, doubled spin on SU(2)) from
+its weight band, so that difference operations can account for the band
+they consume, and adds a provenance string.  An invariant symbol is its own
+coefficient table and goes straight into `fourier.inverse`.  Each builder
+here serves a `--symbol` name of the CLI (`BUILDER_KEYS`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .groups import SU2, Duals, Torus
 
 @dataclass
 class Symbol(FourierCoefficients):
+    """sigma(x, xi) in the one container, with its provenance: d x d blocks, or 1 x 1 for s(x, xi) I_d."""
+
     provenance: str = ""
 
     @property
@@ -69,8 +74,8 @@ def float_powers(base: np.ndarray, s: float) -> np.ndarray:
 
 def identity_symbol(group, band: float, grid=None) -> Symbol:
     duals = group.enumerate_dual(band)
-    nodes = () if grid is None else (grid.node_count,)
-    buckets = [np.tile(np.eye(duals.dims[a], dtype=complex), (b - a, *nodes, 1, 1)) for a, b in duals.runs]
+    nodes = () if grid is None else (grid.node_count,)  # gridded, in the scalar form: a 1 per node and dual
+    buckets = [np.tile(np.eye(1 if nodes else duals.dims[a]), (b - a, *nodes, 1, 1)) for a, b in duals.runs]
     return Symbol(group, band, duals, buckets, grid=grid, provenance="identity")
 
 
@@ -118,7 +123,7 @@ def hirschman_wainger(rho: float, nu: float, band: float, group: Torus = None) -
 
 
 def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: float) -> Symbol:
-    """Gridded symbol exp(i t f(x) <xi>^delta) I, the free evolution phase."""
+    """Gridded symbol exp(i t f(x) <xi>^delta) I, the free evolution phase, in the scalar form: N numbers per dual."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     fv = f.values
@@ -132,7 +137,7 @@ def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: floa
             phase = tf * float_powers(duals.weights[start:stop], delta)[:, None]
         if not np.isfinite(phase).all():
             raise ValueError(f"symbol parameter t={t} makes the phase t f(x) <xi>^delta non-finite")
-        buckets.append(np.exp(phase)[:, :, None, None] * np.eye(duals.dims[start]))
+        buckets.append(np.exp(phase, out=phase)[:, :, None, None])
     return Symbol(
         group, band, duals, buckets, grid=f.grid, provenance=f"schrodinger(t={t},delta={delta})"
     )

@@ -482,7 +482,16 @@ def test_kernel_bounds_stay_below_half_a_kernel(name, band, t2, su2, rng):
     for sig in (multiplier_power(group, -1.0, band), schrodinger_phase(group, 0.3, f, 0.5, band)):
         assert _traced_peak(lambda: linf_bound_constant(sig, grid)) < half
         assert _traced_peak(lambda: hs_norm_kernel(sig, grid)) < half
-        # apply of a gridded symbol forms its blockwise product one bucket at a time: on SU(2) one spin, on
-        # the torus, whose one bucket is the whole symbol, as much again as the symbol
-        own = 0 if sig.invariant or name == "su2" else sum(b.nbytes for b in sig.buckets)
-        assert _traced_peak(lambda: bound_audit(sig, samples, grid)) < half + own
+        assert _traced_peak(lambda: bound_audit(sig, samples, grid)) < half
+
+
+def test_a_scalar_symbol_is_built_and_audited_without_its_table(su2, rng):
+    # a gridded schrodinger phase holds N numbers per dual, and every reader of the audit builds the blocks of a
+    # chunk of nodes at a time: the traced peak of the build and the audit stays below the N sum d^2 x 16 B table
+    band = 6.0
+    grid = su2.grid_for_band(band)
+    table = grid.node_count * int(np.sum(su2.enumerate_dual(band).dims ** 2)) * 16
+    assert table == 11_755_392
+    f = GridFunction(grid, np.cos(grid.nodes[:, 0]) + 0.5 * np.sin(grid.nodes[:, 1]))
+    samples = [random_bandlimited(grid, band, rng) for _ in range(5)]
+    assert _traced_peak(lambda: bound_audit(schrodinger_phase(su2, 0.1, f, 0.5, band), samples, grid)) < table

@@ -5,6 +5,7 @@ from conftest import dense_kernel, weighted_smax
 from group_pdo.errors import PrecisionError
 from group_pdo.fourier import GridFunction, forward, random_bandlimited
 from group_pdo.groups import TorusGrid
+from group_pdo import quantize
 from group_pdo.quantize import SymbolMatrix, apply, operator, realize
 from group_pdo.symbols import (
     Symbol,
@@ -51,7 +52,7 @@ class TestApply:
             apply(sig, rough)
 
     @pytest.mark.parametrize("group_name", ["t1", "t2", "su2"])
-    def test_batch_is_each_function_alone(self, group_name, t1, t2, su2, rng):
+    def test_batch_is_each_function_alone(self, group_name, t1, t2, su2, rng, monkeypatch):
         # a gridded symbol applied to a batch: one product per dual for all rows, each row as if alone
         group = {"t1": t1, "t2": t2, "su2": su2}[group_name]
         band = group.band_of_native(2 if group_name == "su2" else 4)
@@ -71,6 +72,9 @@ class TestApply:
         for row, values in zip(batch.values, out.values):
             alone = apply(sig, GridFunction(grid, row)).values
             np.testing.assert_allclose(values, alone, rtol=0, atol=1e-13 * np.abs(alone).max())
+        # it takes a chunk of nodes at a time: chunks of several rows (here 6 of 36 or 100, 4 of 10) keep the bits
+        monkeypatch.setattr(quantize, "batch_slices", lambda count, _: [slice(a, a + 6) for a in range(0, count, 6)])
+        assert np.array_equal(apply(sig, batch).values, out.values)
 
     def test_batch_band_check_is_per_row(self, t1, rng):
         grid = t1.haar_grid(32)

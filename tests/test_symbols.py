@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import dense_kernel
+from group_pdo.diffops import admissible_collection, difference, invariant_derivative
 from group_pdo.errors import SingularSymbolError
 from group_pdo.fourier import GridFunction, random_bandlimited
 from group_pdo.quantize import apply
@@ -198,3 +200,32 @@ class TestSymbolContainer:
             assert sig.resolve_grid() is grid
             with pytest.raises(ValueError, match="lives on its own grid"):
                 sig.resolve_grid(group.haar_grid(resolution + 2))
+
+
+class TestScalarForm:
+    @pytest.mark.parametrize("name", ["t1", "t2", "su2"])
+    def test_every_reader_gives_what_it_gives_on_the_table(self, name, t1, t2, su2, rng):
+        # a gridded schrodinger phase or identity holds s (count, N, 1, 1) per run, for s I_d: each reader gives
+        # bit for bit what it gives on the table the scalar form stands for
+        group = {"t1": t1, "t2": t2, "su2": su2}[name]
+        band = group.band_of_native(6)
+        grid = group.grid_for_band(band)
+        # band-limited f, and t small enough that the derivative's grid resolves exp(i t f(x) <xi>^delta)
+        f = GridFunction(grid, grid.nodes[:, 0] if name == "su2" else np.cos(grid.nodes[:, 0]))
+        batch = GridFunction(grid, [random_bandlimited(grid, band, rng).values for _ in range(3)])
+        q, beta = admissible_collection(group)[0], (1,) + (0,) * (group.dim - 1)
+        for sig in (schrodinger_phase(group, 0.05, f, 0.5, band), identity_symbol(group, band, grid=grid)):
+            table = sig.table()
+            assert all(b.shape[-2:] == (1, 1) for b in sig.buckets)
+            assert [b.shape[-1] for b in table.buckets] == [sig.duals.dims[start] for start, _ in sig.duals.runs]
+            assert (table is sig) == (name != "su2")  # on the torus the scalar form is the table
+            assert np.array_equal(dense_kernel(sig, grid), dense_kernel(table, grid))
+            assert np.array_equal(apply(sig, batch).values, apply(table, batch).values)
+            assert np.array_equal(sig.hs_squares(), table.hs_squares())
+            assert np.array_equal(sig.sup_op_norms(), table.sup_op_norms())
+            for op in (lambda s: difference(q, s), lambda s: invariant_derivative(beta, s)):
+                made, from_table = op(sig), op(table)  # each keeps its table
+                assert made.duals == from_table.duals and made.provenance == from_table.provenance
+                assert [b.shape for b in made.buckets] == [b.shape for b in from_table.buckets]
+                assert all(np.array_equal(a, b) for a, b in zip(made.buckets, from_table.buckets))
+                assert made.table() is made
