@@ -388,9 +388,7 @@ def finite_regularity_threshold(n: int, p: float, rho: float, delta: float) -> T
         raise ValueError(f"rho and delta must lie in [0, 1], got rho={rho}, delta={delta}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    kappa = 2
-    while kappa <= n / 2.0:
-        kappa += 2
+    kappa = 2 * (n // 4 + 1)  # the smallest even integer > n/2
     ratio = n / p
     nearest = round(ratio)
     int_part = nearest if abs(ratio - nearest) < 1e-12 else int(np.floor(ratio))

@@ -89,12 +89,14 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol) -> Symbol:
 
     An invariant sigma has derivative zero and d^0 is the identity; the one
     caller, `seminorms.seminorm`, writes those entries itself and passes
-    neither case here.  The x-dependence of each matrix entry is expanded in
+    neither case here.  The x-dependence of each stored entry is expanded in
     the group Fourier series on the symbol's grid, all entries as one batch;
     coefficient blocks are multiplied on the left by the vector-field symbols
     (composition left-to-right in beta, which matters on SU(2)), and the
-    series is resummed.  Inputs whose x-spectrum is not resolved by the grid
-    are rejected, naming the first such entry.
+    series is resummed.  A scalar-form bucket is differentiated as stored, one
+    entry per node and dual, and the result keeps the shape of every bucket.
+    Inputs whose x-spectrum is not resolved by the grid are rejected, naming
+    the first such entry in dual and then row-major order of the stored blocks.
     """
     group = sigma.group
     if len(beta) != group.dim:
@@ -110,8 +112,9 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol) -> Symbol:
         return s
 
     mults = multiplier(group, x_band, lambda duals: [field_power(eta) for eta in duals])
-    n, sigma = grid.node_count, sigma.table()  # every entry of every block, a scalar form's zeros too
-    # every matrix entry of every block as one stack of grid functions, in dual then row-major entry order
+    n = grid.node_count
+    # every stored entry of every block as one stack of grid functions, in dual then row-major entry order:
+    # d^2 per dual of a table bucket, one of a scalar bucket (d^beta (s I_d) = (d^beta s) I_d)
     entries = np.concatenate([np.moveaxis(b, 1, -1).reshape(-1, n) for b in sigma.buckets])
     for rows in batch_slices(len(entries), n):  # each chunk is overwritten by its derivative
         g = entries[rows]
@@ -121,16 +124,15 @@ def invariant_derivative(beta: tuple[int, ...], sigma: Symbol) -> Symbol:
         bad = np.flatnonzero(resid > _ALIAS_TOL * scale)
         if bad.size:
             entry = rows.start + int(bad[0])
-            k = int(np.searchsorted(np.cumsum(sigma.duals.dims**2), entry, side="right"))  # dims^2 entries per dual
+            widths = np.repeat([b.shape[-1] for b in sigma.buckets], [len(b) for b in sigma.buckets])  # per dual
+            k = int(np.searchsorted(np.cumsum(widths**2), entry, side="right"))
             xi = sigma.duals[k]
-            i, j = divmod(entry - int(np.sum(sigma.duals.dims[:k] ** 2)), xi.dim)
+            i, j = divmod(entry - int(np.sum(widths[:k] ** 2)), int(widths[k]))
             raise PrecisionError(
                 f"x-dependence of sigma at xi={xi.label} entry ({i},{j}) is not "
                 f"resolved by the grid (round-trip residual {resid[bad[0]]:.3g})"
             )
         entries[rows] = inverse(mults @ coeffs, grid).values
-    stacks = iter(np.split(entries, np.cumsum([b.size // n for b in sigma.buckets])[:-1]))
-    out = sigma.map_buckets(lambda b: np.moveaxis(next(stacks).reshape(len(b), *b.shape[2:], n), -1, 1))
-    out.provenance = f"d^{beta}{sigma.provenance}"
-    return out
-
+    stacks = np.split(entries, np.cumsum([b.size // n for b in sigma.buckets])[:-1])
+    buckets = [np.moveaxis(e.reshape(len(b), *b.shape[2:], n), -1, 1) for e, b in zip(stacks, sigma.buckets)]
+    return replace(sigma, buckets=buckets, provenance=f"d^{beta}{sigma.provenance}")

@@ -4,13 +4,14 @@ A `Symbol` is a `FourierCoefficients` table, the one packed container for
 dual-indexed blocks: x-independent (invariant) without a grid, tabulated per
 grid node with one.  A gridded scalar field times I (`schrodinger_phase`, a
 gridded `identity_symbol`) is held in the scalar form, N numbers per dual:
-only the readers of every block at once (a difference, a derivative, an
-adjoint, `@`, `blocks`, `inverse`) build its table.  It derives the native
-truncation index (ball radius |k| on the torus, doubled spin on SU(2)) from
-its weight band, so that difference operations can account for the band
-they consume, and adds a provenance string.  An invariant symbol is its own
-coefficient table and goes straight into `fourier.inverse`.  Each builder
-here serves a `--symbol` name of the CLI (`BUILDER_KEYS`).
+only the readers of every block at once (a difference, an adjoint, `@`,
+`blocks`, `inverse`) build its table; a derivative keeps the form.  It
+derives the native truncation index (ball radius |k| on the torus, doubled
+spin on SU(2)) from its weight band, so that difference operations can
+account for the band they consume, and adds a provenance string.  An
+invariant symbol is its own coefficient table and goes straight into
+`fourier.inverse`.  Each builder here serves a `--symbol` name of the CLI
+(`BUILDER_KEYS`).
 """
 
 from __future__ import annotations
@@ -175,19 +176,17 @@ def z_plus_c_inverse(c: complex, band: float) -> Symbol:
 def extract_symbol(op: Callable[[GridFunction], GridFunction], grid, band: float) -> Symbol:
     """Symbol of a black-box operator: sigma(x, xi) = xi(x)^* (A xi)(x).
 
-    A is applied to each matrix coefficient of each representation in the
-    band (as a grid function); the resulting matrices are assembled pointwise.
+    A is applied to the d^2 matrix coefficients of each representation in the
+    band as one batch of grid functions, so it must map a batch (B, N) to a
+    batch; the resulting matrices are assembled pointwise.
     """
     group = grid.group
     grid.require_band(band)
     duals = group.enumerate_dual(band)
     blocks = []
     for xi in duals:
-        table = grid.rep_table(xi)
-        applied = np.empty_like(table)
-        for i in range(xi.dim):
-            for j in range(xi.dim):
-                applied[:, i, j] = op(GridFunction(grid, table[:, i, j])).values
+        table = grid.rep_table(xi)  # (N, d, d)
+        applied = op(GridFunction(grid, table.reshape(len(table), -1).T)).values.T.reshape(table.shape)
         blocks.append(np.einsum("nba,nbc->nac", table.conj(), applied, optimize=True))
     return Symbol.from_blocks(group, band, duals, blocks, grid=grid, provenance="extracted")
 

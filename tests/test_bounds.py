@@ -315,6 +315,13 @@ class TestThresholdArithmetic:
         with pytest.raises(ValueError):
             finite_regularity_threshold(3, 1.0, 0.0, 0.0)
 
+    def test_kappa_is_the_smallest_even_integer_above_half_n(self):
+        for n in range(1, 2001):
+            kappa = finite_regularity_threshold(n, 2.0, 0.0, 0.0).kappa
+            assert kappa % 2 == 0 and kappa > n / 2 >= kappa - 2, n
+        # found in closed form: a huge dimension returns at once rather than stepping by 2 up to n/2
+        assert finite_regularity_threshold(10**12, 2.0, 0.0, 0.0).kappa == 500_000_000_002
+
 
 class TestWeylCounts:
     def test_su2_ratio_approaches_8_3(self, su2):

@@ -360,3 +360,35 @@ class TestInvariantDerivative:
                 PrecisionError, match=rf"at xi=2 entry {named} .* \(round-trip residual 0\.675\)"
             ):
                 invariant_derivative((0, 0, 1), sig)
+
+    def test_scalar_form_is_transformed_as_stored(self, su2, monkeypatch):
+        # d^beta (s I_d) = (d^beta s) I_d: one row per node and dual is forwarded, not the sum of d^2 of the table
+        grid = su2.haar_grid(8)
+        sig = schrodinger_phase(su2, 0.4, GridFunction(grid, grid.nodes[:, 0]), 0.5, su2.band_of_native(3))
+        rows = []
+
+        def counted(f, *args, **kwargs):
+            rows.append(len(f.values))
+            return fourier.forward(f, *args, **kwargs)
+
+        monkeypatch.setattr(diffops, "forward", counted)
+        out = invariant_derivative((0, 1, 0), sig)
+        assert sum(rows) == len(sig.duals) == 4
+        assert [b.shape for b in out.buckets] == [(1, grid.node_count, 1, 1)] * 4
+        rows.clear()
+        invariant_derivative((0, 1, 0), sig.table())
+        assert sum(rows) == int(np.sum(sig.duals.dims**2)) == 30
+
+    def test_rough_scalar_form_names_entry_0_0(self, su2):
+        # a scalar-form symbol rough from spin 1/2 on: the refusal names entry (0,0) of that dual,
+        # as the table path does
+        grid = su2.haar_grid(4)
+        sig = identity_symbol(su2, su2.band_of_native(2), grid=grid)
+        rough = np.sign(grid.nodes[:, 1]) + 2.0
+        sig = dataclasses.replace(sig, buckets=[sig.buckets[0]] + [b * rough[:, None, None] for b in sig.buckets[1:]])
+        assert [b.shape[-1] for b in sig.buckets] == [1, 1, 1]
+        with pytest.raises(PrecisionError, match=r"at xi=1 entry \(0,0\) .* \(round-trip residual") as scalar:
+            invariant_derivative((0, 0, 1), sig)
+        with pytest.raises(PrecisionError) as table:
+            invariant_derivative((0, 0, 1), sig.table())
+        assert str(scalar.value) == str(table.value)
