@@ -68,23 +68,38 @@ def linf_bound_constant(sigma: Symbol, grid=None) -> float:
 def _kernel_bounds(sigma: Symbol, grid) -> tuple[float, float]:
     """(max_i sum_j |K_ij| w_j, (sum_ij w_i |K_ij|^2 w_j)^(1/2)), reduced a chunk of kernel rows at a time.
 
-    The motions that map the grid onto itself keep its weights and the kernel of an invariant sigma, so
-    every row of an orbit has the two sums of its representative: for an invariant sigma only the rows of
-    the grid's `orbits()` representatives are synthesised, and each square sum counts once per member.
-    A gridded sigma reduces every row.
+    The motions that map the grid onto itself keep its weights, so a row moved by them keeps both sums.  They
+    keep the kernel of an invariant sigma: only the rows of the grid's `orbits()` representatives are
+    synthesised, and each square sum counts once per member.  A gridded scalar symbol held one dual per bucket
+    (every SU(2) one) reduces its rows moved by `_scalar_kernel_rows`, any other gridded sigma every row.
     """
     grid = sigma.resolve_grid(grid)
     reps, size = grid.orbits() if sigma.invariant else (None, 1)
-    w = grid.weights
-    row_l1, row_sq = [], []
-    for _, k in grid.kernel_rows(sigma, reps):  # every row, or each orbit's representative, in order
+    chunks = _scalar_kernel_rows(sigma, grid) if sigma.per_dual_scalar else grid.kernel_rows(sigma, reps)
+    w, rows, row_l1, row_sq = grid.weights, [], [], []
+    for at, k in chunks:  # every row, each orbit's representative, or every row moved, in order
         block = np.abs(k)
         del k  # the complex rows are not held while the next chunk is made
+        rows.append(np.arange(grid.node_count)[at])
         row_l1.append(block @ w)
         with np.errstate(over="ignore"):  # an overflowed square is inf, which the HS gate refuses
             row_sq.append(np.square(block, out=block) @ w)
-    w_rows = w if reps is None else w[reps]
+        del block  # nor their magnitudes
+    w_rows = w[np.concatenate(rows)]
     return float(np.max(np.concatenate(row_l1))), float(np.sqrt(size * (w_rows @ np.concatenate(row_sq))))
+
+
+def _scalar_kernel_rows(sigma: Symbol, grid):
+    """Yield (rows, R) over `batch_slices` of each of the grid's `two_sided_orbits()`, for a gridded sigma = s I
+    held one dual per bucket: R[x] = sum_xi s(x, xi) k_xi(x_c, .) at each node x of rows, x_c its orbit's first
+    node and k_xi the class-function kernels of `projection_rows`.  As K(x, .) = sum_xi s(x, xi) k_xi(x, .) and
+    the orbit's motions keep every k_xi, R[x] is K's row x moved by one of them."""
+    for orbit in grid.two_sided_orbits():
+        s = np.concatenate([b[:, orbit, 0, 0] for b in sigma.buckets])  # s(x, xi) on the orbit, a row per dual
+        kernels = grid.projection_rows(sigma.duals, int(orbit[0]))
+        for part in batch_slices(len(orbit), grid.node_count):
+            yield orbit[part], s[:, part].T @ kernels
+        del kernels  # one orbit's projection rows at a time
 
 
 def l2_multiplier_norm(sigma: Symbol) -> float:

@@ -18,10 +18,10 @@ at every node.  Its format is one packed bucket per run of duals of equal
 dimension, stored as given: d x d blocks, or 1 x 1 blocks s for s I_d, the
 scalar form.  `table` builds every d x d block, `rows` those of a chunk of
 the batch axis; `blocks` is a per-dual view of the table, `from_blocks` the
-one constructor from per-dual blocks, and the per-dual reductions
-(`hs_squares`, `sup_op_norms`) read it a chunk of rows at a time.  They pin
-each node's operator norm between max|a_ij| and (||A||_1 ||A||_inf)^(1/2),
-and take an SVD only where these differ: a block with at most one nonzero
+one constructor from per-dual blocks; `hs_squares` reads the table and
+`sup_op_norms` the stored blocks (|s| for s I_d) a chunk of rows at a time.
+The latter pins each node's norm between max|a_ij| and (||A||_1 ||A||_inf)^(1/2),
+and takes an SVD only where these differ: a block with at most one nonzero
 per row and column takes none.  A table has no file layout of its own: the
 CLI writes every result file.
 """
@@ -161,10 +161,12 @@ class FourierCoefficients:
         return out
 
     def sup_op_norms(self) -> np.ndarray:
-        """max over nodes of ||sigma(x, xi)||_op, for every dual in order: `_sup_op_norms` per bucket of each chunk."""
+        """max over nodes of ||sigma(x, xi)||_op, for every dual in order: `_sup_op_norms` per stored bucket of each
+        chunk (|s| for a scalar bucket s, the norm of s I_d)."""
         out = np.full(len(self.duals), -np.inf)
         for rows in self._row_chunks():
-            np.maximum(out, np.concatenate([_sup_op_norms(b) for b in self.rows(rows).buckets]), out=out)
+            stored = (b[:, rows] if self.batch else b for b in self.buckets)
+            np.maximum(out, np.concatenate([_sup_op_norms(b) for b in stored]), out=out)
         return out
 
 

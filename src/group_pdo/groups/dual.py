@@ -101,7 +101,8 @@ class GridMeta:
     and `invariant_operator`, Op(sigma) set up once (by default `analysis`, the blockwise product, `synthesis`).
     Each grid owns the rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`, `synthesis(duals,
     buckets, count) -> (count, N) values`, the kernel rows of one chunk `_rows(sigma, rows) -> (len, N)`, and the
-    motions that map it onto itself: `orbits() -> (representatives, size)` and `move(k, nodes)`."""
+    motions that map it onto itself: `orbits() -> (representatives, size)`, `move(k, nodes)` and, keeping every
+    class-function kernel such as `projection_rows`, `two_sided_orbits() -> (orbits, size) nodes`."""
 
     @property
     def node_count(self) -> int:
@@ -141,6 +142,14 @@ class GridMeta:
         for rows in batch_slices(count, self.node_count):
             rows = rows if nodes is None else nodes[rows]
             yield rows, self._rows(sigma, rows)
+
+    def projection_rows(self, duals: Duals, node: int) -> np.ndarray:
+        """k_xi(x, y) = d_xi chi_xi(y^-1 x) at the node x for each dual xi of `duals`, the kernel of the projection
+        onto xi: (len(duals), N), the conjugate of one synthesis of the blocks xi(x)^H, each at its own batch entry."""
+        at, alone = np.array([node]), np.eye(len(duals))[:, :, None, None]
+        blocks = [alone[i] * np.conj(self.rep_table(xi, at)).transpose(0, 2, 1) for i, xi in enumerate(duals)]
+        values = self.synthesis(duals, [np.stack(blocks[start:stop]) for start, stop in duals.runs], len(duals))
+        return np.conj(values, out=values)
 
     def meta(self) -> dict:
         return {

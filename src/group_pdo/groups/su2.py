@@ -279,7 +279,8 @@ class SU2Grid(GridMeta):
     The left z-rotations z(2 pi k / p) map the grid onto itself (`move`),
     so its nodes fall into t q orbits of p nodes (`orbits`): a kernel bound
     of an invariant symbol reads one kernel row per orbit, and the BMO
-    seminorm one distance vector.
+    seminorm one distance vector.  With the right z-rotations z(4 pi l / q),
+    each theta's nodes form one orbit (`two_sided_orbits`).
     """
 
     group: SU2
@@ -409,6 +410,11 @@ class SU2Grid(GridMeta):
         and keep distances, Haar weights (a function of theta) and the kernel of an invariant symbol."""
         p, t, q = self.shape
         return np.arange(t * q), p
+
+    def two_sided_orbits(self) -> np.ndarray:
+        """The node orbits under the left z(2 pi k / p) and right z(4 pi l / q) rotations, which keep the grid, its
+        weights (a function of theta) and every kernel k(y^-1 x) of a class function k: the p q nodes of each theta."""
+        return np.arange(self.node_count).reshape(self.shape).transpose(1, 0, 2).reshape(self.shape[1], -1)
 
     def move(self, k, nodes) -> np.ndarray:
         """The node z(2 pi k / p) x for each node x of `nodes`, k and nodes broadcast: phi index j goes to

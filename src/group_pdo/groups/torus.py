@@ -291,6 +291,10 @@ class TorusGrid(GridMeta):
         orbit of N.  They map the grid onto itself and keep distances, weights and invariant kernels."""
         return np.array([0]), self.node_count
 
+    def two_sided_orbits(self) -> np.ndarray:
+        """The node orbits under the translations from either side, the same ones: one orbit of every node."""
+        return np.arange(self.node_count)[None]
+
     def move(self, k, nodes) -> np.ndarray:
         """The node x_k + x for each node x of `nodes`, k and nodes broadcast: their multi-indices added
         modulo the shape."""

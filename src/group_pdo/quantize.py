@@ -43,7 +43,9 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
     """Evaluate Op(sigma) f by the finite trace sum at every node, for one function f or a batch of them.
 
     f must be band-limited within sigma's band; with check_band each input is
-    round-tripped through the band and rejected if it does not come back.
+    round-tripped through the band and rejected if it does not come back.  A
+    gridded sigma = s I held one dual per bucket (every SU(2) scalar form)
+    takes per dual xi one synthesis of fhat(xi) alone, for the whole batch.
     """
     grid = sigma.resolve_grid(f.grid)
     coeffs = forward(f, sigma.band, duals=sigma.duals)
@@ -59,6 +61,11 @@ def apply(sigma: Symbol, f: GridFunction, check_band: bool = True) -> GridFuncti
             )
     if sigma.invariant:
         return inverse(sigma @ coeffs, grid)
+    if sigma.per_dual_scalar:  # Op(s I) f = sum_xi s(., xi) P_xi f: per dual one synthesis of fhat(xi) alone
+        vals = np.zeros((math.prod(coeffs.batch), grid.node_count), dtype=complex)
+        for k, (s, c) in enumerate(zip(sigma.buckets, coeffs.buckets)):
+            vals += s.reshape(-1) * grid.synthesis(sigma.duals[k : k + 1], [c], len(vals))
+        return GridFunction(grid, vals.reshape(*coeffs.batch, grid.node_count))
     # a chunk of nodes and one dual at a time, never the whole table sigma(x, xi) fhat(xi): P = xi(x) sigma(x, xi)
     # once for the batch, then Tr(P fhat) = sum_ab P_ab fhat_ba for every function as one product (n, d^2) x (d^2, B)
     vals = np.zeros((grid.node_count, math.prod(coeffs.batch)), dtype=complex)

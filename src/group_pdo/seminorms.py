@@ -117,9 +117,12 @@ def seminorm(
                     SeminormEntry(alpha, beta, 0.0, [(lam, 0.0) for lam in windows])
                 )
             continue
+        cache = {}  # the last beta's differences are not held through this one's derivative and table
         tau_beta = invariant_derivative(beta, sigma) if nb > 0 else sigma
-        cache = {(0,) * len(ops): tau_beta}
-        for alpha in _multi_indices(len(ops), params.l - nb):
+        # every difference reads the table of its symbol: tau_beta's is built once per beta, if one is taken
+        cache[(0,) * len(ops)] = tau_beta.table() if params.l > nb else tau_beta
+        for alpha in _multi_indices(len(ops), params.l - nb):  # by order: a parent is one order below its child
+            cache = {a: tau for a, tau in cache.items() if sum(a) >= sum(alpha) - 1}  # older orders are never read
             if sum(alpha) > 0:
                 i = next(idx for idx, a in enumerate(alpha) if a > 0)
                 parent = list(alpha)
@@ -128,7 +131,7 @@ def seminorm(
                 if sum(alpha) < params.l - nb:  # leaves are never differenced again
                     cache[alpha] = tau
             else:
-                tau = cache[alpha]
+                tau = tau_beta  # measured as stored
             entries.append(_measure(tau, alpha, beta, params, windows))
     ops_names = tuple(q.name for q in ops)
     relative = params.delta >= params.rho

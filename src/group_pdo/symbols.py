@@ -41,6 +41,11 @@ class Symbol(FourierCoefficients):
     def invariant(self) -> bool:
         return self.grid is None
 
+    @property
+    def per_dual_scalar(self) -> bool:
+        """Gridded in the scalar form with one dual per bucket: every SU(2) scalar form, no torus one past one dual."""
+        return not self.invariant and len(self.buckets) == len(self.duals) and all(b.shape[-1] == 1 for b in self.buckets)
+
     def resolve_grid(self, grid=None):
         """The grid to evaluate on: its own when gridded, else `grid` or the smallest for its band.
 

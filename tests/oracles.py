@@ -6,11 +6,14 @@ its own, by einsum against Wigner-d tables built here with
 `wigner_d_tables` and phase tables of the full weight range, so it shares
 no layout with the spin-shell engine.  `kernel_bounds_sweep` and
 `bmo_per_center` reduce every kernel row and every ball center, where
-`group_pdo.bounds` reads one per grid orbit.  `kernel_side_difference` is
-Delta_q sigma from q's values alone: the kernel of sigma(x, .) at each node
-x by a batched inverse, times q, and a batched forward onto the shrunken
-band (`_kernel_side_blocks`, a chunk of nodes at a time, joined by
-`concat`), where `diffops.difference` applies each group's rule on the dual.
+`group_pdo.bounds` reads one per grid orbit.  `character_kernel_rows` sums
+the SU(2) characters of a gridded scalar symbol by the Chebyshev
+recurrence, where the grid synthesises its projection rows.
+`kernel_side_difference` is Delta_q sigma from q's values alone: the
+kernel of sigma(x, .) at each node x by a batched inverse, times q, and a
+batched forward onto the shrunken band (`_kernel_side_blocks`, a chunk of
+nodes at a time, joined by `concat`), where `diffops.difference` applies
+each group's rule on the dual.
 `svd_sup_op_norms` takes every block's norm by a full batched SVD, where
 `FourierCoefficients.sup_op_norms` takes one only where cheap bounds leave
 the norm open.
@@ -212,6 +215,21 @@ def kernel_bounds_sweep(sigma, grid=None) -> tuple[float, float]:
         row_l1.append(block @ w)
         row_sq.append(np.square(block) @ w)
     return float(np.max(np.concatenate(row_l1))), float(np.sqrt(w @ np.concatenate(row_sq)))
+
+
+def character_kernel_rows(sigma: Symbol, rows) -> np.ndarray:
+    """K(x, y) = sum_j (j2 + 1) s(x, j) U_j2(<x, y>) at the nodes x of `rows`, for sigma = s I gridded on SU(2) in the
+    scalar form: the projection onto spin j2 has the kernel (j2 + 1) chi_j2(y^-1 x), and chi_j2 is the Chebyshev
+    polynomial U_j2 of Re(y^-1 x) = <x, y>, here by the three-term recurrence U_(n+1) = 2 c U_n - U_(n-1)."""
+    nodes = sigma.grid.nodes
+    c = np.clip(nodes[rows] @ nodes.T, -1.0, 1.0)
+    spins = dict(zip(sigma.duals.labels.tolist(), sigma.buckets))
+    out, before, u = np.zeros(c.shape, dtype=complex), np.zeros_like(c), np.ones_like(c)
+    for j2 in range(max(spins) + 1):
+        if j2 in spins:
+            out += (j2 + 1) * spins[j2][0, rows, 0, 0][:, None] * u
+        before, u = u, 2.0 * c * u - before
+    return out
 
 
 def bmo_per_center(g: GridFunction, radii) -> tuple[np.ndarray, tuple[float, int, float]]:

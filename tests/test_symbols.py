@@ -206,7 +206,7 @@ class TestScalarForm:
     @pytest.mark.parametrize("name", ["t1", "t2", "su2"])
     def test_every_reader_gives_what_it_gives_on_the_table(self, name, t1, t2, su2, rng):
         # a gridded schrodinger phase or identity holds s (count, N, 1, 1) per run, for s I_d: each reader gives
-        # bit for bit what it gives on the table the scalar form stands for, but an su2 derivative (to 1e-13)
+        # bit for bit what it gives on the table the scalar form stands for, but an su2 apply and derivative (to 1e-13)
         group = {"t1": t1, "t2": t2, "su2": su2}[name]
         band = group.band_of_native(6)
         grid = group.grid_for_band(band)
@@ -220,7 +220,11 @@ class TestScalarForm:
             assert [b.shape[-1] for b in table.buckets] == [sig.duals.dims[start] for start, _ in sig.duals.runs]
             assert (table is sig) == (name != "su2")  # on the torus the scalar form is the table
             assert np.array_equal(dense_kernel(sig, grid), dense_kernel(table, grid))
-            assert np.array_equal(apply(sig, batch).values, apply(table, batch).values)
+            applied, from_table = apply(sig, batch).values, apply(table, batch).values
+            if name == "su2":  # one synthesis per spin, against the trace sum of each node's blocks
+                assert np.max(np.abs(applied - from_table)) <= 1e-13 * np.max(np.abs(from_table))
+            else:
+                assert np.array_equal(applied, from_table)
             assert np.array_equal(sig.hs_squares(), table.hs_squares())
             assert np.array_equal(sig.sup_op_norms(), table.sup_op_norms())
             made, from_table = difference(q, sig), difference(q, table)  # each keeps its table

@@ -10,7 +10,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 68 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 70 more that cover
 the other subcommands, groups and refusals, and the ``--config`` loader on
 the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
@@ -118,6 +118,8 @@ EXTRA = (
     "lp-sharpness --group su2 --band 99 --resolution 7 --margin 3 --p 4 --lambdas 8,16,32 --iterations 3",
     "lp-sharpness --resolution 7 --p 4 --lambdas 8,16,32 --iterations 3",
     f"audit --group t2 --band 12 {SCHRODINGER} --samples 3",
+    f"linf --group su2 --band 6 {SCHRODINGER} --samples 3",
+    f"hsnorm --group su2 --band 9 {SCHRODINGER}",
     f"seminorm --group su2 --band 2.5 {SCHRODINGER} --m 0 --rho 1 --delta 0.5 --l 1 --margin 5",
     f"--config {shlex.quote(CONFIG)} transform",
     f"--config {shlex.quote(CONFIG)} interval --nu 0.75",
