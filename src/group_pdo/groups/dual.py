@@ -101,8 +101,9 @@ class GridMeta:
     and `invariant_operator`, Op(sigma) set up once (by default `analysis`, the blockwise product, `synthesis`).
     Each grid owns the rest: `require_band`, `rep_table`, `analysis(values, duals) -> buckets`, `synthesis(duals,
     buckets, count) -> (count, N) values`, the kernel rows of one chunk `_rows(sigma, rows) -> (len, N)`, and the
-    motions that map it onto itself: `orbits() -> (representatives, size)`, `move(k, nodes)` and, keeping every
-    class-function kernel such as `projection_rows`, `two_sided_orbits() -> (orbits, size) nodes`."""
+    motions that map it onto itself: `orbits() -> (representatives, size)`, `two_sided_orbits() -> (orbits, size)
+    nodes`, which keep every class-function kernel such as `projection_rows`, and `move(k, nodes)`: its motions
+    k < size reach every member of an orbit from its first node (on SU(2) k = l p + a, z(2 pi a/p) x z(4 pi l/q))."""
 
     @property
     def node_count(self) -> int:

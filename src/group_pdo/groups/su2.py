@@ -276,11 +276,12 @@ class SU2Grid(GridMeta):
     ``rep_table`` is assembled from them on each call: a kept copy (N (j2+1)^2 complex numbers per spin)
     saved no time.
 
-    The left z-rotations z(2 pi k / p) map the grid onto itself (`move`),
+    The left z-rotations z(2 pi a / p) map the grid onto itself (`move`),
     so its nodes fall into t q orbits of p nodes (`orbits`): a kernel bound
-    of an invariant symbol reads one kernel row per orbit, and the BMO
-    seminorm one distance vector.  With the right z-rotations z(4 pi l / q),
-    each theta's nodes form one orbit (`two_sided_orbits`).
+    of an invariant symbol reads one kernel row per orbit.  With the right
+    z-rotations z(4 pi l / q), each theta's nodes form one orbit
+    (`two_sided_orbits`), reached from its first node by the motions
+    k = l p + a < p q: the BMO seminorm reads one distance vector per theta.
     """
 
     group: SU2
@@ -417,12 +418,14 @@ class SU2Grid(GridMeta):
         return np.arange(self.node_count).reshape(self.shape).transpose(1, 0, 2).reshape(self.shape[1], -1)
 
     def move(self, k, nodes) -> np.ndarray:
-        """The node z(2 pi k / p) x for each node x of `nodes`, k and nodes broadcast: phi index j goes to
-        (j + k) mod p, and psi by 2 pi (q / 2 nodes) at each wrap of phi, as z(2 pi) = -e."""
+        """The node z(2 pi a / p) x z(4 pi l / q) for each node x of `nodes`, the motion k = l p + a, k and nodes
+        broadcast: phi index j goes to (j + a) mod p, and psi by 2 pi (q / 2 nodes) at each wrap of phi, as
+        z(2 pi) = -e, then by l nodes mod q.  Each k < p is the left rotation alone."""
         p, _, q = self.shape
+        l, a = np.divmod(np.asarray(k), p)
         j, theta, psi = np.unravel_index(nodes, self.shape)
-        turns, j = np.divmod(j + np.asarray(k), p)
-        return np.ravel_multi_index((j, theta, (psi + turns * (q // 2)) % q), self.shape)
+        turns, j = np.divmod(j + a, p)
+        return np.ravel_multi_index((j, theta, (psi + turns * (q // 2) + l) % q), self.shape)
 
     def _rows(self, sigma, rows) -> np.ndarray:
         """K[rows] (a slice or an index array), the conjugate of the synthesis of P^H, P = xi(x) sigma(x, xi) at

@@ -152,8 +152,8 @@ def schrodinger_phase(group, t: float, f: GridFunction, delta: float, band: floa
 def z_plus_c_inverse(c: complex, band: float) -> Symbol:
     """Inverse symbol of Z + c on SU(2): diag(1 / (i m + c)) in the weight basis.
 
-    Exists iff i c is not a half-integer; a resonant c is rejected with the
-    offending mode named.
+    Exists iff i c is not a half-integer; a c with i c within 1e-12 of a
+    half-integer is rejected as resonant, with the offending mode named.
     """
     c = complex(c)
     ic = 1j * c
@@ -162,7 +162,7 @@ def z_plus_c_inverse(c: complex, band: float) -> Symbol:
         if abs(ic.real - m2 / 2.0) <= 1e-12:
             mode = f"{m2}/2" if m2 % 2 else str(m2 // 2)
             raise SingularSymbolError(
-                f"resonant constant c={c}: i*c lies in (1/2)Z, the symbol is singular at m = {mode}"
+                f"resonant constant c={c}: i*c lies within 1e-12 of (1/2)Z, the symbol is singular at m = {mode}"
             )
     group = SU2()
 

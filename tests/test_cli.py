@@ -161,6 +161,14 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    def test_resonance_refusal_names_its_tolerance(self, tmp_path, capsys):
+        argv = ["hsnorm", "--group", "su2", "--band", "3", "--symbol", "z_plus_c_inverse", "--symbol-params"]
+        code, _, files = run([*argv, "c=1e-320"], tmp_path, "subnormal")
+        assert (code, files) == (2, [])
+        assert "i*c lies within 1e-12 of (1/2)Z, the symbol is singular at m = 0" in capsys.readouterr().err
+        code, _, files = run([*argv, "c=1e-11"], tmp_path, "past")  # just past the tolerance: a symbol
+        assert code == 0 and len(files) == 2
+
 
     @pytest.mark.parametrize(
         "lambdas, reason",

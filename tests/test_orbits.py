@@ -10,6 +10,7 @@ from conftest import dense_kernel
 from group_pdo.bounds import bmo_seminorm, hs_norm_kernel, linf_bound_constant
 from group_pdo.fourier import GridFunction
 from group_pdo.groups import SU2, Torus, euler_to_quat
+from group_pdo.groups.su2 import quat_multiply
 from group_pdo.named_functions import named_function
 from group_pdo.symbols import hirschman_wainger, identity_symbol, multiplier_power, z_plus_c_inverse
 from oracles import bmo_per_center, kernel_bounds_sweep
@@ -62,6 +63,73 @@ def test_moves_are_bijections_and_orbits_partition_the_nodes(name):
     assert np.array_equal(np.sort(members.ravel()), np.arange(n))
     assert np.array_equal(members[0], grid.orbits()[0])  # the motion 0 is the identity
     assert np.array_equal(grid.weights[members], np.broadcast_to(grid.weights[members[0]], members.shape))
+
+
+SU2_GRIDS = [name for name in GRIDS if name.startswith("su2")]
+
+
+def two_sided(grid, k: int) -> tuple[int, int]:
+    """(a, l) of the motion k = l p + a of an SU(2) grid: left z(2 pi a / p), then right z(4 pi l / q)."""
+    l, a = divmod(k, grid.shape[0])
+    return a, l
+
+
+def two_sided_product(grid, k: int) -> np.ndarray:
+    """z(2 pi a / p) x z(4 pi l / q) at each node x, a quaternion per row."""
+    p, _, q = grid.shape
+    a, l = two_sided(grid, k)
+    left, right = euler_to_quat(2 * np.pi * a / p, 0.0, 0.0), euler_to_quat(0.0, 0.0, 4 * np.pi * l / q)
+    return quat_multiply(quat_multiply(left, grid.nodes.T), right).T
+
+
+@pytest.mark.parametrize("name", SU2_GRIDS)
+def test_two_sided_move_is_the_quaternion_product(name):
+    grid = GRIDS[name]()
+    p, _, q = grid.shape
+    for k in range(p * q):  # the same unit quaternion, sign included
+        moved = grid.nodes[grid.move(k, np.arange(grid.node_count))]
+        np.testing.assert_allclose(moved, two_sided_product(grid, k), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", SU2_GRIDS)
+def test_two_sided_moves_are_distinct_bijections(name):
+    grid = GRIDS[name]()
+    p, _, q = grid.shape
+    n = grid.node_count
+    moves = grid.move(np.arange(p * q)[:, None], np.arange(n)[None, :])
+    assert np.array_equal(np.sort(moves, axis=1), np.broadcast_to(np.arange(n), moves.shape))
+    assert len({m.tobytes() for m in moves}) == p * q  # p q different permutations
+    for k in range(p * q):  # node (0, 0, 0) goes to (a, 0, l)
+        a, l = two_sided(grid, k)
+        assert moves[k, 0] == np.ravel_multi_index((a, 0, l), grid.shape)
+
+
+@pytest.mark.parametrize("name", SU2_GRIDS)
+def test_two_sided_moves_of_an_orbits_first_node_are_the_orbit(name):
+    grid = GRIDS[name]()
+    p, _, q = grid.shape
+    for orbit in grid.two_sided_orbits():
+        members = grid.move(np.arange(p * q), orbit[0])
+        assert np.array_equal(np.sort(members), np.sort(orbit))
+        assert np.array_equal(members, orbit.reshape(p, q).T.ravel())  # the member k = l p + a is node (a, ., l)
+
+
+@pytest.mark.parametrize("name", SU2_GRIDS)
+def test_two_sided_moves_keep_distances(name):
+    grid = GRIDS[name]()
+    p, _, q = grid.shape
+    group, nodes = grid.group, grid.nodes
+    firsts = grid.two_sided_orbits()[:, 0]  # the centers whose distance vectors the BMO seminorm moves
+    dist = np.array([group.distances(nodes, nodes[c]) for c in firsts])
+    kept, moved = [], []
+    for k in range(p * q):
+        at = grid.move(k, np.arange(grid.node_count))
+        kept.append(np.max(np.abs(np.array([group.distances(nodes[at], nodes[at[c]]) for c in firsts]) - dist)))
+        # each node moved as far as the product moves it, d(x, y) = 4 arctan(|x - y| / |x + y|)
+        far = [np.arctan2(np.linalg.norm(nodes - y, axis=1), np.linalg.norm(nodes + y, axis=1))
+               for y in (nodes[at], two_sided_product(grid, k))]
+        moved.append(4 * np.max(np.abs(far[0] - far[1])))
+    assert max(kept) <= 1e-13 and max(moved) <= 1e-13  # far inside BMO_TIE
 
 
 INVARIANT = {

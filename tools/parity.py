@@ -10,7 +10,7 @@ directory.  Every invocation of a fixed list runs in a fresh process, once
 against the revision's ``src`` and once against this checkout's ``src``
 (uncommitted edits included), with one BLAS thread, a random hash seed of
 its own and its own output directory.  The list is the benchmark's 13
-commands (``bench/workloads.py``) at seeds 1 and 7, plus 70 more that cover
+commands (``bench/workloads.py``) at seeds 1 and 7, plus 72 more that cover
 the other subcommands, groups and refusals, and the ``--config`` loader on
 the committed ``tools/parity.cfg``.  Exit codes, stdout, stderr,
 result-file names and result-file bytes are compared; the checkout paths
@@ -96,6 +96,8 @@ EXTRA = (
     "bmo --group su2 --band 4 --function cos",
     "bmo --group su2 --band 2.5 --function step",
     "bmo --group t2 --resolution 24 --function step",
+    "bmo --group su2 --band 6 --function step",
+    "bmo --group su2 --band 6 --function random --seed 3",
     "interval --n 1 --rho 0.5 --nu 0.125",
     "threshold --n 3 --p 4 --rho 0 --delta 0",
     "lp-sharpness --p 4 --rho 0.5 --nu0 0.1 --lambdas 64,128,256",
